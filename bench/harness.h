@@ -112,11 +112,12 @@ inline void EmitJson(const std::string& bench, const std::string& label,
   Histogram* eval = registry.GetHistogram("policy_eval_us");
   Histogram* compact = registry.GetHistogram("compaction_us");
   for (const ExecutionStats& s : stats) {
-    total->Observe(s.total_ms() * 1000.0);
-    query->Observe(s.query_exec_ms * 1000.0);
-    loggen->Observe(s.log_gen_ms * 1000.0);
-    eval->Observe(s.policy_wall_us);
-    compact->Observe(s.compaction_ms() * 1000.0);
+    PhaseTimes p = s.phases();
+    total->Observe(p.total_us());
+    query->Observe(p.user_exec_us);
+    loggen->Observe(p.log_gen_us);
+    eval->Observe(p.policy_eval_us);
+    compact->Observe(p.compaction_us);
   }
   std::string record = "{\"bench\":\"" + JsonEscape(bench) + "\",\"label\":\"" +
                        JsonEscape(label) +

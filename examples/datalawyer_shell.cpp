@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/strings.h"
 #include "core/datalawyer.h"
 #include "storage/persistence.h"
 #include "storage/stats.h"
@@ -56,9 +57,9 @@ void PrintHelp() {
   \why <decision-id>      the same, for one decision by id (see \decisions)
   \decisions [n]          last n (default 10) decision records
   \decisions json         dump the decision store as JSON
-  \audit [n]              last n (default 10) admit/reject audit records
-  \slow [n]               last n (default 10) slow-enforcement profiles
-  \slow json              dump the slow-enforcement log as JSON
+  \audit [n]              last n (default 10) admit/reject decisions, audit view
+  \slow [n]               last n (default 10) decisions at/above the threshold
+  \slow json              dump those slow decisions as JSON
   \slow threshold <us>    set the slow threshold in microseconds (0 = off)
   \paper                  load the paper's six Table 2 policies
   \save <dir> / \load <dir>   snapshot / restore the database and usage log
@@ -67,9 +68,14 @@ void PrintHelp() {
 )");
 }
 
-std::string FormatMs(double ms) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2fms", ms);
+/// The seven-phase breakdown shared by \stats, \why, and \slow.
+std::string FormatPhases(const PhaseTimes& p) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "total %8.0fus | parse %.0f bind %.0f plan %.0f log-gen %.0f "
+                "eval %.0f compact %.0f exec %.0f",
+                p.total_us(), p.parse_us, p.bind_us, p.plan_us, p.log_gen_us,
+                p.policy_eval_us, p.compaction_us, p.user_exec_us);
   return buf;
 }
 
@@ -345,12 +351,9 @@ int main(int argc, char** argv) {
             std::printf("  (+%llu more witness rows, truncated)\n",
                         (unsigned long long)d.witnesses_truncated);
           }
-          std::printf(
-              "  total %8.0fus | parse %.0f bind %.0f plan %.0f log-gen "
-              "%.0f eval %.0f compact %.0f exec %.0f | plan-cache %zu/%zu\n",
-              d.total_us(), d.parse_us, d.bind_us, d.plan_us, d.log_gen_us,
-              d.policy_eval_us, d.compaction_us, d.user_exec_us,
-              d.plan_cache_hits, d.plan_cache_hits + d.plan_cache_misses);
+          std::printf("  %s | plan-cache %zu/%zu\n",
+                      FormatPhases(d.phases).c_str(), d.plan_cache_hits,
+                      d.plan_cache_hits + d.plan_cache_misses);
         };
         // \why <arg>: a decision id if one matches, otherwise a count of
         // recent rejections (ids grow without bound, counts stay small, so
@@ -397,8 +400,13 @@ int main(int argc, char** argv) {
           }
         }
       } else if (cmd == "slow") {
+        // The slow log is a view: the recorded decisions whose total met
+        // the threshold (none while it is 0).
+        double threshold = dl.options().slow_enforcement_threshold_us;
         if (rest == "json") {
-          std::printf("%s\n", dl.slow_log().ToJson().c_str());
+          std::string json =
+              threshold > 0 ? dl.decision_store().ToJson(threshold) : "[]";
+          std::printf("%s\n", json.c_str());
         } else if (rest.rfind("threshold ", 0) == 0) {
           DataLawyerOptions opts = dl.options();
           opts.slow_enforcement_threshold_us =
@@ -406,46 +414,38 @@ int main(int argc, char** argv) {
           dl.set_options(opts);
           std::printf("slow threshold = %.0fus\n",
                       opts.slow_enforcement_threshold_us);
+        } else if (threshold <= 0) {
+          std::printf("slow log disabled (\\slow threshold <us> to arm)\n");
         } else {
-          const SlowLog& slow = dl.slow_log();
-          if (dl.options().slow_enforcement_threshold_us <= 0) {
-            std::printf("slow log disabled (\\slow threshold <us> to arm)\n");
-          }
-          if (slow.dropped() > 0) {
-            std::printf("(%llu older profiles evicted)\n",
-                        (unsigned long long)slow.dropped());
-          }
           size_t n =
               rest.empty() ? 10 : std::strtoull(rest.c_str(), nullptr, 10);
-          for (const EnforcementProfile& p : slow.Tail(n)) {
-            std::printf(
-                "ts=%-8lld uid=%-4lld %s%s total %8.0fus | parse %.0f bind "
-                "%.0f plan %.0f log-gen %.0f eval %.0f compact %.0f exec "
-                "%.0f | %s\n",
-                (long long)p.ts, (long long)p.uid,
-                p.rejected ? "REJECT" : "ADMIT ", p.probe ? "?" : " ",
-                p.total_us(), p.parse_us, p.bind_us, p.plan_us, p.log_gen_us,
-                p.policy_eval_us, p.compaction_us, p.user_exec_us,
-                p.query_sql.c_str());
+          std::vector<const DecisionRecord*> slow;
+          const auto& records = dl.decision_store().records();
+          for (auto it = records.rbegin();
+               it != records.rend() && slow.size() < n; ++it) {
+            if (it->total_us() >= threshold) slow.push_back(&*it);
+          }
+          for (auto it = slow.rbegin(); it != slow.rend(); ++it) {
+            const DecisionRecord& d = **it;
+            std::printf("ts=%-8lld uid=%-4lld %s%s %s | %s\n", (long long)d.ts,
+                        (long long)d.uid, d.admitted ? "ADMIT " : "REJECT",
+                        d.probe ? "?" : " ", FormatPhases(d.phases).c_str(),
+                        d.query_sql.c_str());
           }
         }
       } else if (cmd == "audit") {
         size_t n = rest.empty() ? 10 : std::strtoull(rest.c_str(), nullptr, 10);
-        const AuditLog& audit = dl.audit_log();
+        const DecisionStore& audit = dl.decision_store();
         if (audit.dropped() > 0) {
           std::printf("(%llu older records evicted)\n",
                       (unsigned long long)audit.dropped());
         }
-        for (const AuditRecord& r : audit.Tail(n)) {
-          std::string policies;
-          for (size_t i = 0; i < r.violated_policies.size(); ++i) {
-            if (i) policies += ",";
-            policies += r.violated_policies[i];
-          }
-          std::printf("ts=%-8lld uid=%-4lld %s%s %8.0fus  %s%s%s\n",
-                      (long long)r.ts, (long long)r.uid,
-                      r.admitted ? "ADMIT " : "REJECT", r.probe ? "?" : " ",
-                      r.total_us, r.query_sql.c_str(),
+        for (const DecisionRecord& d : audit.Tail(n)) {
+          std::string policies = Join(d.ViolatedPolicies(), ",");
+          std::printf("#%-6llu ts=%-8lld uid=%-4lld %s%s %8.0fus  %s%s%s\n",
+                      (unsigned long long)d.id, (long long)d.ts,
+                      (long long)d.uid, d.admitted ? "ADMIT " : "REJECT",
+                      d.probe ? "?" : " ", d.total_us(), d.query_sql.c_str(),
                       policies.empty() ? "" : "  [",
                       policies.empty() ? "" : (policies + "]").c_str());
         }
@@ -475,13 +475,9 @@ int main(int argc, char** argv) {
                                            stats).c_str());
       } else if (cmd == "stats") {
         const ExecutionStats& s = dl.last_stats();
-        std::printf("query %s | log-gen %s | policy-eval %s | compaction %s"
-                    " | policies evaluated %zu, pruned %zu\n",
-                    FormatMs(s.query_exec_ms).c_str(),
-                    FormatMs(s.log_gen_ms).c_str(),
-                    FormatMs(s.policy_eval_ms()).c_str(),
-                    FormatMs(s.compaction_ms()).c_str(),
-                    s.policies_evaluated, s.policies_pruned_early);
+        std::printf("%s | policies evaluated %zu, pruned %zu\n",
+                    FormatPhases(s.phases()).c_str(), s.policies_evaluated,
+                    s.policies_pruned_early);
         std::printf("policy wall %.0fus, cpu %.0fus | index probes %zu,"
                     " hits %zu | range probes %zu, hits %zu\n",
                     s.policy_wall_us, s.policy_cpu_us, s.index_probes,

@@ -141,12 +141,13 @@ class MetricsRegistry {
 ///
 /// Record() takes one mutex; it runs once per checked query on the
 /// enforcement (not query-execution) path, matching the discipline of the
-/// audit ring. Snapshots merge at read time, so an idle system pays
+/// decision store. Snapshots merge at read time, so an idle system pays
 /// nothing for windows sliding past.
 class RollupRegistry {
  public:
   /// Phases carried per-slot. kTotal is end-to-end enforcement latency;
-  /// the rest mirror the EnforcementProfile phases that dominate it.
+  /// the rest mirror the per-query phases (core PhaseTimes) that dominate
+  /// it.
   enum Phase {
     kTotal = 0,
     kLogGen,

@@ -21,7 +21,7 @@ std::string Join(const std::vector<std::string>& parts,
 /// Appends `s` to `*out` escaped for inclusion inside a JSON string literal
 /// (quotes, backslashes, and control characters; the surrounding quotes are
 /// the caller's). Shared by every JSON writer in the system — trace export,
-/// metrics snapshots, the slow-enforcement log, and the bench harness — so
+/// metrics snapshots, decision records, and the bench harness — so
 /// labels carrying SQL fragments or policy names can never corrupt a
 /// document.
 void AppendJsonEscaped(std::string* out, const std::string& s);
@@ -31,8 +31,9 @@ std::string JsonEscape(const std::string& s);
 
 /// Escapes `s` for one field of a tab-separated line: backslash, tab, LF
 /// and CR become two-character escape sequences, so a field can carry
-/// arbitrary query text without corrupting the row or the file. Shared by
-/// the audit trail's TSV persistence (and any future line-oriented format).
+/// arbitrary query text without corrupting the row or the file. Used by
+/// the decision store's audit-trail TSV (and any future line-oriented
+/// format).
 std::string TsvEscape(const std::string& s);
 
 /// Inverse of TsvEscape. Unknown escape sequences keep the escaped

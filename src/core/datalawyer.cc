@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
+#include <limits>
 #include <thread>
 #include <unordered_set>
 
@@ -58,6 +60,81 @@ void StripHaving(SelectStmt* stmt) {
   }
 }
 
+/// One column of a decision-backed system relation: its name, type, and
+/// how to read it off a DecisionRecord.
+struct DecisionColumn {
+  const char* name;
+  ValueType type;
+  Value (*get)(const DecisionRecord&);
+};
+
+using D = const DecisionRecord&;
+const DecisionColumn kDecisionColumns[] = {
+    {"id", ValueType::kInt64, [](D d) { return Value(int64_t(d.id)); }},
+    {"ts", ValueType::kInt64, [](D d) { return Value(d.ts); }},
+    {"uid", ValueType::kInt64, [](D d) { return Value(d.uid); }},
+    {"verdict", ValueType::kString,
+     [](D d) { return Value(std::string(d.verdict())); }},
+    {"rejected", ValueType::kBool, [](D d) { return Value(!d.admitted); }},
+    {"probe", ValueType::kBool, [](D d) { return Value(d.probe); }},
+    {"policy", ValueType::kString,
+     [](D d) { return d.policy.empty() ? Value() : Value(d.policy); }},
+    {"query", ValueType::kString, [](D d) { return Value(d.query_sql); }},
+    {"query_hash", ValueType::kInt64,
+     [](D d) { return Value(int64_t(d.query_hash)); }},
+    {"witness_count", ValueType::kInt64,
+     [](D d) { return Value(int64_t(d.witnesses.size())); }},
+    {"plan_cache_hits", ValueType::kInt64,
+     [](D d) { return Value(int64_t(d.plan_cache_hits)); }},
+    {"plan_cache_misses", ValueType::kInt64,
+     [](D d) { return Value(int64_t(d.plan_cache_misses)); }},
+    {"parse_us", ValueType::kDouble,
+     [](D d) { return Value(d.phases.parse_us); }},
+    {"bind_us", ValueType::kDouble,
+     [](D d) { return Value(d.phases.bind_us); }},
+    {"plan_us", ValueType::kDouble,
+     [](D d) { return Value(d.phases.plan_us); }},
+    {"log_gen_us", ValueType::kDouble,
+     [](D d) { return Value(d.phases.log_gen_us); }},
+    {"policy_eval_us", ValueType::kDouble,
+     [](D d) { return Value(d.phases.policy_eval_us); }},
+    {"compaction_us", ValueType::kDouble,
+     [](D d) { return Value(d.phases.compaction_us); }},
+    {"user_exec_us", ValueType::kDouble,
+     [](D d) { return Value(d.phases.user_exec_us); }},
+    {"total_us", ValueType::kDouble, [](D d) { return Value(d.total_us()); }},
+    {"morsels", ValueType::kInt64,
+     [](D d) { return Value(int64_t(d.morsels)); }},
+    {"steals", ValueType::kInt64, [](D d) { return Value(int64_t(d.steals)); }},
+    {"queue_wait_us", ValueType::kInt64,
+     [](D d) { return Value(int64_t(d.queue_wait_us)); }},
+};
+
+/// The one row builder behind dl_decisions and dl_slow_log: the named
+/// columns, in order, of every record whose total_us() is at least
+/// `min_total_us`.
+std::unique_ptr<RelationData> DecisionRelation(
+    const DecisionStore& store, std::initializer_list<const char*> names,
+    double min_total_us) {
+  TableSchema schema;
+  std::vector<const DecisionColumn*> columns;
+  for (const char* name : names) {
+    for (const DecisionColumn& c : kDecisionColumns) {
+      if (std::strcmp(c.name, name) != 0) continue;
+      schema.AddColumn(c.name, c.type);
+      columns.push_back(&c);
+    }
+  }
+  std::vector<Row> rows;
+  for (const DecisionRecord& d : store.records()) {
+    if (d.total_us() < min_total_us) continue;
+    Row row;
+    for (const DecisionColumn* c : columns) row.push_back(c->get(d));
+    rows.push_back(std::move(row));
+  }
+  return std::make_unique<OwnedRelation>(std::move(schema), std::move(rows));
+}
+
 }  // namespace
 
 /// Per-policy precomputation from the offline phase.
@@ -99,8 +176,6 @@ DataLawyer::DataLawyer(Database* db, std::unique_ptr<UsageLog> log,
                               : std::make_unique<ManualClock>()),
       options_(options),
       engine_(db),
-      audit_(options.audit_capacity),
-      slow_log_(options.slow_log_capacity),
       decisions_(options.decision_capacity) {
   // Tracing is opt-in and process-global (one timeline); an instance turns
   // it on but never off, so a default-options instance elsewhere in the
@@ -139,7 +214,6 @@ void DataLawyer::set_options(DataLawyerOptions options) {
   adaptive_enabled_ = morsel_enabled_ && options_.adaptive_morsel_size &&
                       !AdaptiveMorselSizingDisabledByEnv();
   if (options_.enable_tracing) Tracer::Global().set_enabled(true);
-  slow_log_.set_capacity(options_.slow_log_capacity);
   decisions_.set_enabled(options_.enable_decisions);
   decisions_.set_capacity(options_.decision_capacity);
 }
@@ -495,9 +569,10 @@ Result<QueryResult> DataLawyer::Execute(const std::string& sql,
   if (!prepared_valid_) {
     DL_RETURN_NOT_OK(Prepare());
   }
+  stats_ = ExecutionStats{};
   auto parse_start = Now();
   DL_ASSIGN_OR_RETURN(Statement stmt, Parser::Parse(sql));
-  double parse_us = UsSince(parse_start);
+  stats_.parse_us = UsSince(parse_start);
   if (stmt.kind != StatementKind::kSelect) {
     // DDL/DML bypasses policy checking (policies govern reads, §3);
     // EXPLAIN is a diagnostic and bypasses it the same way — but it runs
@@ -514,23 +589,49 @@ Result<QueryResult> DataLawyer::Execute(const std::string& sql,
     return engine_.ExecuteStatement(stmt, diag_options);
   }
   int64_t ts = clock_->Tick();
-  stats_ = ExecutionStats{};
   stats_.ts = ts;
-  stats_.parse_us = parse_us;
+  return RunChecked(sql, *stmt.select, context, ts, /*probe=*/false);
+}
+
+Result<QueryResult> DataLawyer::RunChecked(const std::string& sql,
+                                           const SelectStmt& stmt,
+                                           const QueryContext& context,
+                                           int64_t ts, bool probe) {
   // Scheduler attribution brackets the whole checked pipeline: every task
   // this thread (and, transitively, its worker tasks) submits is charged
   // to query_group_, so the counts are exact per-query — a concurrent
   // background compaction runs detached and never leaks in.
   query_group_.Reset();
+  attribution_.assign(active_.size() + 1, QueryAttribution{});
+  // A probe reuses the checked path with compaction, commit and execution
+  // suppressed; its staged increments are discarded afterwards.
+  probe_mode_ = probe;
   Result<QueryResult> result = [&] {
     ScopedTaskGroup group(&query_group_);
-    return ExecuteChecked(*stmt.select, context, ts);
+    return ExecuteChecked(stmt, context, ts);
   }();
+  probe_mode_ = false;
+  if (probe) log_->DiscardStaged();
   stats_.sched_tasks = query_group_.tasks.load(std::memory_order_relaxed);
   stats_.steals = query_group_.steals.load(std::memory_order_relaxed);
   stats_.queue_wait_us =
       query_group_.queue_wait_us.load(std::memory_order_relaxed);
-  RecordDecision(sql, context, result.status(), /*probe=*/false);
+
+  static const std::string kUnionSlot = "(union)";
+  for (size_t i = 0; i < attribution_.size(); ++i) {
+    const QueryAttribution& a = attribution_[i];
+    if (a.evaluations == 0 && a.prunes == 0 && a.rejections == 0) continue;
+    const std::string& name = i < active_.size() ? active_[i].name : kUnionSlot;
+    PolicyStats& s = policy_stats_[name];
+    if (s.name.empty()) s.name = name;
+    s.evaluations += a.evaluations;
+    s.prunes += a.prunes;
+    s.rejections += a.rejections;
+    s.eval_us += a.eval_us;
+    s.incremental_hits += a.incremental_hits;
+    s.incremental_fallbacks += a.incremental_fallbacks;
+  }
+  RecordDecision(sql, context, result.status(), probe);
   return result;
 }
 
@@ -549,34 +650,17 @@ Status DataLawyer::WouldAllow(const std::string& sql,
     DL_RETURN_NOT_OK(Prepare());
   }
   DL_RETURN_NOT_OK(Flush());
+  stats_ = ExecutionStats{};
   auto parse_start = Now();
   DL_ASSIGN_OR_RETURN(Statement stmt, Parser::Parse(sql));
-  double parse_us = UsSince(parse_start);
+  stats_.parse_us = UsSince(parse_start);
   if (stmt.kind != StatementKind::kSelect) {
     return Status::OK();  // DDL/DML bypasses policies
   }
   // Probe at the next timestamp without consuming it.
   int64_t ts = clock_->Now() + 1;
-  stats_ = ExecutionStats{};
   stats_.ts = ts;
-  stats_.parse_us = parse_us;
-
-  // Reuse the checked path with compaction, commit and execution
-  // suppressed; all staged increments are discarded afterwards.
-  probe_mode_ = true;
-  query_group_.Reset();
-  Result<QueryResult> result = [&] {
-    ScopedTaskGroup group(&query_group_);
-    return ExecuteChecked(*stmt.select, context, ts);
-  }();
-  stats_.sched_tasks = query_group_.tasks.load(std::memory_order_relaxed);
-  stats_.steals = query_group_.steals.load(std::memory_order_relaxed);
-  stats_.queue_wait_us =
-      query_group_.queue_wait_us.load(std::memory_order_relaxed);
-  probe_mode_ = false;
-  log_->DiscardStaged();
-  RecordDecision(sql, context, result.status(), /*probe=*/true);
-  return result.status();
+  return RunChecked(sql, *stmt.select, context, ts, /*probe=*/true).status();
 }
 
 Result<QueryResult> DataLawyer::QueryUsageLog(const std::string& sql) {
@@ -776,10 +860,11 @@ Result<DataLawyer::PolicyEvalOutput> DataLawyer::EvalPolicyStatement(
   return out;
 }
 
-PolicyStats& DataLawyer::AttributionFor(const std::string& name) {
-  PolicyStats& slot = policy_stats_[name];
-  if (slot.name.empty()) slot.name = name;
-  return slot;
+DataLawyer::QueryAttribution& DataLawyer::AttributionFor(const Policy* policy) {
+  // Every attributed policy is an element of active_, so its position in
+  // active_ is its slot.
+  return attribution_[policy != nullptr ? size_t(policy - active_.data())
+                                        : active_.size()];
 }
 
 void DataLawyer::RecordEvalCounters(const PolicyEvalOutput& out,
@@ -795,8 +880,7 @@ void DataLawyer::RecordEvalCounters(const PolicyEvalOutput& out,
   stats_.range_probes += out.range_probes;
   stats_.range_hits += out.range_hits;
   stats_.morsels += out.morsels;
-  PolicyStats& slot =
-      AttributionFor(attribute_to != nullptr ? attribute_to->name : "(union)");
+  QueryAttribution& slot = AttributionFor(attribute_to);
   ++slot.evaluations;
   slot.eval_us += out.eval_us;
   if (out.incremental_hit) {
@@ -917,10 +1001,6 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
   if (decisions_.enabled()) {
     last_witnesses_.clear();
     last_witnesses_truncated_ = 0;
-    // Snapshot the cumulative attribution; RecordDecision diffs against it
-    // to derive this query's per-policy outcomes. Map assignment reuses
-    // nodes, so the steady-state cost is copies, not allocations.
-    decision_stats_base_ = policy_stats_;
   }
 
   // Stats drift: costed plans embed cardinality-derived access-path and
@@ -986,7 +1066,12 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
                        const std::vector<std::string>& messages) {
     last_violations_.push_back(
         ViolationReport{policy.name, policy.sql, messages});
-    ++AttributionFor(policy.name).rejections;
+    ++AttributionFor(&policy).rejections;
+  };
+  // A guard, partial, or increment check dismissed `policy` early.
+  auto prune = [&](const Policy& policy) {
+    ++stats_.policies_pruned_early;
+    ++AttributionFor(&policy).prunes;
   };
   auto reject = [&]() -> Status {
     // Capture the violating log rows while the staged increment still
@@ -1118,8 +1203,7 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
       RecordEvalCounters(first[i].out, &policy);
       if (policy.guard != nullptr) {
         if (first[i].out.messages.empty()) {
-          ++stats_.policies_pruned_early;  // guard proves satisfaction
-          ++AttributionFor(policy.name).prunes;
+          prune(policy);  // guard proves satisfaction
           continue;
         }
         BatchOutcome& o = second[precise_of[i]];
@@ -1221,8 +1305,7 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
           if (o.guard_ran) {
             RecordEvalCounters(o.guard_out, &policy);
             if (o.guard_pruned) {
-              ++stats_.policies_pruned_early;
-              ++AttributionFor(policy.name).prunes;
+              prune(policy);
               continue;
             }
             guard_cleared.insert(prep);  // suspicious: precise check required
@@ -1236,11 +1319,9 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
             }
             // Fully satisfied: dismissed.
           } else if (o.out.messages.empty()) {
-            ++stats_.policies_pruned_early;  // partial proved satisfaction
-            ++AttributionFor(policy.name).prunes;
+            prune(policy);  // partial proved satisfaction
           } else if (o.check_dep && !o.out.depends_on_increment) {
-            ++stats_.policies_pruned_early;
-            ++AttributionFor(policy.name).prunes;
+            prune(policy);
           } else {
             next.push_back(prep);
           }
@@ -1258,8 +1339,7 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
                                                    catalog.view(), false,
                                                    nullptr, &policy));
             if (guard_messages.empty()) {
-              ++stats_.policies_pruned_early;
-              ++AttributionFor(policy.name).prunes;
+              prune(policy);
               continue;  // guard proves satisfaction
             }
             guard_cleared.insert(prep);  // suspicious: precise check required
@@ -1284,13 +1364,11 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
             }
             // Fully satisfied: dismissed.
           } else if (messages.empty()) {
-            ++stats_.policies_pruned_early;  // partial proved satisfaction
-            ++AttributionFor(policy.name).prunes;
+            prune(policy);  // partial proved satisfaction
           } else if (check_dep && !depends) {
             // §4.3 improved partial policies: held in the past, and nothing
             // from the current increment contributes.
-            ++stats_.policies_pruned_early;
-            ++AttributionFor(policy.name).prunes;
+            prune(policy);
           } else {
             next.push_back(prep);
           }
@@ -1314,8 +1392,7 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
                               EvaluatePolicyStmt(*policy.guard, catalog.view(),
                                                  false, nullptr, &policy));
           if (guard_messages.empty()) {
-            ++stats_.policies_pruned_early;
-            ++AttributionFor(policy.name).prunes;
+            prune(policy);
             continue;
           }
         }
@@ -1366,8 +1443,7 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
                             EvaluatePolicyStmt(*policy.guard, catalog.view(),
                                                false, nullptr, &policy));
         if (guard_messages.empty()) {
-          ++stats_.policies_pruned_early;
-          ++AttributionFor(policy.name).prunes;
+          prune(policy);
           return false;
         }
         // Suspicious: materialize the precise policy's remaining logs.
@@ -1561,61 +1637,17 @@ void DataLawyer::RegisterSystemRelations() {
   // Each provider materializes a read-only snapshot of one telemetry
   // surface. Providers run under the SystemCatalog mutex on first lookup
   // after an invalidation; they only read state mutated in serial sections
-  // (decision store, attribution map, slow log), so a concurrent policy
-  // worker resolving a dl_* name mid-evaluation sees a stable snapshot.
+  // (decision store, attribution map), so a concurrent policy worker
+  // resolving a dl_* name mid-evaluation sees a stable snapshot.
   system_catalog_->Register("dl_decisions", [this]() {
-    TableSchema schema;
-    schema.AddColumn("id", ValueType::kInt64)
-        .AddColumn("ts", ValueType::kInt64)
-        .AddColumn("uid", ValueType::kInt64)
-        .AddColumn("verdict", ValueType::kString)
-        .AddColumn("probe", ValueType::kBool)
-        .AddColumn("policy", ValueType::kString)
-        .AddColumn("query", ValueType::kString)
-        .AddColumn("query_hash", ValueType::kInt64)
-        .AddColumn("witness_count", ValueType::kInt64)
-        .AddColumn("plan_cache_hits", ValueType::kInt64)
-        .AddColumn("plan_cache_misses", ValueType::kInt64)
-        .AddColumn("parse_us", ValueType::kDouble)
-        .AddColumn("bind_us", ValueType::kDouble)
-        .AddColumn("plan_us", ValueType::kDouble)
-        .AddColumn("log_gen_us", ValueType::kDouble)
-        .AddColumn("policy_eval_us", ValueType::kDouble)
-        .AddColumn("compaction_us", ValueType::kDouble)
-        .AddColumn("user_exec_us", ValueType::kDouble)
-        .AddColumn("total_us", ValueType::kDouble)
-        .AddColumn("morsels", ValueType::kInt64)
-        .AddColumn("steals", ValueType::kInt64)
-        .AddColumn("queue_wait_us", ValueType::kInt64);
-    std::vector<Row> rows;
-    for (const DecisionRecord& d : decisions_.records()) {
-      Row row;
-      row.push_back(Value(int64_t(d.id)));
-      row.push_back(Value(d.ts));
-      row.push_back(Value(d.uid));
-      row.push_back(Value(std::string(d.verdict())));
-      row.push_back(Value(d.probe));
-      row.push_back(d.policy.empty() ? Value() : Value(d.policy));
-      row.push_back(Value(d.query_sql));
-      row.push_back(Value(int64_t(d.query_hash)));
-      row.push_back(Value(int64_t(d.witnesses.size())));
-      row.push_back(Value(int64_t(d.plan_cache_hits)));
-      row.push_back(Value(int64_t(d.plan_cache_misses)));
-      row.push_back(Value(d.parse_us));
-      row.push_back(Value(d.bind_us));
-      row.push_back(Value(d.plan_us));
-      row.push_back(Value(d.log_gen_us));
-      row.push_back(Value(d.policy_eval_us));
-      row.push_back(Value(d.compaction_us));
-      row.push_back(Value(d.user_exec_us));
-      row.push_back(Value(d.total_us()));
-      row.push_back(Value(int64_t(d.morsels)));
-      row.push_back(Value(int64_t(d.steals)));
-      row.push_back(Value(int64_t(d.queue_wait_us)));
-      rows.push_back(std::move(row));
-    }
-    return std::make_unique<OwnedRelation>(std::move(schema),
-                                           std::move(rows));
+    return DecisionRelation(
+        decisions_,
+        {"id", "ts", "uid", "verdict", "probe", "policy", "query",
+         "query_hash", "witness_count", "plan_cache_hits", "plan_cache_misses",
+         "parse_us", "bind_us", "plan_us", "log_gen_us", "policy_eval_us",
+         "compaction_us", "user_exec_us", "total_us", "morsels", "steals",
+         "queue_wait_us"},
+        0);
   });
 
   system_catalog_->Register("dl_policy_stats", [this]() {
@@ -1646,41 +1678,16 @@ void DataLawyer::RegisterSystemRelations() {
                                            std::move(rows));
   });
 
+  // The slow-enforcement log: the decisions at or above the threshold
+  // (none when it is 0, the default).
   system_catalog_->Register("dl_slow_log", [this]() {
-    TableSchema schema;
-    schema.AddColumn("ts", ValueType::kInt64)
-        .AddColumn("uid", ValueType::kInt64)
-        .AddColumn("rejected", ValueType::kBool)
-        .AddColumn("probe", ValueType::kBool)
-        .AddColumn("query", ValueType::kString)
-        .AddColumn("parse_us", ValueType::kDouble)
-        .AddColumn("bind_us", ValueType::kDouble)
-        .AddColumn("plan_us", ValueType::kDouble)
-        .AddColumn("log_gen_us", ValueType::kDouble)
-        .AddColumn("policy_eval_us", ValueType::kDouble)
-        .AddColumn("compaction_us", ValueType::kDouble)
-        .AddColumn("user_exec_us", ValueType::kDouble)
-        .AddColumn("total_us", ValueType::kDouble);
-    std::vector<Row> rows;
-    for (const EnforcementProfile& p : slow_log_.records()) {
-      Row row;
-      row.push_back(Value(p.ts));
-      row.push_back(Value(p.uid));
-      row.push_back(Value(p.rejected));
-      row.push_back(Value(p.probe));
-      row.push_back(Value(p.query_sql));
-      row.push_back(Value(p.parse_us));
-      row.push_back(Value(p.bind_us));
-      row.push_back(Value(p.plan_us));
-      row.push_back(Value(p.log_gen_us));
-      row.push_back(Value(p.policy_eval_us));
-      row.push_back(Value(p.compaction_us));
-      row.push_back(Value(p.user_exec_us));
-      row.push_back(Value(p.total_us()));
-      rows.push_back(std::move(row));
-    }
-    return std::make_unique<OwnedRelation>(std::move(schema),
-                                           std::move(rows));
+    double threshold = options_.slow_enforcement_threshold_us;
+    return DecisionRelation(
+        decisions_,
+        {"ts", "uid", "rejected", "probe", "query", "parse_us", "bind_us",
+         "plan_us", "log_gen_us", "policy_eval_us", "compaction_us",
+         "user_exec_us", "total_us"},
+        threshold > 0 ? threshold : std::numeric_limits<double>::infinity());
   });
 }
 
@@ -1692,11 +1699,10 @@ void DataLawyer::RecordDecision(const std::string& sql,
   bool admitted = st.ok();
   if (!admitted && !st.IsPolicyViolation()) return;
 
-  uint64_t decision_id = 0;
+  const PhaseTimes phases = stats_.phases();
   if (decisions_.enabled()) {
-    decision_id = decisions_.NextId();
     DecisionRecord rec;
-    rec.id = decision_id;
+    rec.id = decisions_.NextId();
     rec.ts = stats_.ts;
     rec.uid = context.uid;
     rec.query_sql = sql;
@@ -1709,100 +1715,49 @@ void DataLawyer::RecordDecision(const std::string& sql,
     for (const ViolationReport& v : last_violations_) {
       for (const std::string& m : v.messages) rec.messages.push_back(m);
     }
-    // Per-policy outcomes for this query, derived by diffing cumulative
-    // attribution against the snapshot taken at the serial head.
-    auto outcome_for = [&](const std::string& name) {
+    // Per-policy outcomes straight from this query's attribution slots:
+    // violated > pruned > ok > skipped, plus "(union)" when the combined
+    // union statement ran.
+    auto add_outcome = [&](const std::string& name, const QueryAttribution& a) {
       PolicyOutcome out;
       out.policy = name;
-      const auto cur = policy_stats_.find(name);
-      if (cur != policy_stats_.end()) {
-        PolicyStats delta = cur->second;
-        const auto base = decision_stats_base_.find(name);
-        if (base != decision_stats_base_.end()) {
-          delta.evaluations -= base->second.evaluations;
-          delta.prunes -= base->second.prunes;
-          delta.rejections -= base->second.rejections;
-          delta.eval_us -= base->second.eval_us;
-          delta.incremental_hits -= base->second.incremental_hits;
-          delta.incremental_fallbacks -= base->second.incremental_fallbacks;
-        }
-        out.evaluations = delta.evaluations;
-        out.prunes = delta.prunes;
-        out.eval_us = delta.eval_us;
-        if (delta.incremental_hits > 0) {
-          out.incremental = "hit";
-        } else if (delta.incremental_fallbacks > 0) {
-          out.incremental = "fallback";
-        }
-        if (delta.rejections > 0) {
-          out.outcome = "violated";
-        } else if (delta.prunes > 0) {
-          out.outcome = "pruned";
-        } else if (delta.evaluations > 0) {
-          out.outcome = "ok";
-        } else {
-          out.outcome = "skipped";
-        }
-      } else {
-        out.outcome = "skipped";
+      out.evaluations = a.evaluations;
+      out.prunes = a.prunes;
+      out.eval_us = a.eval_us;
+      if (a.incremental_hits > 0) {
+        out.incremental = "hit";
+      } else if (a.incremental_fallbacks > 0) {
+        out.incremental = "fallback";
       }
-      return out;
+      out.outcome = a.rejections > 0    ? "violated"
+                    : a.prunes > 0      ? "pruned"
+                    : a.evaluations > 0 ? "ok"
+                                        : "skipped";
+      rec.outcomes.push_back(std::move(out));
     };
-    for (const Policy& policy : active_) {
-      rec.outcomes.push_back(outcome_for(policy.name));
+    for (size_t i = 0; i < active_.size(); ++i) {
+      add_outcome(active_[i].name, attribution_[i]);
     }
-    PolicyOutcome u = outcome_for("(union)");
-    if (u.evaluations > 0) rec.outcomes.push_back(std::move(u));
+    if (attribution_.back().evaluations > 0) {
+      add_outcome("(union)", attribution_.back());
+    }
     rec.witnesses = std::move(last_witnesses_);
     last_witnesses_.clear();
     rec.witnesses_truncated = last_witnesses_truncated_;
-    rec.parse_us = stats_.parse_us;
-    rec.bind_us = stats_.bind_us;
-    rec.plan_us = stats_.plan_us;
-    rec.log_gen_us = stats_.log_gen_ms * 1000.0;
-    rec.policy_eval_us = stats_.policy_wall_us;
-    rec.compaction_us = stats_.compaction_ms() * 1000.0;
-    rec.user_exec_us = stats_.query_exec_ms * 1000.0;
+    rec.phases = phases;
     rec.plan_cache_hits = stats_.plan_cache_hits;
     rec.plan_cache_misses = stats_.plan_cache_misses;
     rec.morsels = stats_.morsels;
     rec.steals = stats_.steals;
     rec.queue_wait_us = stats_.queue_wait_us;
-    decisions_.Append(std::move(rec));
     // Cross-link into the trace timeline so a span dump can be joined
     // against the decision store by id.
     Tracer& tracer = Tracer::Global();
     if (tracer.enabled()) {
-      tracer.RecordInstant("decision:" + std::to_string(decision_id), "core",
+      tracer.RecordInstant("decision:" + std::to_string(rec.id), "core",
                            tracer.NowUs());
     }
-  }
-
-  if (options_.enable_audit) {
-    AuditRecord record;
-    record.ts = stats_.ts;
-    record.uid = context.uid;
-    record.query_sql = sql;
-    record.admitted = admitted;
-    record.probe = probe;
-    record.decision_id = decision_id;
-    for (const ViolationReport& v : last_violations_) {
-      record.violated_policies.push_back(v.policy_name);
-    }
-    record.total_us = stats_.total_ms() * 1000.0;
-    record.query_exec_us = stats_.query_exec_ms * 1000.0;
-    record.log_gen_us = stats_.log_gen_ms * 1000.0;
-    record.policy_eval_us = stats_.policy_wall_us;
-    record.compaction_us = stats_.compaction_ms() * 1000.0;
-    audit_.Append(std::move(record));
-  }
-
-  if (options_.slow_enforcement_threshold_us > 0) {
-    EnforcementProfile profile =
-        EnforcementProfile::FromStats(stats_, sql, context.uid, probe);
-    if (profile.total_us() >= options_.slow_enforcement_threshold_us) {
-      slow_log_.Append(std::move(profile));
-    }
+    decisions_.Append(std::move(rec));
   }
 
   if (options_.enable_metrics) {
@@ -1932,14 +1887,14 @@ void DataLawyer::RecordDecision(const std::string& sql,
     h.incr_hits->Increment(stats_.incremental_hits);
     h.incr_fallbacks->Increment(stats_.incremental_fallbacks);
     h.incr_rebuilds->Increment(stats_.incremental_rebuilds);
-    h.total_us->Observe(stats_.total_ms() * 1000.0);
-    h.query_us->Observe(stats_.query_exec_ms * 1000.0);
-    h.log_gen_us->Observe(stats_.log_gen_ms * 1000.0);
-    h.eval_us->Observe(stats_.policy_wall_us);
-    h.compact_us->Observe(stats_.compaction_ms() * 1000.0);
-    h.parse_us->Observe(stats_.parse_us);
-    h.bind_us->Observe(stats_.bind_us);
-    h.plan_us->Observe(stats_.plan_us);
+    h.total_us->Observe(phases.total_us());
+    h.query_us->Observe(phases.user_exec_us);
+    h.log_gen_us->Observe(phases.log_gen_us);
+    h.eval_us->Observe(phases.policy_eval_us);
+    h.compact_us->Observe(phases.compaction_us);
+    h.parse_us->Observe(phases.parse_us);
+    h.bind_us->Observe(phases.bind_us);
+    h.plan_us->Observe(phases.plan_us);
     if (stats_.sched_tasks > 0) {
       h.queue_wait_us->Observe(double(stats_.queue_wait_us));
     }
@@ -1947,13 +1902,13 @@ void DataLawyer::RecordDecision(const std::string& sql,
     // Windowed rollups (1s/10s/60s) share the same per-phase samples the
     // histograms above observe, so their percentiles agree by
     // construction (identical log2 bucketing).
-    double phases[RollupRegistry::kNumPhases];
-    phases[RollupRegistry::kTotal] = stats_.total_ms() * 1000.0;
-    phases[RollupRegistry::kLogGen] = stats_.log_gen_ms * 1000.0;
-    phases[RollupRegistry::kPolicyEval] = stats_.policy_wall_us;
-    phases[RollupRegistry::kCompaction] = stats_.compaction_ms() * 1000.0;
-    phases[RollupRegistry::kUserExec] = stats_.query_exec_ms * 1000.0;
-    RollupRegistry::Global().Record(!admitted, phases);
+    double rollup[RollupRegistry::kNumPhases];
+    rollup[RollupRegistry::kTotal] = phases.total_us();
+    rollup[RollupRegistry::kLogGen] = phases.log_gen_us;
+    rollup[RollupRegistry::kPolicyEval] = phases.policy_eval_us;
+    rollup[RollupRegistry::kCompaction] = phases.compaction_us;
+    rollup[RollupRegistry::kUserExec] = phases.user_exec_us;
+    RollupRegistry::Global().Record(!admitted, rollup);
     // Scheduler-utilization windows: the same trailing 1s/10s/60s views,
     // answering "how hard was the pool working just now". policy_cpu_us is
     // the query's parallel CPU spend (per-worker evaluation time summed).

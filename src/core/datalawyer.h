@@ -14,11 +14,9 @@
 #include "common/result.h"
 #include "common/task_scheduler.h"
 #include "common/trace.h"
-#include "core/audit.h"
 #include "core/decision.h"
 #include "core/options.h"
 #include "core/plan_cache.h"
-#include "core/profile.h"
 #include "core/stats.h"
 #include "exec/engine.h"
 #include "exec/plan_executor.h"
@@ -127,7 +125,8 @@ class DataLawyer {
   /// `\policies analyze <name>`.
   Result<std::string> ExplainAnalyzePolicy(const std::string& name);
 
-  /// Phase timings of the most recent Execute call.
+  /// Phase timings of the most recent Execute / WouldAllow call. A
+  /// non-SELECT statement resets them to its parse time alone.
   const ExecutionStats& last_stats() const { return stats_; }
 
   /// Cumulative per-policy enforcement attribution (evaluations, prunes,
@@ -138,24 +137,13 @@ class DataLawyer {
   std::vector<PolicyStats> PolicyReport() const;
   void ResetPolicyStats() { policy_stats_.clear(); }
 
-  /// Append-only enforcement audit trail (admit/reject decisions with query
-  /// text, violated policies, and phase timings). Populated when
-  /// options().enable_audit; ring-bounded by options().audit_capacity.
-  const AuditLog& audit_log() const { return audit_; }
-  AuditLog* mutable_audit_log() { return &audit_; }
-
-  /// Slow-enforcement log: EnforcementProfiles of every query whose
-  /// end-to-end latency met options().slow_enforcement_threshold_us.
-  /// Ring-bounded by options().slow_log_capacity; empty when the threshold
-  /// is 0 (the default).
-  const SlowLog& slow_log() const { return slow_log_; }
-  SlowLog* mutable_slow_log() { return &slow_log_; }
-
   /// Decision-provenance store: one structured DecisionRecord per checked
   /// query (verdict, per-policy outcome, witness rows behind rejections,
   /// phase timings). Populated when options().enable_decisions;
-  /// ring-bounded by options().decision_capacity. Also queryable in SQL
-  /// through the dl_decisions virtual relation.
+  /// ring-bounded by options().decision_capacity. It is also the audit
+  /// trail (DecisionStore::SaveTo/LoadFrom, shell `\audit`) and, filtered
+  /// by options().slow_enforcement_threshold_us, the slow-enforcement log
+  /// (dl_slow_log, shell `\slow`). Queryable in SQL as dl_decisions.
   const DecisionStore& decision_store() const { return decisions_; }
   DecisionStore* mutable_decision_store() { return &decisions_; }
 
@@ -223,6 +211,25 @@ class DataLawyer {
     double eval_us = 0;  ///< this statement's own elapsed time
   };
 
+  /// This query's share of one attribution slot (see attribution_).
+  struct QueryAttribution {
+    uint64_t evaluations = 0;
+    uint64_t prunes = 0;
+    uint64_t rejections = 0;
+    double eval_us = 0;
+    uint64_t incremental_hits = 0;
+    uint64_t incremental_fallbacks = 0;
+  };
+
+  /// The checked path shared by Execute and WouldAllow (`probe`): runs
+  /// ExecuteChecked under the query's task group, then folds the query's
+  /// attribution into policy_stats_ and records the decision — on error
+  /// paths too. `stats_` must already hold this query's ts and parse time.
+  Result<QueryResult> RunChecked(const std::string& sql,
+                                 const SelectStmt& stmt,
+                                 const QueryContext& context, int64_t ts,
+                                 bool probe);
+
   Result<QueryResult> ExecuteChecked(const SelectStmt& stmt,
                                      const QueryContext& context, int64_t ts);
 
@@ -247,25 +254,28 @@ class DataLawyer {
 
   /// Folds one evaluation's counters into `stats_` (not its wall time —
   /// parallel regions are timed once, around the whole region) and into the
-  /// per-policy attribution of `attribute_to` (null = "(union)").
+  /// per-query attribution of `attribute_to` (null = "(union)").
   void RecordEvalCounters(const PolicyEvalOutput& out,
                           const Policy* attribute_to);
 
-  /// Cumulative attribution slot for an active policy name.
-  PolicyStats& AttributionFor(const std::string& name);
+  /// This query's attribution slot for `policy` (an element of active_),
+  /// or the "(union)" slot when null.
+  QueryAttribution& AttributionFor(const Policy* policy);
 
   /// Builds "policy.eval:<name>"-style span labels, skipping the string
   /// work entirely when tracing is off.
   static std::string SpanLabel(const char* prefix, const std::string& name);
 
-  /// One-per-query observability epilogue: decision-record assembly,
-  /// audit-trail append, slow-log retention, and metrics/rollup recording,
-  /// driven by `stats_` and the decision `st`.
+  /// One-per-query observability epilogue: decision-record assembly and
+  /// metrics/rollup recording, driven by `stats_`, `attribution_`, and the
+  /// decision `st`.
   void RecordDecision(const std::string& sql, const QueryContext& context,
                       const Status& st, bool probe);
 
   /// Registers the dl_decisions / dl_policy_stats / dl_slow_log providers
-  /// on system_catalog_ (constructor only).
+  /// on system_catalog_ (constructor only). dl_decisions and dl_slow_log
+  /// are two column selections over the decision store, built by one row
+  /// builder; dl_slow_log keeps only records at or above the threshold.
   void RegisterSystemRelations();
 
   /// The shared work-stealing scheduler, created lazily with
@@ -374,15 +384,16 @@ class DataLawyer {
   int64_t queries_since_compaction_ = 0;
 
   /// Cumulative per-policy attribution, keyed by active-policy name.
-  /// Mutated only from the serial merge sections of the checking loops, so
-  /// no locking is needed (see DESIGN.md "Concurrency model").
+  /// Mutated only by RunChecked's fold of attribution_, after the checked
+  /// pipeline, so no locking is needed (see DESIGN.md "Concurrency model").
   std::map<std::string, PolicyStats> policy_stats_;
 
-  /// Enforcement audit trail (enable_audit).
-  AuditLog audit_;
-
-  /// Slow-enforcement log (slow_enforcement_threshold_us > 0).
-  SlowLog slow_log_;
+  /// The current query's per-policy attribution: one slot per active
+  /// policy (by position in active_) plus a final "(union)" slot. Reset at
+  /// the start of each checked query without reallocating, written by the
+  /// serial merge sections, folded into policy_stats_ after the query, and
+  /// turned into the DecisionRecord's outcomes when decisions are on.
+  std::vector<QueryAttribution> attribution_;
 
   /// Decision-provenance store (enable_decisions).
   DecisionStore decisions_;
@@ -397,11 +408,6 @@ class DataLawyer {
   /// staged increment is discarded), consumed by RecordDecision.
   std::vector<DecisionWitness> last_witnesses_;
   uint64_t last_witnesses_truncated_ = 0;
-
-  /// policy_stats_ snapshot taken at the head of the current query when
-  /// decisions are enabled; RecordDecision diffs against it to derive
-  /// per-policy outcomes for the DecisionRecord.
-  std::map<std::string, PolicyStats> decision_stats_base_;
 
   /// True while WouldAllow probes: suppresses commit/compaction/execution.
   bool probe_mode_ = false;

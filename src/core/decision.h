@@ -7,6 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
+#include "core/stats.h"
+
 namespace datalawyer {
 
 /// One usage-log row that satisfied a rejecting policy: the counterexample
@@ -39,8 +42,9 @@ struct PolicyOutcome {
 
 /// The full, structured explanation of one enforcement verdict: what was
 /// asked, what the system decided, which policies said what, which log rows
-/// a rejecting policy matched, and where the time went. The audit trail
-/// keeps the immutable fact; this record keeps the *reasoning*.
+/// a rejecting policy matched, and where the time went. This is the only
+/// per-query record: the audit trail (§2's auditing scenario) and the slow
+/// log are views over it.
 struct DecisionRecord {
   uint64_t id = 0;     ///< monotonic per-store; 0 is never assigned
   int64_t ts = 0;      ///< logical clock at decision time
@@ -56,14 +60,7 @@ struct DecisionRecord {
   /// Violating rows beyond the capture cap (counted, not materialized).
   uint64_t witnesses_truncated = 0;
 
-  /// EnforcementProfile-shaped phase timings (µs); they sum to total_us().
-  double parse_us = 0;
-  double bind_us = 0;
-  double plan_us = 0;
-  double log_gen_us = 0;
-  double policy_eval_us = 0;
-  double compaction_us = 0;
-  double user_exec_us = 0;
+  PhaseTimes phases;
 
   size_t plan_cache_hits = 0;
   size_t plan_cache_misses = 0;
@@ -76,12 +73,13 @@ struct DecisionRecord {
   size_t steals = 0;
   uint64_t queue_wait_us = 0;
 
-  double total_us() const {
-    return parse_us + bind_us + plan_us + log_gen_us + policy_eval_us +
-           compaction_us + user_exec_us;
-  }
+  double total_us() const { return phases.total_us(); }
 
   const char* verdict() const { return admitted ? "accept" : "reject"; }
+
+  /// Names of the policies whose outcome is "violated", in registration
+  /// order — the audit trail's violated-policies column.
+  std::vector<std::string> ViolatedPolicies() const;
 
   /// One JSON object (JsonEscape'd strings throughout).
   std::string ToJson() const;
@@ -91,8 +89,8 @@ struct DecisionRecord {
 ///
 /// `enabled()` is a single relaxed atomic load — the only cost the accept
 /// path pays when decision recording is off (the tracing discipline).
-/// Appends happen on the Execute path only; like AuditLog, the class
-/// itself is plain and relies on DataLawyer's serial-API contract.
+/// Appends happen on the Execute path only; the class itself is plain and
+/// relies on DataLawyer's serial-API contract.
 class DecisionStore {
  public:
   explicit DecisionStore(size_t capacity = 1024) : capacity_(capacity) {}
@@ -123,10 +121,26 @@ class DecisionStore {
   /// pointer is invalidated by the next Append/Clear.
   const DecisionRecord* FindById(uint64_t id) const;
 
-  /// JSON array of every retained record, oldest-first.
-  std::string ToJson() const;
+  /// JSON array of the retained records whose total_us() is at least
+  /// `min_total_us` (all of them by default), oldest-first. The shell's
+  /// `\slow json` passes the slow-enforcement threshold.
+  std::string ToJson(double min_total_us = 0) const;
 
   void Clear();
+
+  /// Writes the retained records to `path` as the `dl-audit-v2` TSV audit
+  /// trail: one line per record with ts, uid, verdict, probe, total / user
+  /// execution / log generation / evaluation / compaction µs, the record
+  /// id, the violated policies, and the query text.
+  Status SaveTo(const std::string& path) const;
+  /// Appends the records of a `dl-audit-v2` (or id-less `dl-audit-v1`)
+  /// file, evicting as needed. All-or-nothing: a malformed line — wrong
+  /// field count, a number that does not parse completely, a flag other
+  /// than 0/1 — returns InvalidArgument naming the line and leaves the
+  /// store unchanged. A file id at or above the next unassigned id is kept
+  /// (so a save/load round trip into a fresh store preserves ids); any
+  /// other record gets the next id.
+  Status LoadFrom(const std::string& path);
 
  private:
   std::atomic<bool> enabled_{true};

@@ -172,20 +172,14 @@ struct DataLawyerOptions {
   /// MetricsRegistry::ExposeText()). Off by default.
   bool enable_metrics = false;
 
-  /// Keep an append-only audit trail of every admit/reject decision
-  /// (query text, violated policies, phase timings) — see core/audit.h.
-  /// One bounded-deque append per query; on by default.
-  bool enable_audit = true;
-
-  /// Ring-buffer capacity of the audit trail (oldest evicted first).
-  size_t audit_capacity = 4096;
-
   /// Record a structured DecisionRecord (verdict, per-policy outcome,
   /// witness rows for rejections, phase timings — see core/decision.h) for
   /// every checked query into a ring-bounded DecisionStore, queryable
   /// through the dl_decisions virtual relation and the shell's `\why`.
-  /// When off, the accept path pays one relaxed atomic load and allocates
-  /// nothing — the same discipline as tracing.
+  /// The store is also the audit trail (`\audit`, dl-audit-v2 TSV) and the
+  /// source of the slow-enforcement log. When off, the accept path pays
+  /// one relaxed atomic load and allocates nothing — the same discipline
+  /// as tracing.
   bool enable_decisions = true;
 
   /// Ring-buffer capacity of the decision store (oldest evicted first).
@@ -200,14 +194,12 @@ struct DataLawyerOptions {
   /// exists so the differential test can compare them byte-for-byte.
   bool decision_witness_naive = false;
 
-  /// Retain an EnforcementProfile (per-phase latency breakdown, see
-  /// core/profile.h) for every query whose end-to-end latency is at least
-  /// this many microseconds. 0 disables the slow-enforcement log entirely.
-  /// Shell: `\slow [n]` lists recent entries, `\slow json` dumps them.
+  /// The slow-enforcement log lists the recorded decisions whose
+  /// end-to-end latency (PhaseTimes::total_us) is at least this many
+  /// microseconds; 0 disables it. A view over the decision store, not a
+  /// separate ring. Shell: `\slow [n]` lists recent entries, `\slow json`
+  /// dumps them; SQL: dl_slow_log.
   double slow_enforcement_threshold_us = 0;
-
-  /// Ring-buffer capacity of the slow-enforcement log.
-  size_t slow_log_capacity = 256;
 
   /// Compact the log every N successful queries instead of after each one
   /// (§5.2: "DataLawyer could compact the log less frequently or whenever

@@ -7,6 +7,26 @@
 
 namespace datalawyer {
 
+/// One query's end-to-end enforcement latency split into the seven pipeline
+/// phases, all in microseconds. The parts sum to total_us() by
+/// construction. Produced only by ExecutionStats::phases(); the decision
+/// record, dl_decisions / dl_slow_log, the metrics histograms, the rollups,
+/// and bench JSON all read this one shape, so they agree by construction.
+struct PhaseTimes {
+  double parse_us = 0;        ///< SQL text -> AST
+  double bind_us = 0;         ///< binding the user query
+  double plan_us = 0;         ///< plan-cache rewarm + incremental advance
+  double log_gen_us = 0;      ///< usage-log generation (usage tracking)
+  double policy_eval_us = 0;  ///< policy-evaluation wall time
+  double compaction_us = 0;   ///< mark + delete + insert/commit
+  double user_exec_us = 0;    ///< running the user's query
+
+  double total_us() const {
+    return parse_us + bind_us + plan_us + log_gen_us + policy_eval_us +
+           compaction_us + user_exec_us;
+  }
+};
+
 /// Per-query phase breakdown — the quantities plotted in the paper's
 /// evaluation (query time, usage tracking, policy evaluation, and the three
 /// log-compaction phases of Fig. 3).
@@ -89,8 +109,7 @@ struct ExecutionStats {
 
   /// Everything except the user's query: the policy-checking overhead
   /// (frontend + log generation + evaluation + compaction). With this
-  /// definition total_ms() equals the sum of an EnforcementProfile's seven
-  /// phases by construction.
+  /// definition total_ms() covers the same seven phases as phases().
   double overhead_ms() const {
     return frontend_ms() + log_gen_ms + policy_eval_ms() + compact_mark_ms +
            compact_delete_ms + compact_insert_ms;
@@ -98,6 +117,20 @@ struct ExecutionStats {
   double total_ms() const { return query_exec_ms + overhead_ms(); }
   double compaction_ms() const {
     return compact_mark_ms + compact_delete_ms + compact_insert_ms;
+  }
+
+  /// The seven phases in microseconds — the only place the mixed ms/µs
+  /// fields above are converted.
+  PhaseTimes phases() const {
+    PhaseTimes p;
+    p.parse_us = parse_us;
+    p.bind_us = bind_us;
+    p.plan_us = plan_us;
+    p.log_gen_us = log_gen_ms * 1000.0;
+    p.policy_eval_us = policy_wall_us;
+    p.compaction_us = compaction_ms() * 1000.0;
+    p.user_exec_us = query_exec_ms * 1000.0;
+    return p;
   }
 };
 

@@ -6,7 +6,7 @@
 
 #include "common/clock.h"
 #include "core/datalawyer.h"
-#include "core/profile.h"
+#include "core/decision.h"
 #include "exec/engine.h"
 #include "exec/plan_executor.h"
 
@@ -208,11 +208,16 @@ class SlowLogTest : public ::testing::Test {
   Database db_;
 };
 
+// With the default threshold of 0 the slow-enforcement view is empty, even
+// though the decision itself is recorded.
 TEST_F(SlowLogTest, DisabledByDefault) {
   DataLawyer dl(&db_, nullptr, std::make_unique<ManualClock>(), {});
   QueryContext ctx;
   ASSERT_TRUE(dl.Execute("SELECT * FROM t", ctx).ok());
-  EXPECT_EQ(dl.slow_log().size(), 0u);
+  EXPECT_EQ(dl.decision_store().size(), 1u);
+  auto rows = dl.QueryUsageLog("SELECT COUNT(*) FROM dl_slow_log");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->rows[0][0].AsInt64(), 0);
 }
 
 TEST_F(SlowLogTest, PhasePartsSumToStatementTotal) {
@@ -226,65 +231,50 @@ TEST_F(SlowLogTest, PhasePartsSumToStatementTotal) {
   QueryContext ctx;
   ctx.uid = 1;
   ASSERT_TRUE(dl.Execute("SELECT * FROM t", ctx).ok());
-  ASSERT_EQ(dl.slow_log().size(), 1u);
+  ASSERT_EQ(dl.decision_store().size(), 1u);
 
-  const EnforcementProfile& p = dl.slow_log().records().back();
+  const DecisionRecord& d = dl.decision_store().records().back();
+  const PhaseTimes& p = d.phases;
   double parts = p.parse_us + p.bind_us + p.plan_us + p.log_gen_us +
                  p.policy_eval_us + p.compaction_us + p.user_exec_us;
-  EXPECT_DOUBLE_EQ(p.total_us(), parts);
-  // total_ms() was defined so an EnforcementProfile's seven phases
-  // reconstruct it exactly.
+  EXPECT_DOUBLE_EQ(d.total_us(), parts);
+  // The record holds exactly the phases last_stats() converts to, and
+  // total_ms() covers the same seven phases.
+  EXPECT_EQ(d.total_us(), dl.last_stats().phases().total_us());
   double stats_total_us = dl.last_stats().total_ms() * 1000.0;
-  EXPECT_NEAR(p.total_us(), stats_total_us,
+  EXPECT_NEAR(d.total_us(), stats_total_us,
               1e-6 * std::max(1.0, stats_total_us));
-  EXPECT_FALSE(p.rejected);
-  EXPECT_FALSE(p.probe);
-  EXPECT_EQ(p.uid, 1);
-  EXPECT_EQ(p.query_sql, "SELECT * FROM t");
+  EXPECT_TRUE(d.admitted);
+  EXPECT_FALSE(d.probe);
+  EXPECT_EQ(d.uid, 1);
+  EXPECT_EQ(d.query_sql, "SELECT * FROM t");
 }
 
-TEST_F(SlowLogTest, RingEvictsOldestAndCountsDrops) {
-  DataLawyerOptions options;
-  options.slow_enforcement_threshold_us = 0.001;
-  options.slow_log_capacity = 2;
-  DataLawyer dl(&db_, nullptr, std::make_unique<ManualClock>(), options);
-  QueryContext ctx;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(dl.Execute("SELECT * FROM t", ctx).ok());
-  }
-  EXPECT_EQ(dl.slow_log().size(), 2u);
-  EXPECT_EQ(dl.slow_log().total_appended(), 3u);
-  EXPECT_EQ(dl.slow_log().dropped(), 1u);
-  EXPECT_EQ(dl.slow_log().Tail(1).size(), 1u);
-}
+// `\slow json` is the decision store's JSON filtered by total_us.
+TEST(SlowLogUnitTest, JsonFiltersByTotal) {
+  DecisionStore store(4);
+  DecisionRecord fast;
+  fast.id = store.NextId();
+  fast.query_sql = "fast";
+  fast.phases.user_exec_us = 5;
+  store.Append(fast);
+  DecisionRecord slow;
+  slow.id = store.NextId();
+  slow.query_sql = "slow \"q\"\n";
+  slow.phases.parse_us = 1.5;
+  slow.phases.user_exec_us = 100;
+  store.Append(slow);
 
-TEST(EnforcementProfileTest, ToJsonEscapesSql) {
-  EnforcementProfile p;
-  p.query_sql = "SELECT \"x\"\nFROM t";
-  p.parse_us = 1.5;
-  std::string json = p.ToJson();
-  EXPECT_NE(json.find("\\\"x\\\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\\n"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"parse_us\":1.5"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"total_us\":1.5"), std::string::npos) << json;
-  EXPECT_EQ(json.back(), '}');
-}
-
-TEST(SlowLogUnitTest, JsonDumpIsAnArray) {
-  SlowLog log(4);
-  EnforcementProfile p;
-  p.query_sql = "q1";
-  log.Append(p);
-  p.query_sql = "q2";
-  log.Append(p);
-  std::string json = log.ToJson();
+  std::string all = store.ToJson();
+  EXPECT_NE(all.find("\"fast\""), std::string::npos) << all;
+  std::string json = store.ToJson(50);
   EXPECT_EQ(json.front(), '[');
   EXPECT_EQ(json.back(), ']');
-  EXPECT_NE(json.find("\"q1\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"q2\""), std::string::npos) << json;
-  log.Clear();
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_EQ(log.total_appended(), 0u);
+  EXPECT_EQ(json.find("\"fast\""), std::string::npos) << json;
+  EXPECT_NE(json.find("slow \\\"q\\\"\\n"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"parse\":1.500"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"total\":101.500"), std::string::npos) << json;
+  EXPECT_EQ(store.ToJson(1000), "[]");
 }
 
 }  // namespace

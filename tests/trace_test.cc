@@ -88,7 +88,12 @@ TEST_F(TraceTest, ThreadPoolWorkersGetOwnLanesAndDepths) {
     ScopedSpan outer("task:" + std::to_string(i), "test");
     DL_TRACE_SPAN("task.inner", "test");
   });
-  std::vector<TraceEvent> events = Tracer::Global().Snapshot();
+  // The pool's own scheduling events (steal ticks, idle spans) may land on
+  // the timeline too; count only the tasks' spans.
+  std::vector<TraceEvent> events;
+  for (TraceEvent& e : Tracer::Global().Snapshot()) {
+    if (std::string(e.category) == "test") events.push_back(std::move(e));
+  }
   ASSERT_EQ(events.size(), 2 * kTasks);
   size_t inner = 0, outer = 0;
   for (const TraceEvent& e : events) {
