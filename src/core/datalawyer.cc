@@ -1,6 +1,7 @@
 #include "core/datalawyer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <limits>
@@ -892,23 +893,24 @@ void DataLawyer::RecordEvalCounters(const PolicyEvalOutput& out,
   }
 }
 
-Result<std::vector<std::string>> DataLawyer::EvaluatePolicyStmt(
-    const SelectStmt& stmt, const CatalogView* catalog,
-    bool check_increment_dependence, bool* depends_on_increment,
-    const Policy* attribute_to) {
-  DL_ASSIGN_OR_RETURN(
-      PolicyEvalOutput out,
-      EvalPolicyStatement(
-          stmt, catalog, check_increment_dependence,
-          SpanLabel("policy.eval:", attribute_to != nullptr
-                                        ? attribute_to->name
-                                        : "(union)")));
-  if (depends_on_increment != nullptr) {
-    *depends_on_increment = out.depends_on_increment;
+size_t DataLawyer::RunPolicyWave(size_t n,
+                                 const std::function<bool(size_t)>& eval) {
+  if (n == 0) return 0;
+  std::atomic<size_t> decisive{n};
+  auto run = [&](size_t i) {
+    if (i > decisive.load() || !eval(i)) return;
+    size_t seen = decisive.load();
+    while (i < seen && !decisive.compare_exchange_weak(seen, i)) {
+    }
+  };
+  auto t0 = Now();
+  if (options_.policy_threads == 0 || n == 1) {
+    for (size_t i = 0; i < n; ++i) run(i);
+  } else {
+    EnsureScheduler(1)->ParallelFor(n, run);
   }
-  RecordEvalCounters(out, attribute_to);
-  stats_.policy_wall_us += out.eval_us;
-  return std::move(out.messages);
+  stats_.policy_wall_us += UsSince(t0);
+  return decisive.load();
 }
 
 TaskScheduler* DataLawyer::EnsureScheduler(size_t min_threads) {
@@ -1113,114 +1115,112 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
     if (mentioned_logs_.count(rel)) order.push_back(rel);
   }
 
-  const bool parallel = options_.policy_threads > 0;
-
-  // Phased parallel check of a batch of independent policies: log
-  // generation stays serial (it mutates the staging deltas), evaluation
-  // fans out over the pool in two waves — guards (or guardless full
-  // policies) first, then the precise statements of policies whose guard
-  // fired. Outcomes are merged in registration order, so the decision,
-  // the attributed policy, and the messages are byte-identical to the
-  // serial `evaluate_fully` loop. Returns true if a violation was found
-  // (already attributed; the caller rejects).
-  struct BatchOutcome {
+  // One policy's outcomes in an evaluation wave: an optional guard run,
+  // then the policy's statement. Filled by RunPolicyWave, read only by the
+  // serial merge.
+  struct WaveSlot {
     Status status = Status::OK();
+    bool guard_ran = false;  // guard_out holds a successful guard run
+    bool check_dep = false;  // the partial asked for increment dependence
+    PolicyEvalOutput guard_out;
     PolicyEvalOutput out;
   };
-  auto check_batch_parallel =
-      [&](const std::vector<const PreparedPolicy*>& batch) -> Result<bool> {
-    // Phase A (serial): every relation a first-wave statement reads.
+  // Evaluates one statement of `policy` into `*out`, or its error into
+  // `*status`; false on error. Only the const core runs, so waves may call
+  // it concurrently.
+  auto eval_into = [&](const SelectStmt& to_eval, bool check_dep,
+                       const char* label, const Policy& policy,
+                       PolicyEvalOutput* out, Status* status) {
+    Result<PolicyEvalOutput> result = EvalPolicyStatement(
+        to_eval, catalog.view(), check_dep, SpanLabel(label, policy.name));
+    if (!result.ok()) {
+      *status = result.status();
+      return false;
+    }
+    *out = std::move(*result);
+    return true;
+  };
+  // The serial merge of one slot, called in registration order: folds the
+  // slot's counters, prune and attribution, and returns its error or its
+  // rejection. `covered` = the statement was the full policy. True when a
+  // partial statement left the policy open for the next round.
+  auto merge = [&](const Policy& policy, WaveSlot& s,
+                   bool covered) -> Result<bool> {
+    if (s.guard_ran) {
+      RecordEvalCounters(s.guard_out, &policy);
+      if (s.guard_out.messages.empty()) {
+        prune(policy);  // guard proves satisfaction
+        return false;
+      }
+    }
+    DL_RETURN_NOT_OK(s.status);
+    RecordEvalCounters(s.out, &policy);
+    if (covered) {
+      if (s.out.messages.empty()) return false;  // fully satisfied
+      attribute(policy, s.out.messages);
+      violations = std::move(s.out.messages);
+      return reject();
+    }
+    // An empty partial proves satisfaction; so does one that held in the
+    // past with nothing from the current increment contributing (§4.3
+    // improved partial policies).
+    if (s.out.messages.empty() ||
+        (s.check_dep && !s.out.depends_on_increment)) {
+      prune(policy);
+      return false;
+    }
+    return true;
+  };
+
+  // Fully checks a batch of independent policies in two waves: guards (or
+  // the full statements of guardless policies) first, then the precise
+  // statements behind fired guards. Log generation stays serial, ahead of
+  // each wave, since it mutates the staging deltas. OK = every policy holds.
+  auto check_batch =
+      [&](const std::vector<const PreparedPolicy*>& batch) -> Status {
     for (const PreparedPolicy* prep : batch) {
       const Policy& policy = active_[prep->policy_index];
-      const std::vector<std::string>& rels = policy.guard != nullptr
-                                                 ? prep->guard_relations
-                                                 : policy.log_relations;
-      for (const std::string& rel : rels) {
+      for (const std::string& rel : policy.guard != nullptr
+                                        ? prep->guard_relations
+                                        : policy.log_relations) {
         DL_RETURN_NOT_OK(GenerateLog(rel, ts, input));
       }
     }
-
-    // Phase B (parallel): guarded policies run their guard; the rest run
-    // the full policy statement.
-    std::vector<BatchOutcome> first(batch.size());
-    TaskScheduler* pool = EnsureScheduler(1);
-    auto t0 = Now();
-    pool->ParallelFor(batch.size(), [&](size_t i) {
+    std::vector<WaveSlot> slots(batch.size());
+    size_t decisive = RunPolicyWave(batch.size(), [&](size_t i) {
       const Policy& policy = active_[batch[i]->policy_index];
-      const SelectStmt& to_eval =
-          policy.guard != nullptr ? *policy.guard : policy.effective();
-      Result<PolicyEvalOutput> result = EvalPolicyStatement(
-          to_eval, catalog.view(), false,
-          SpanLabel(policy.guard != nullptr ? "policy.guard:" : "policy.eval:",
-                    policy.name));
-      if (!result.ok()) {
-        first[i].status = result.status();
-      } else {
-        first[i].out = std::move(*result);
-      }
-    });
-    double wall_us = UsSince(t0);
-    stats_.policy_wall_us += wall_us;
-    for (const BatchOutcome& o : first) {
-      DL_RETURN_NOT_OK(o.status);
-    }
-
-    // Phase C (serial): materialize the remaining logs of fired guards.
-    std::vector<size_t> precise;  // batch indices needing the precise check
-    std::vector<int> precise_of(batch.size(), -1);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const Policy& policy = active_[batch[i]->policy_index];
-      if (policy.guard == nullptr || first[i].out.messages.empty()) continue;
-      precise_of[i] = int(precise.size());
-      precise.push_back(i);
-      for (const std::string& rel : policy.log_relations) {
-        DL_RETURN_NOT_OK(GenerateLog(rel, ts, input));
-      }
-    }
-
-    // Phase D (parallel): the precise statements behind fired guards.
-    std::vector<BatchOutcome> second(precise.size());
-    if (!precise.empty()) {
-      auto t1 = Now();
-      pool->ParallelFor(precise.size(), [&](size_t j) {
-        const Policy& policy = active_[batch[precise[j]]->policy_index];
-        Result<PolicyEvalOutput> result =
-            EvalPolicyStatement(policy.effective(), catalog.view(), false,
-                                SpanLabel("policy.eval:", policy.name));
-        if (!result.ok()) {
-          second[j].status = result.status();
-        } else {
-          second[j].out = std::move(*result);
-        }
-      });
-      double precise_wall_us = UsSince(t1);
-      stats_.policy_wall_us += precise_wall_us;
-    }
-
-    // Serial merge in registration order.
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const Policy& policy = active_[batch[i]->policy_index];
-      RecordEvalCounters(first[i].out, &policy);
+      WaveSlot& s = slots[i];
       if (policy.guard != nullptr) {
-        if (first[i].out.messages.empty()) {
-          prune(policy);  // guard proves satisfaction
-          continue;
-        }
-        BatchOutcome& o = second[precise_of[i]];
-        DL_RETURN_NOT_OK(o.status);
-        RecordEvalCounters(o.out, &policy);
-        if (!o.out.messages.empty()) {
-          attribute(policy, o.out.messages);
-          violations = std::move(o.out.messages);
-          return true;
-        }
-      } else if (!first[i].out.messages.empty()) {
-        attribute(policy, first[i].out.messages);
-        violations = std::move(first[i].out.messages);
-        return true;
+        s.guard_ran = eval_into(*policy.guard, false, "policy.guard:", policy,
+                                &s.guard_out, &s.status);
+        return !s.guard_ran;
+      }
+      return !eval_into(policy.effective(), false, "policy.eval:", policy,
+                        &s.out, &s.status) ||
+             !s.out.messages.empty();
+    });
+    // Materialize the remaining logs of the fired guards the merge reaches.
+    std::vector<size_t> fired;
+    for (size_t i = 0; i < decisive; ++i) {
+      if (!slots[i].guard_ran || slots[i].guard_out.messages.empty()) continue;
+      fired.push_back(i);
+      for (const std::string& rel :
+           active_[batch[i]->policy_index].log_relations) {
+        DL_RETURN_NOT_OK(GenerateLog(rel, ts, input));
       }
     }
-    return false;
+    RunPolicyWave(fired.size(), [&](size_t j) {
+      const Policy& policy = active_[batch[fired[j]]->policy_index];
+      WaveSlot& s = slots[fired[j]];
+      return !eval_into(policy.effective(), false, "policy.eval:", policy,
+                        &s.out, &s.status) ||
+             !s.out.messages.empty();
+    });
+    for (size_t i = 0; i < batch.size(); ++i) {
+      DL_RETURN_NOT_OK(
+          merge(active_[batch[i]->policy_index], slots[i], true).status());
+    }
+    return Status::OK();
   };
 
   if (options_.strategy == EvalStrategy::kInterleaved) {
@@ -1237,179 +1237,47 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
       if (k > 0) {
         DL_RETURN_NOT_OK(GenerateLog(order[k - 1], ts, input));
       }
+      // One slot per surviving policy: its approximate guard (§6) once the
+      // guard's logs exist — an empty answer dismisses the policy without
+      // the precise check — then its partial or full statement. The wave
+      // only reads `guard_cleared`; the merge below updates it.
+      std::vector<WaveSlot> slots(remaining.size());
+      RunPolicyWave(remaining.size(), [&](size_t i) {
+        const PreparedPolicy* prep = remaining[i];
+        const Policy& policy = active_[prep->policy_index];
+        WaveSlot& s = slots[i];
+        if (policy.guard != nullptr && !guard_cleared.count(prep) &&
+            prep->guard_covered[k]) {
+          s.guard_ran = eval_into(*policy.guard, false, "policy.guard:", policy,
+                                  &s.guard_out, &s.status);
+          if (!s.guard_ran) return true;
+          if (s.guard_out.messages.empty()) return false;
+        }
+        const bool covered = prep->covered[k];
+        s.check_dep = options_.enable_improved_partial && !covered &&
+                      prep->improved_ok && prep->prefix_touches_log[k];
+        return !eval_into(covered ? policy.effective() : *prep->partials[k],
+                          s.check_dep,
+                          covered ? "policy.eval:" : "policy.partial:", policy,
+                          &s.out, &s.status) ||
+               (covered && !s.out.messages.empty());
+      });
       std::vector<const PreparedPolicy*> next;
-      if (parallel && remaining.size() > 1) {
-        // One task per surviving policy; each runs its guard (if due) and
-        // then its partial/full statement against the shared read-only
-        // catalog. Outcomes land in caller-indexed slots and are merged
-        // below in registration order, so the admitted/rejected decision,
-        // the attributed policy, and every message are byte-identical to
-        // the serial loop. `guard_cleared` is only *read* during the
-        // parallel region; it is updated in the serial merge.
-        struct RoundOutcome {
-          Status status = Status::OK();
-          bool guard_ran = false;
-          bool guard_pruned = false;
-          bool check_dep = false;
-          PolicyEvalOutput guard_out;
-          PolicyEvalOutput out;
-        };
-        std::vector<RoundOutcome> outcomes(remaining.size());
-        TaskScheduler* pool = EnsureScheduler(1);
-        auto t0 = Now();
-        pool->ParallelFor(remaining.size(), [&](size_t i) {
-          const PreparedPolicy* prep = remaining[i];
-          const Policy& policy = active_[prep->policy_index];
-          RoundOutcome& o = outcomes[i];
-          if (policy.guard != nullptr && !guard_cleared.count(prep) &&
-              prep->guard_covered[k]) {
-            o.guard_ran = true;
-            Result<PolicyEvalOutput> guard_result =
-                EvalPolicyStatement(*policy.guard, catalog.view(), false,
-                                    SpanLabel("policy.guard:", policy.name));
-            if (!guard_result.ok()) {
-              o.status = guard_result.status();
-              return;
-            }
-            o.guard_out = std::move(*guard_result);
-            if (o.guard_out.messages.empty()) {
-              o.guard_pruned = true;  // guard proves satisfaction
-              return;
-            }
-          }
-          const SelectStmt* to_eval = prep->covered[k]
-                                          ? &policy.effective()
-                                          : prep->partials[k].get();
-          o.check_dep = options_.enable_improved_partial &&
-                        !prep->covered[k] && prep->improved_ok &&
-                        prep->prefix_touches_log[k];
-          Result<PolicyEvalOutput> result = EvalPolicyStatement(
-              *to_eval, catalog.view(), o.check_dep,
-              SpanLabel(prep->covered[k] ? "policy.eval:" : "policy.partial:",
-                        policy.name));
-          if (!result.ok()) {
-            o.status = result.status();
-            return;
-          }
-          o.out = std::move(*result);
-        });
-        double wall_us = UsSince(t0);
-        stats_.policy_wall_us += wall_us;
-
-        // Serial merge in registration order.
-        for (size_t i = 0; i < remaining.size(); ++i) {
-          const PreparedPolicy* prep = remaining[i];
-          const Policy& policy = active_[prep->policy_index];
-          RoundOutcome& o = outcomes[i];
-          DL_RETURN_NOT_OK(o.status);
-          if (o.guard_ran) {
-            RecordEvalCounters(o.guard_out, &policy);
-            if (o.guard_pruned) {
-              prune(policy);
-              continue;
-            }
-            guard_cleared.insert(prep);  // suspicious: precise check required
-          }
-          RecordEvalCounters(o.out, &policy);
-          if (prep->covered[k]) {
-            if (!o.out.messages.empty()) {
-              attribute(policy, o.out.messages);
-              violations = std::move(o.out.messages);
-              return reject();
-            }
-            // Fully satisfied: dismissed.
-          } else if (o.out.messages.empty()) {
-            prune(policy);  // partial proved satisfaction
-          } else if (o.check_dep && !o.out.depends_on_increment) {
-            prune(policy);
-          } else {
-            next.push_back(prep);
-          }
+      for (size_t i = 0; i < remaining.size(); ++i) {
+        const PreparedPolicy* prep = remaining[i];
+        const Policy& policy = active_[prep->policy_index];
+        if (slots[i].guard_ran && !slots[i].guard_out.messages.empty()) {
+          guard_cleared.insert(prep);  // suspicious: precise check required
         }
-      } else {
-        for (const PreparedPolicy* prep : remaining) {
-          const Policy& policy = active_[prep->policy_index];
-
-          // Approximate guard (§6): once its logs exist, an empty guard
-          // answer dismisses the policy without the precise check.
-          if (policy.guard != nullptr && !guard_cleared.count(prep) &&
-              prep->guard_covered[k]) {
-            DL_ASSIGN_OR_RETURN(std::vector<std::string> guard_messages,
-                                EvaluatePolicyStmt(*policy.guard,
-                                                   catalog.view(), false,
-                                                   nullptr, &policy));
-            if (guard_messages.empty()) {
-              prune(policy);
-              continue;  // guard proves satisfaction
-            }
-            guard_cleared.insert(prep);  // suspicious: precise check required
-          }
-
-          const SelectStmt* to_eval = prep->covered[k]
-                                          ? &policy.effective()
-                                          : prep->partials[k].get();
-          bool depends = true;
-          bool check_dep = options_.enable_improved_partial &&
-                           !prep->covered[k] && prep->improved_ok &&
-                           prep->prefix_touches_log[k];
-          DL_ASSIGN_OR_RETURN(std::vector<std::string> messages,
-                              EvaluatePolicyStmt(*to_eval, catalog.view(),
-                                                 check_dep, &depends,
-                                                 &policy));
-          if (prep->covered[k]) {
-            if (!messages.empty()) {
-              attribute(policy, messages);
-              violations = std::move(messages);
-              return reject();
-            }
-            // Fully satisfied: dismissed.
-          } else if (messages.empty()) {
-            prune(policy);  // partial proved satisfaction
-          } else if (check_dep && !depends) {
-            // §4.3 improved partial policies: held in the past, and nothing
-            // from the current increment contributes.
-            prune(policy);
-          } else {
-            next.push_back(prep);
-          }
-        }
+        DL_ASSIGN_OR_RETURN(bool open,
+                            merge(policy, slots[i], prep->covered[k]));
+        if (open) next.push_back(prep);
       }
       remaining = std::move(next);
     }
 
     // ---- §4.4 step 2: the non-prunable (non-monotone) policies ----
-    if (parallel && full_only.size() > 1) {
-      DL_ASSIGN_OR_RETURN(bool violated, check_batch_parallel(full_only));
-      if (violated) return reject();
-    } else {
-      for (const PreparedPolicy* prep : full_only) {
-        const Policy& policy = active_[prep->policy_index];
-        if (policy.guard != nullptr) {
-          for (const std::string& rel : prep->guard_relations) {
-            DL_RETURN_NOT_OK(GenerateLog(rel, ts, input));
-          }
-          DL_ASSIGN_OR_RETURN(std::vector<std::string> guard_messages,
-                              EvaluatePolicyStmt(*policy.guard, catalog.view(),
-                                                 false, nullptr, &policy));
-          if (guard_messages.empty()) {
-            prune(policy);
-            continue;
-          }
-        }
-        for (const std::string& rel : policy.log_relations) {
-          DL_RETURN_NOT_OK(GenerateLog(rel, ts, input));
-        }
-        DL_ASSIGN_OR_RETURN(
-            std::vector<std::string> messages,
-            EvaluatePolicyStmt(policy.effective(), catalog.view(), false,
-                               nullptr, &policy));
-        if (!messages.empty()) {
-          attribute(policy, messages);
-          violations = std::move(messages);
-          return reject();
-        }
-      }
-    }
+    DL_RETURN_NOT_OK(check_batch(full_only));
   } else {
     // ---- serial / union strategies ----
     // Generate the logs needed upfront — except those needed only by the
@@ -1435,80 +1303,41 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
         }
       }
     }
-    // Evaluates one policy fully (guard first when present); true means a
-    // violation was found and attributed.
-    auto evaluate_fully = [&](const Policy& policy) -> Result<bool> {
-      if (policy.guard != nullptr) {
-        DL_ASSIGN_OR_RETURN(std::vector<std::string> guard_messages,
-                            EvaluatePolicyStmt(*policy.guard, catalog.view(),
-                                               false, nullptr, &policy));
-        if (guard_messages.empty()) {
-          prune(policy);
-          return false;
-        }
-        // Suspicious: materialize the precise policy's remaining logs.
-        for (const std::string& rel : policy.log_relations) {
-          DL_RETURN_NOT_OK(GenerateLog(rel, ts, input));
-        }
+    // Every policy outside the union statement is checked on its own.
+    std::vector<const PreparedPolicy*> separate;
+    for (size_t i = 0; i < active_.size(); ++i) {
+      if (union_combined_ == nullptr || !union_member_[i]) {
+        separate.push_back(&prepared_[i]);
       }
-      DL_ASSIGN_OR_RETURN(
-          std::vector<std::string> messages,
-          EvaluatePolicyStmt(policy.effective(), catalog.view(), false,
-                             nullptr, &policy));
-      if (!messages.empty()) {
-        attribute(policy, messages);
-        violations = std::move(messages);
-        return true;
-      }
-      return false;
-    };
-    // Checks a batch of policies in registration order, parallel when
-    // configured; true means a violation was attributed.
-    auto check_batch = [&](const std::vector<const PreparedPolicy*>& batch)
-        -> Result<bool> {
-      if (parallel && batch.size() > 1) {
-        return check_batch_parallel(batch);
-      }
-      for (const PreparedPolicy* prep : batch) {
-        DL_ASSIGN_OR_RETURN(bool violated,
-                            evaluate_fully(active_[prep->policy_index]));
-        if (violated) return true;
-      }
-      return false;
-    };
-
+    }
     if (union_combined_ != nullptr) {
       // Algorithm 1 line 1: π_union = π_1 ∪ ... ∪ π_k, built (and planned)
       // once at Prepare time.
-      std::vector<const PreparedPolicy*> separate;
-      for (size_t i = 0; i < active_.size(); ++i) {
-        if (!union_member_[i]) separate.push_back(&prepared_[i]);
-      }
       DL_ASSIGN_OR_RETURN(
-          std::vector<std::string> messages,
-          EvaluatePolicyStmt(*union_combined_, catalog.view(), false, nullptr,
-                             nullptr));
-      if (!messages.empty()) {
+          PolicyEvalOutput out,
+          EvalPolicyStatement(*union_combined_, catalog.view(), false,
+                              SpanLabel("policy.eval:", "(union)")));
+      RecordEvalCounters(out, nullptr);
+      stats_.policy_wall_us += out.eval_us;
+      if (!out.messages.empty()) {
         // Re-evaluate individually to attribute the violation (§6
         // debugging); the extra cost is paid only on rejection.
         for (size_t i = 0; i < active_.size(); ++i) {
           if (!union_member_[i]) continue;
           const Policy& policy = active_[i];
-          auto re = EvaluatePolicyStmt(policy.effective(), catalog.view(),
-                                       false, nullptr, &policy);
-          if (re.ok() && !re->empty()) attribute(policy, *re);
+          Result<PolicyEvalOutput> re =
+              EvalPolicyStatement(policy.effective(), catalog.view(), false,
+                                  SpanLabel("policy.eval:", policy.name));
+          if (!re.ok()) continue;
+          RecordEvalCounters(*re, &policy);
+          stats_.policy_wall_us += re->eval_us;
+          if (!re->messages.empty()) attribute(policy, re->messages);
         }
-        violations = std::move(messages);
+        violations = std::move(out.messages);
         return reject();
       }
-      DL_ASSIGN_OR_RETURN(bool violated, check_batch(separate));
-      if (violated) return reject();
-    } else {
-      std::vector<const PreparedPolicy*> all;
-      for (const PreparedPolicy& prep : prepared_) all.push_back(&prep);
-      DL_ASSIGN_OR_RETURN(bool violated, check_batch(all));
-      if (violated) return reject();
     }
+    DL_RETURN_NOT_OK(check_batch(separate));
   }
 
   // Dry run (WouldAllow): all policies passed; do not touch the log or run

@@ -1,6 +1,7 @@
 #ifndef DATALAWYER_CORE_DATALAWYER_H_
 #define DATALAWYER_CORE_DATALAWYER_H_
 
+#include <functional>
 #include <future>
 #include <memory>
 #include <set>
@@ -244,17 +245,18 @@ class DataLawyer {
       const SelectStmt& stmt, const CatalogView* catalog,
       bool check_increment_dependence, const std::string& span_label) const;
 
-  /// Serial-path wrapper: evaluates and immediately folds the output into
-  /// `stats_` (attributed to `attribute_to`, or the synthetic "(union)"
-  /// entry when null); returns violation messages (empty = satisfied).
-  Result<std::vector<std::string>> EvaluatePolicyStmt(
-      const SelectStmt& stmt, const CatalogView* catalog,
-      bool check_increment_dependence, bool* depends_on_increment,
-      const Policy* attribute_to);
+  /// Runs one evaluation wave over slots [0, n): `eval(i)` fills slot i and
+  /// returns true when its outcome is decisive (an error, or a violation
+  /// the merge rejects on). Runs inline in slot order when policy_threads
+  /// is 0 or n is 1, else fans out over the scheduler; either way it skips
+  /// every slot past the first decisive one seen so far, which the
+  /// registration-order merge never reads. Adds the wave's wall time to
+  /// policy_wall_us; returns the first decisive index (n if none).
+  size_t RunPolicyWave(size_t n, const std::function<bool(size_t)>& eval);
 
   /// Folds one evaluation's counters into `stats_` (not its wall time —
-  /// parallel regions are timed once, around the whole region) and into the
-  /// per-query attribution of `attribute_to` (null = "(union)").
+  /// waves are timed once, around the whole wave) and into the per-query
+  /// attribution of `attribute_to` (null = "(union)").
   void RecordEvalCounters(const PolicyEvalOutput& out,
                           const Policy* attribute_to);
 

@@ -53,10 +53,11 @@ struct DataLawyerOptions {
   bool per_call_overhead_sleep = false;
 
   /// Number of worker threads evaluating independent policies concurrently
-  /// (0 = the serial evaluation loops, unchanged from the paper). Any
-  /// value >= 1 uses the shared pool with a deterministic registration-
-  /// order merge: admit/reject decisions, violation messages, and committed
-  /// log contents are byte-identical across all thread counts. See
+  /// (0 = the same evaluation waves, run inline on the calling thread in
+  /// registration order). Any value >= 1 fans each wave out over the
+  /// shared pool. Every wave goes through one registration-order merge, so
+  /// admit/reject decisions, errors, violation messages, and committed log
+  /// contents are byte-identical across all thread counts. See
   /// DESIGN.md "Concurrency model" for what is shared and what is frozen
   /// during checking.
   int policy_threads = 0;

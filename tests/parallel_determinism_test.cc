@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/task_scheduler.h"
+#include "common/trace.h"
 #include "core/datalawyer.h"
 #include "exec/plan_executor.h"
 #include "policy/incremental.h"
@@ -413,6 +414,79 @@ TEST(ParallelDeterminismTest, WallCpuSplitIsReported) {
   EXPECT_GE(stats.policy_cpu_us, 2000.0);
   // ...overlapped into clearly less wall time than the serial sum.
   EXPECT_LT(stats.policy_wall_us, stats.policy_cpu_us);
+}
+
+// A violation registered before a policy that fails at run time wins at
+// every thread count: statuses merge in registration order like
+// violations do, so the fan-out never surfaces a later policy's error
+// ahead of an earlier policy's violation.
+TEST(ParallelDeterminismTest, RuntimeErrorAfterViolationIsThreadInvisible) {
+  for (EvalStrategy strategy :
+       {EvalStrategy::kInterleaved, EvalStrategy::kSerial}) {
+    for (int threads : {0, 1, 4}) {
+      SCOPED_TRACE("strategy " + std::to_string(int(strategy)) + " threads " +
+                   std::to_string(threads));
+      Database db;
+      ASSERT_TRUE(LoadMimicData(&db, MimicConfig::Tiny()).ok());
+      DataLawyerOptions options;
+      options.strategy = strategy;
+      options.policy_threads = threads;
+      DataLawyer dl(&db, UsageLog::WithStandardGenerators(),
+                    std::make_unique<ManualClock>(0, 10), options);
+      const char* always = "SELECT DISTINCT 'always violated' FROM users u";
+      const char* divzero = "SELECT DISTINCT 'never' FROM users u "
+                            "WHERE 1 / (u.uid - u.uid) = 7";
+      ASSERT_TRUE(dl.AddPolicy("always", always).ok());
+      ASSERT_TRUE(dl.AddPolicy("divzero", divzero).ok());
+      QueryContext ctx;
+      ctx.uid = 1;
+      Result<QueryResult> result = dl.Execute("SELECT * FROM d_patients", ctx);
+      EXPECT_EQ(result.status().ToString(), "PolicyViolation: always violated");
+      ASSERT_EQ(dl.last_violations().size(), 1u);
+      EXPECT_EQ(dl.last_violations()[0].policy_name, "always");
+      EXPECT_EQ(dl.last_violations()[0].messages,
+                std::vector<std::string>{"always violated"});
+    }
+  }
+}
+
+// The inline wave (policy_threads = 0) runs only what the merge records:
+// it stops at the first decisive slot, so on a rejection every policy
+// statement span belongs to an evaluation counted in policies_evaluated.
+TEST(ParallelDeterminismTest, InlineWaveStopsAtTheDecisiveSlot) {
+  Database db;
+  ASSERT_TRUE(LoadMimicData(&db, MimicConfig::Tiny()).ok());
+  DataLawyerOptions options;
+  options.policy_threads = 0;
+  options.enable_tracing = true;
+  DataLawyer dl(&db, UsageLog::WithStandardGenerators(),
+                std::make_unique<ManualClock>(0, 10), options);
+  for (const auto& [name, sql] : PaperPolicies::All()) {
+    ASSERT_TRUE(dl.AddPolicy(name, sql).ok());
+  }
+  QueryContext ctx;
+  ctx.uid = 1;
+  Tracer::Global().Clear();
+  // Scenario()'s P2-violating join.
+  const char* join =
+      "SELECT o.medication, p.sex FROM poe_order o, d_patients p "
+      "WHERE o.subject_id = p.subject_id";
+  Result<QueryResult> result = dl.Execute(join, ctx);
+  std::vector<TraceEvent> events = Tracer::Global().Snapshot();
+  Tracer::Global().set_enabled(false);
+  Tracer::Global().Clear();
+  ASSERT_TRUE(result.status().IsPolicyViolation())
+      << result.status().ToString();
+
+  size_t spans = 0;
+  for (const TraceEvent& e : events) {
+    for (const char* prefix :
+         {"policy.eval:", "policy.partial:", "policy.guard:"}) {
+      if (e.name.rfind(prefix, 0) == 0) ++spans;
+    }
+  }
+  EXPECT_GT(spans, 0u);
+  EXPECT_EQ(spans, dl.last_stats().policies_evaluated);
 }
 
 }  // namespace
