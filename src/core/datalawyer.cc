@@ -229,7 +229,9 @@ Status DataLawyer::AddPolicy(const std::string& name, const std::string& sql,
   DL_ASSIGN_OR_RETURN(Policy policy, Policy::Parse(name, sql));
 
   // Validate that the policy binds against database (+ dl_* telemetry
-  // relations) + log + clock.
+  // relations) + log + clock. The catalog reads the log tables, which a
+  // pending background compaction owns.
+  DL_RETURN_NOT_OK(Flush());
   UsageLog::PolicyCatalog catalog =
       log_->MakeCatalog(system_catalog_.get(), clock_->Now());
   Binder binder(catalog.view());
@@ -290,12 +292,16 @@ const CatalogView* DataLawyer::policy_base_catalog() const {
 
 Status DataLawyer::Prepare() {
   DL_TRACE_SPAN("dl.prepare", "core");
+  // A pending background compaction reads the prepared witness bodies,
+  // their cached plans, and the log tables; wait it out before freeing or
+  // reconfiguring any of them.
+  DL_RETURN_NOT_OK(Flush());
   active_.clear();
   prepared_.clear();
   constants_.clear();
   constants_catalog_.reset();
   mentioned_logs_.clear();
-  skip_retention_.clear();
+  witness_bodies_ = WitnessBodies{};
   union_combined_.reset();
   union_member_.clear();
   plan_cache_.Clear();
@@ -352,6 +358,7 @@ Status DataLawyer::Prepare() {
 
   // Relations needed only by time-independent policies never persist
   // (the implementation note in §5.3).
+  std::set<std::string> skip_retention;
   for (const std::string& rel : log_->RelationNamesInOrder()) {
     bool mentioned = mentioned_logs_.count(rel) > 0;
     bool only_time_independent = mentioned;
@@ -362,7 +369,7 @@ Status DataLawyer::Prepare() {
     }
     bool skip = mentioned && only_time_independent;
     log_->SetPersisted(rel, !skip);
-    if (skip) skip_retention_.insert(rel);
+    if (skip) skip_retention.insert(rel);
   }
 
   // Equality hash indexes over the persisted log: policy predicates are
@@ -409,7 +416,11 @@ Status DataLawyer::Prepare() {
       prep.guard_relations = CollectLogRelations(*policy.guard, *log_);
     }
 
-    if (options_.enable_log_compaction) {
+    // A time-independent policy needs no history: π_ind pins every log
+    // alias's ts to the clock, so each of its witness queries carries
+    // `dl_now.ts + 1 <= a.ts` and is empty under Clock::Tick's strictly
+    // increasing contract — the same argument as skip_retention.
+    if (options_.enable_log_compaction && !policy.time_independent) {
       DL_ASSIGN_OR_RETURN(prep.witnesses,
                           witness_builder.Build(policy.effective()));
     }
@@ -446,6 +457,13 @@ Status DataLawyer::Prepare() {
       }
     }
     prepared_.push_back(std::move(prep));
+  }
+  if (options_.enable_log_compaction) {
+    std::vector<const WitnessSet*> sets;
+    for (const PreparedPolicy& prep : prepared_) {
+      sets.push_back(&prep.witnesses);
+    }
+    witness_bodies_ = FoldWitnesses(sets, skip_retention);
   }
 
   // ---- the kUnion strategy's combined statement (Algorithm 1 line 1) ----
@@ -511,6 +529,7 @@ void DataLawyer::WarmPlanCache() {
   plan_cache_.set_stamp(stamp);
   plan_cache_warmed_ = true;
   incremental_class_.clear();
+  for (WitnessBody& body : witness_bodies_.bodies) body.plan = nullptr;
   if (!options_.enable_plan_cache) return;
   DL_TRACE_SPAN("plan.warm", "plan");
   // The warming catalog dies with this scope; cached plans never
@@ -553,6 +572,15 @@ void DataLawyer::WarmPlanCache() {
   }
   if (union_combined_ != nullptr) {
     plan_cache_.Warm(*union_combined_, catalog.view(), planner);
+  }
+  // Witness bodies reference dl_now besides the policy catalog. The stamp
+  // and the stats-drift rewarm cover them like the policy plans; Mark runs
+  // them directly from these entries.
+  AddNowRelation(&catalog, clock_->Now());
+  for (WitnessBody& body : witness_bodies_.bodies) {
+    plan_cache_.Warm(*body.query, catalog.view(), planner);
+    const PlanCache::Entry* entry = plan_cache_.Lookup(*body.query);
+    body.plan = entry != nullptr ? &entry->plan : nullptr;
   }
 }
 
@@ -612,7 +640,14 @@ Result<QueryResult> DataLawyer::RunChecked(const std::string& sql,
     return ExecuteChecked(stmt, context, ts);
   }();
   probe_mode_ = false;
-  if (probe) log_->DiscardStaged();
+  // A probe never commits its increment, and neither does a failed query:
+  // a staged increment (with its generation flags) left behind would be
+  // read by every later query instead of its own. A pending async
+  // compaction owns the log; it was submitted past every failing exit
+  // before compaction, and it flushes or fails the increment itself.
+  if (probe || (!result.ok() && !pending_compaction_.valid())) {
+    log_->DiscardStaged();
+  }
   stats_.sched_tasks = query_group_.tasks.load(std::memory_order_relaxed);
   stats_.steals = query_group_.steals.load(std::memory_order_relaxed);
   stats_.queue_wait_us =
@@ -692,6 +727,7 @@ Result<std::string> DataLawyer::ExplainLogQuery(const std::string& sql) {
 
 Result<std::string> DataLawyer::ExplainPolicy(const std::string& name) {
   if (!prepared_valid_) DL_RETURN_NOT_OK(Prepare());
+  DL_RETURN_NOT_OK(Flush());  // the catalog below reads the log tables
   for (const Policy& policy : active_) {
     if (policy.name != name) continue;
     UsageLog::PolicyCatalog catalog =
@@ -957,10 +993,7 @@ Result<bool> DataLawyer::IncrementProvablyDispensable(const std::string& name,
 
   UsageLog::PolicyCatalog catalog =
       log_->MakeCatalog(policy_base_catalog(), ts);
-  TableSchema now_schema;
-  now_schema.AddColumn("ts", ValueType::kInt64);
-  OwnedRelation now_rel(std::move(now_schema), {{Value(ts)}});
-  catalog.catalog->Add(WitnessBuilder::NowRelationName(), &now_rel);
+  AddNowRelation(&catalog, ts);
 
   for (const PreparedPolicy& prep : prepared_) {
     auto it = prep.witnesses.per_relation.find(name);
@@ -975,6 +1008,34 @@ Result<bool> DataLawyer::IncrementProvablyDispensable(const std::string& name,
     }
   }
   return true;
+}
+
+Status DataLawyer::CompactLog(int64_t ts) {
+  auto compact = [this, ts]() -> Result<CompactionStats> {
+    LogCompactor compactor(log_.get());
+    return compactor.CompactAndFlush(witness_bodies_, policy_base_catalog(),
+                                     ts);
+  };
+  if (options_.async_compaction) {
+    // §5.1: return the result before compaction finishes. The worker owns
+    // the log tables, and reads the witness bodies and their cached plans,
+    // until the next Flush waits on it. Detached from the query's
+    // attribution group: compaction outlives the query, and its tasks must
+    // not inflate the query's scheduler footprint.
+    ScopedTaskGroup detach(nullptr);
+    pending_compaction_ = EnsureScheduler(1)->Submit([compact] {
+      DL_TRACE_SPAN("compact.async", "policy");
+      return compact();
+    });
+    return Status::OK();
+  }
+  DL_ASSIGN_OR_RETURN(last_compaction_stats_, compact());
+  stats_.compact_mark_ms = last_compaction_stats_.mark_ms;
+  stats_.compact_delete_ms = last_compaction_stats_.delete_ms;
+  stats_.compact_insert_ms = last_compaction_stats_.insert_ms;
+  stats_.log_rows_deleted = last_compaction_stats_.rows_deleted;
+  stats_.log_rows_flushed = last_compaction_stats_.rows_inserted;
+  return Status::OK();
 }
 
 Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
@@ -1370,42 +1431,9 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
       auto t0 = Now();
       stats_.log_rows_flushed = log_->CommitStaged();
       stats_.compact_insert_ms = MsSince(t0);
-    } else if (options_.async_compaction) {
-      // §5.1: return the result before compaction finishes. The worker owns
-      // the log tables until the next Execute/Flush waits on it.
-      queries_since_compaction_ = 0;
-      // Detached from the query's attribution group: compaction outlives
-      // the query, and its tasks must not inflate the query's scheduler
-      // footprint.
-      ScopedTaskGroup detach(nullptr);
-      pending_compaction_ = EnsureScheduler(1)->Submit(
-          [this, ts]() -> Result<CompactionStats> {
-            DL_TRACE_SPAN("compact.async", "policy");
-            std::vector<const WitnessSet*> witnesses;
-            for (const PreparedPolicy& prep : prepared_) {
-              witnesses.push_back(&prep.witnesses);
-            }
-            LogCompactor compactor(log_.get());
-            return compactor.CompactAndFlush(witnesses, policy_base_catalog(),
-                                             ts, skip_retention_);
-          });
     } else {
       queries_since_compaction_ = 0;
-      std::vector<const WitnessSet*> witnesses;
-      for (const PreparedPolicy& prep : prepared_) {
-        witnesses.push_back(&prep.witnesses);
-      }
-      LogCompactor compactor(log_.get());
-      DL_ASSIGN_OR_RETURN(CompactionStats cstats,
-                          compactor.CompactAndFlush(witnesses,
-                                                    policy_base_catalog(), ts,
-                                                    skip_retention_));
-      last_compaction_stats_ = cstats;
-      stats_.compact_mark_ms = cstats.mark_ms;
-      stats_.compact_delete_ms = cstats.delete_ms;
-      stats_.compact_insert_ms = cstats.insert_ms;
-      stats_.log_rows_deleted = cstats.rows_deleted;
-      stats_.log_rows_flushed = cstats.rows_inserted;
+      DL_RETURN_NOT_OK(CompactLog(ts));
     }
   } else {
     // ---- §4.4 step 4 without compaction: flush the full increment ----

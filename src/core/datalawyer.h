@@ -295,6 +295,11 @@ class DataLawyer {
   Result<bool> IncrementProvablyDispensable(const std::string& name,
                                             int64_t ts);
 
+  /// §4.4 step 3-4 at `ts`: marks with the witness bodies, deletes, and
+  /// flushes the increment — inline, folding the phase stats into `stats_`,
+  /// or on the scheduler when async_compaction (see pending_compaction_).
+  Status CompactLog(int64_t ts);
+
   const CatalogView* policy_base_catalog() const;
 
   /// Schema/index epoch the plan cache is validated against: the database
@@ -377,8 +382,9 @@ class DataLawyer {
 
   /// Union of active policies' log footprints.
   std::set<std::string> mentioned_logs_;
-  /// Log relations persisted only on behalf of time-dependent policies.
-  std::set<std::string> skip_retention_;
+  /// The active policies' witnesses, folded once per Prepare; WarmPlanCache
+  /// points each body at its cached plan.
+  WitnessBodies witness_bodies_;
   bool prepared_valid_ = false;
 
   ExecutionStats stats_;

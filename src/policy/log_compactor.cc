@@ -1,5 +1,6 @@
 #include "policy/log_compactor.h"
 
+#include <algorithm>
 #include <chrono>
 #include <unordered_set>
 
@@ -19,49 +20,53 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 Result<std::map<std::string, std::set<int64_t>>> LogCompactor::Mark(
-    const std::vector<const WitnessSet*>& witnesses, const CatalogView* base,
-    int64_t now, std::set<std::string>* keep_all,
-    const std::set<std::string>& skip_retention, ScanStats* scans) {
+    const WitnessBodies& witnesses, const CatalogView* base, int64_t now,
+    std::set<std::string>* keep_all, ScanStats* scans) {
   std::map<std::string, std::set<int64_t>> keep;
   for (const std::string& name : log_->RelationNamesInOrder()) {
     keep[name];  // default: retain nothing unless a witness asks for it
   }
+  keep_all->insert(witnesses.keep_all.begin(), witnesses.keep_all.end());
 
   // Catalog for the witness queries: base + log(∪ increment) + dl_now.
   UsageLog::PolicyCatalog catalog = log_->MakeCatalog(base, now);
-  TableSchema now_schema;
-  now_schema.AddColumn("ts", ValueType::kInt64);
-  OwnedRelation now_rel(std::move(now_schema), {{Value(now)}});
-  catalog.catalog->Add(WitnessBuilder::NowRelationName(), &now_rel);
+  AddNowRelation(&catalog, now);
 
-  for (const WitnessSet* set : witnesses) {
-    for (const auto& [name, witness] : set->per_relation) {
-      if (!log_->IsLogRelation(name)) continue;
-      if (skip_retention.count(name)) continue;
-      if (witness.full_fallback) {
-        keep_all->insert(name);
+  ExecOptions options;
+  options.capture_lineage = true;
+  for (const WitnessBody& body : witnesses.bodies) {
+    QueryResult result;
+    ScanStats body_scans;
+    if (body.plan != nullptr) {
+      PlanExecutor exec(catalog.view(), options);
+      DL_ASSIGN_OR_RETURN(result, exec.Run(*body.plan));
+      body_scans = exec.scan_stats();
+    } else {
+      Executor executor(catalog.view(), options);
+      DL_ASSIGN_OR_RETURN(result, executor.Execute(*body.query));
+      body_scans = executor.scan_stats();
+    }
+    if (scans != nullptr) {
+      scans->index_probes += body_scans.index_probes;
+      scans->index_hits += body_scans.index_hits;
+    }
+    // Lineage relation index -> the keep set it feeds, for every relation
+    // this body marks.
+    std::vector<std::set<int64_t>*> target(result.base_relations.size());
+    for (size_t i = 0; i < result.base_relations.size(); ++i) {
+      const std::string& rel = result.base_relations[i];
+      if (!std::binary_search(body.relations.begin(), body.relations.end(),
+                              rel)) {
         continue;
       }
-      for (const auto& query : witness.queries) {
-        ExecOptions options;
-        options.capture_lineage = true;
-        Executor executor(catalog.view(), options);
-        DL_ASSIGN_OR_RETURN(QueryResult result, executor.Execute(*query));
-        if (scans != nullptr) {
-          scans->index_probes += executor.scan_stats().index_probes;
-          scans->index_hits += executor.scan_stats().index_hits;
-        }
-        // Map the relation name to its lineage index, if it was scanned.
-        int rel_idx = -1;
-        for (size_t i = 0; i < result.base_relations.size(); ++i) {
-          if (result.base_relations[i] == name) rel_idx = int(i);
-        }
-        if (rel_idx < 0) continue;
-        std::set<int64_t>& ids = keep[name];
-        for (const LineageSet& lineage : result.lineage) {
-          for (const LineageEntry& entry : lineage) {
-            if (int(entry.rel) == rel_idx) ids.insert(entry.row_id);
-          }
+      auto it = keep.find(rel);
+      if (it == keep.end()) continue;
+      target[i] = &it->second;
+    }
+    for (const LineageSet& lineage : result.lineage) {
+      for (const LineageEntry& entry : lineage) {
+        if (target[entry.rel] != nullptr) {
+          target[entry.rel]->insert(entry.row_id);
         }
       }
     }
@@ -70,8 +75,7 @@ Result<std::map<std::string, std::set<int64_t>>> LogCompactor::Mark(
 }
 
 Result<CompactionStats> LogCompactor::CompactAndFlush(
-    const std::vector<const WitnessSet*>& witnesses, const CatalogView* base,
-    int64_t now, const std::set<std::string>& skip_retention) {
+    const WitnessBodies& witnesses, const CatalogView* base, int64_t now) {
   CompactionStats stats;
   DL_TRACE_SPAN("compact.flush", "policy");
 
@@ -82,8 +86,7 @@ Result<CompactionStats> LogCompactor::CompactAndFlush(
   std::map<std::string, std::set<int64_t>> keep;
   {
     DL_TRACE_SPAN("compact.mark", "policy");
-    DL_ASSIGN_OR_RETURN(
-        keep, Mark(witnesses, base, now, &keep_all, skip_retention, &scans));
+    DL_ASSIGN_OR_RETURN(keep, Mark(witnesses, base, now, &keep_all, &scans));
   }
   stats.mark_ms = MsSince(t0);
   stats.index_probes = scans.index_probes;

@@ -30,7 +30,7 @@ struct CompactionStats {
   size_t index_hits = 0;    ///< witness-query scans answered by an index
 };
 
-/// Executes the absolute-witness queries of every policy over
+/// Executes the folded witness bodies of every policy over
 /// log ∪ increment, retains exactly the union of the witnesses, and flushes
 /// the surviving increment rows (Algorithm 2 applied at the end of each
 /// successful query, §4.4 step 3-4).
@@ -44,24 +44,21 @@ class LogCompactor {
   /// `log` must outlive the compactor.
   explicit LogCompactor(UsageLog* log) : log_(log) {}
 
-  /// `witnesses` are the precomputed witness sets of all active policies;
-  /// `base` is the database(-plus-constants) catalog; `now` the current
-  /// clock. Relations named in `skip_retention` are wiped rather than
-  /// queried (the time-independent fast path: nothing needs to persist).
-  Result<CompactionStats> CompactAndFlush(
-      const std::vector<const WitnessSet*>& witnesses,
-      const CatalogView* base, int64_t now,
-      const std::set<std::string>& skip_retention = {});
+  /// `witnesses` are the folded witness bodies of all active policies (see
+  /// FoldWitnesses); `base` is the database(-plus-constants) catalog; `now`
+  /// the current clock. Relations no body marks and no fallback keeps are
+  /// wiped.
+  Result<CompactionStats> CompactAndFlush(const WitnessBodies& witnesses,
+                                          const CatalogView* base,
+                                          int64_t now);
 
-  /// Mark phase only: computes, per log relation, the ids to retain.
-  /// Exposed for tests. `keep_all` names relations under full fallback;
-  /// `scans` (optional) accumulates the witness queries' access-path
-  /// counters.
+  /// Mark phase only: runs each body once — from its cached plan when it
+  /// has one — and computes, per log relation, the ids to retain. Exposed
+  /// for tests. `keep_all` receives the relations under full fallback;
+  /// `scans` (optional) accumulates the bodies' access-path counters.
   Result<std::map<std::string, std::set<int64_t>>> Mark(
-      const std::vector<const WitnessSet*>& witnesses,
-      const CatalogView* base, int64_t now, std::set<std::string>* keep_all,
-      const std::set<std::string>& skip_retention = {},
-      ScanStats* scans = nullptr);
+      const WitnessBodies& witnesses, const CatalogView* base, int64_t now,
+      std::set<std::string>* keep_all, ScanStats* scans = nullptr);
 
  private:
   UsageLog* log_;

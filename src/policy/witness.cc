@@ -1,5 +1,6 @@
 #include "policy/witness.h"
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
@@ -25,6 +26,53 @@ void WitnessSet::MergeFrom(WitnessSet other) {
     mine.full_fallback = mine.full_fallback || witness.full_fallback;
     for (auto& q : witness.queries) mine.queries.push_back(std::move(q));
   }
+}
+
+WitnessBodies FoldWitnesses(const std::vector<const WitnessSet*>& sets,
+                            const std::set<std::string>& skip_retention) {
+  WitnessBodies out;
+  for (const WitnessSet* set : sets) {
+    for (const auto& [name, witness] : set->per_relation) {
+      if (witness.full_fallback && !skip_retention.count(name)) {
+        out.keep_all.insert(name);
+      }
+    }
+  }
+  // Body index by fold key: FROM and WHERE for full-query witnesses (the
+  // projection does not change their lineage), the whole text otherwise.
+  std::map<std::string, size_t> body_of;
+  for (const WitnessSet* set : sets) {
+    for (const auto& [name, witness] : set->per_relation) {
+      if (skip_retention.count(name) || out.keep_all.count(name)) continue;
+      for (const auto& query : witness.queries) {
+        std::string key;
+        if (query->distinct && query->distinct_on.empty()) {
+          key = "FROM";
+          for (const TableRef& ref : query->from) key += " " + ref.ToString();
+          if (query->where != nullptr) {
+            key += " WHERE " + query->where->ToString();
+          }
+        } else {
+          key = query->ToString();
+        }
+        auto [it, fresh] = body_of.emplace(key, out.bodies.size());
+        if (fresh) out.bodies.push_back(WitnessBody{query->Clone(), {}});
+        std::vector<std::string>& rels = out.bodies[it->second].relations;
+        auto pos = std::lower_bound(rels.begin(), rels.end(), name);
+        if (pos == rels.end() || *pos != name) rels.insert(pos, name);
+      }
+    }
+  }
+  return out;
+}
+
+void AddNowRelation(UsageLog::PolicyCatalog* catalog, int64_t now) {
+  TableSchema schema;
+  schema.AddColumn("ts", ValueType::kInt64);
+  catalog->owned.push_back(std::make_unique<OwnedRelation>(
+      std::move(schema), std::vector<Row>{{Value(now)}}));
+  catalog->catalog->Add(WitnessBuilder::NowRelationName(),
+                        catalog->owned.back().get());
 }
 
 namespace {

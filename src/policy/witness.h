@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,8 @@
 #include "sql/ast.h"
 
 namespace datalawyer {
+
+struct PhysicalPlan;  // plan/physical.h
 
 /// Absolute-witness queries for one log relation on behalf of one policy
 /// (§4.1.2). The compactor retains the union of the tuples these queries
@@ -30,6 +33,43 @@ struct WitnessSet {
   /// Merges `other` into this set (union of queries, OR of fallbacks).
   void MergeFrom(WitnessSet other);
 };
+
+/// One query the mark phase runs once, on behalf of every witness folded
+/// into it: the compactor retains each of `relations`' tuples in its
+/// lineage.
+struct WitnessBody {
+  std::unique_ptr<SelectStmt> query;
+  std::vector<std::string> relations;  ///< harvested log relations, sorted
+  /// The query's cached physical plan, owned by the caller's plan cache and
+  /// set when it warms; nullptr binds and plans the query on every run.
+  const PhysicalPlan* plan = nullptr;
+};
+
+/// The mark work of a prepared policy set, folded once (FoldWitnesses).
+struct WitnessBodies {
+  std::vector<WitnessBody> bodies;
+  /// Relations under full fallback: retained whole, never queried.
+  std::set<std::string> keep_all;
+};
+
+/// Folds the witness sets of every active policy into bodies:
+///
+///  * relations in `skip_retention` are dropped (wiped, never queried);
+///    relations any set keeps whole go to keep_all and are never queried;
+///  * full-query witnesses (`SELECT DISTINCT a.*`, no DISTINCT ON) with
+///    identical FROM and WHERE become one body marking the union of their
+///    relations, within a policy and across policies. This is exact:
+///    DISTINCT unions the lineage of duplicate rows, so the body's lineage
+///    is every tuple of every satisfying join row, whichever alias is
+///    projected;
+///  * DISTINCT ON witnesses keep one body per distinct query text, since
+///    the row they keep depends on the projection.
+WitnessBodies FoldWitnesses(const std::vector<const WitnessSet*>& sets,
+                            const std::set<std::string>& skip_retention = {});
+
+/// Adds the synthetic one-row relation `dl_now(ts)` = {(now)} that witness
+/// queries reference to `catalog`, which owns it.
+void AddNowRelation(UsageLog::PolicyCatalog* catalog, int64_t now);
 
 /// One usage-log row a rejecting policy matched — the counterexample shown
 /// when explaining a rejection. Row ids are normalized to the relation's

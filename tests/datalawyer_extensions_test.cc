@@ -231,6 +231,57 @@ TEST_F(ExtensionsTest, AsyncCompactionKeepsUserLatencyFree) {
   ASSERT_TRUE(dl->Flush().ok());
 }
 
+TEST_F(ExtensionsTest, PrepareWaitsForAsyncCompaction) {
+  DataLawyerOptions options;
+  options.async_compaction = true;
+  auto dl = Make(options);
+  for (const auto& [name, sql] : PaperPolicies::All()) {
+    ASSERT_TRUE(dl->AddPolicy(name, sql).ok());
+  }
+  QueryContext ctx;
+  ctx.uid = 1;
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(dl->Execute(PaperQueries::W1(), ctx).ok()) << "step " << i;
+    // The background compaction this query submitted reads the prepared
+    // witness bodies, their cached plans, and the log. Re-preparing frees
+    // or reconfigures all of them, so it first waits for the worker —
+    // whose stats are then those of this query's compaction.
+    ASSERT_TRUE(dl->AddPolicy("rate" + std::to_string(i),
+                              PaperPolicies::RateLimitForUser(2))
+                    .ok());
+    ASSERT_TRUE(dl->Prepare().ok());
+    EXPECT_GT(dl->last_compaction_stats().rows_inserted, 0u) << "step " << i;
+    EXPECT_EQ(dl->usage_log()->delta_table("users")->NumRows(), 0u);
+  }
+  ASSERT_TRUE(dl->Flush().ok());
+}
+
+// ---- a failed query leaves no staged increment behind ----
+
+TEST_F(ExtensionsTest, FailedQueryDiscardsItsStagedIncrement) {
+  auto dl = Make();
+  ASSERT_TRUE(dl->AddPolicy("boom",
+                            "SELECT DISTINCT 'boom' FROM users u, clock c "
+                            "WHERE u.ts = c.ts AND 1 / (u.uid - 5) = 7")
+                  .ok());
+  QueryContext five;
+  five.uid = 5;
+  auto failed = dl->Execute(PaperQueries::W1(), five);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_FALSE(failed.status().IsPolicyViolation());
+  EXPECT_NE(failed.status().message().find("division by zero"),
+            std::string::npos)
+      << failed.status().ToString();
+
+  // The next statement generates and checks its own increment; uid 5's
+  // stale row is gone.
+  QueryContext one;
+  one.uid = 1;
+  auto next = dl->Execute(PaperQueries::W1(), one);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_GE(dl->last_stats().log_rows_staged, 1u);
+}
+
 // ---- footnote 7: policies only see history from their registration ----
 
 TEST_F(ExtensionsTest, LateAddedPolicyIgnoresOlderHistory) {

@@ -209,7 +209,8 @@ TEST(PlanCacheDifferentialTest, VerdictsIdentical) {
 
 // The cache's acceptance bar: a steady-state query emits exactly one
 // "planning" span — for the user's ad-hoc SQL — while the policy fan-out
-// plans nothing. Without the cache every policy evaluation plans again.
+// and the compaction's mark phase plan nothing. Without the cache every
+// policy evaluation and witness query plans again.
 TEST(PlanCacheDifferentialTest, SteadyStateDoesNoPolicyPlanning) {
   auto planning_spans_per_query = [](bool cached) {
     Database db;
@@ -221,9 +222,8 @@ TEST(PlanCacheDifferentialTest, SteadyStateDoesNoPolicyPlanning) {
     DataLawyerOptions options;
     options.enable_plan_cache = cached;
     options.enable_tracing = true;
-    // Compaction plans its own witness query; keep it out of the count so
-    // the spans measured here belong to the user query and policy fan-out.
-    options.enable_log_compaction = false;
+    // Compaction runs the policy's witness body from the cache as well.
+    options.enable_log_compaction = true;
     DataLawyer dl(&db, nullptr, std::make_unique<ManualClock>(), options);
     EXPECT_TRUE(
         dl.AddPolicy("cap", PolicyTemplates::RateLimit(100, 5, 7)).ok());
