@@ -12,6 +12,13 @@
 //     serves the thin window slice through the ordered ts index, so the
 //     incremental win is a constant factor, not asymptotic.
 //
+// The p5_compacted_* cells run P5 the way the system runs by default: W1
+// queries over the MIMIC data with log compaction on, so every query's
+// compaction deletes the rows that slid out of the window. Those deletes
+// reach the incremental state as retraction deltas; after warm-up the
+// state must answer every verdict (the bench aborts on any fallback or
+// rebuild), and the full cells show what it saves.
+//
 // The emitted BENCH_incremental.json records both modes at each log size so
 // the baseline compare catches a lost fast path (incremental regressing to
 // full-evaluation latencies).
@@ -142,6 +149,68 @@ void IncrementalVsFull() {
   }
 }
 
+/// P5 under compaction: W1 lookups as uid 1 (in P5's scope) over the bench
+/// dataset, compaction and every other default optimization on. Warm-up
+/// fills the window so compaction deletes on every measured query.
+void CompactedWindow() {
+  const std::vector<int64_t> windows = {300, 3000};
+  const int kQueries = SmokeMode() ? 40 : 200;
+  Database db;
+  if (!LoadMimicData(&db, BenchConfig()).ok()) std::abort();
+
+  std::printf("\nP5 under compaction (W1 as uid 1), windows ");
+  for (int64_t w : windows) std::printf("%lld ", static_cast<long long>(w));
+  std::printf("\n%-8s %-12s %14s %10s %10s %12s\n", "window", "mode",
+              "p50_eval_us", "incr_hits", "fallbacks", "rows_deleted");
+  for (int64_t window : windows) {
+    for (bool incremental : {true, false}) {
+      DataLawyerOptions options;
+      options.enable_incremental_eval = incremental;
+      auto dl = MakeSystem(&db, options);
+      if (!dl->AddPolicy("p5", PaperPolicies::P5(1, window, 1000000)).ok()) {
+        std::abort();
+      }
+      const int warmup = int(window / kClockStep) + 10;
+      for (int q = 0; q < warmup; ++q) {
+        (void)RunOne(dl.get(), PaperQueries::W1(), 1);
+      }
+      std::vector<ExecutionStats> stats;
+      size_t hits = 0;
+      size_t fallbacks = 0;
+      size_t rebuilds = 0;
+      size_t rows_deleted = 0;
+      for (int q = 0; q < kQueries; ++q) {
+        stats.push_back(RunOne(dl.get(), PaperQueries::W1(), 1));
+        hits += stats.back().incremental_hits;
+        fallbacks += stats.back().incremental_fallbacks;
+        rebuilds += stats.back().incremental_rebuilds;
+        rows_deleted += stats.back().log_rows_deleted;
+      }
+      if (rows_deleted == 0) {
+        std::fprintf(stderr, "compaction deleted nothing after warm-up\n");
+        std::abort();
+      }
+      if (incremental &&
+          (hits != size_t(kQueries) || fallbacks > 0 || rebuilds > 0)) {
+        std::fprintf(stderr,
+                     "compaction disturbed incremental state: %zu hits, %zu "
+                     "fallbacks, %zu rebuilds in %d queries\n",
+                     hits, fallbacks, rebuilds, kQueries);
+        std::abort();
+      }
+      std::printf("%-8lld %-12s %14.1f %10zu %10zu %12zu\n",
+                  static_cast<long long>(window),
+                  incremental ? "incremental" : "full", P50EvalUs(stats), hits,
+                  fallbacks, rows_deleted);
+      EmitJson("incremental",
+               std::string("p5_compacted_") +
+                   (incremental ? "incremental" : "full") + "_w" +
+                   std::to_string(window),
+               stats);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace bench
 }  // namespace datalawyer
@@ -149,5 +218,6 @@ void IncrementalVsFull() {
 int main() {
   std::printf("Incremental policy evaluation bench (state + delta vs full)\n");
   datalawyer::bench::IncrementalVsFull();
+  datalawyer::bench::CompactedWindow();
   return 0;
 }

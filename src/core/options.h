@@ -133,16 +133,16 @@ struct DataLawyerOptions {
   /// let policy scans probe them for conjunctive equality predicates
   /// (`uid = $user`, `ts = $now` — the shape of nearly every paper policy).
   /// Pure access-path optimization: results are identical, full scans of
-  /// the log become point lookups. Indexes are maintained incrementally on
-  /// append and rebuilt after compaction deletes.
+  /// the log become point lookups. Indexes are maintained in place on
+  /// append and on compaction deletes.
   bool enable_log_indexes = true;
 
   /// Maintain ordered (sorted-run) indexes on the timestamp column of every
   /// usage-log main relation and let policy scans answer range predicates
   /// (`p.ts > $now - 30`, BETWEEN — the shape of every sliding-window
   /// policy) with a binary-searched range probe instead of a full scan.
-  /// Same maintenance discipline as the hash indexes: incremental on
-  /// append, invalidated by compaction deletes, rebuilt by RefreshIndexes.
+  /// Same maintenance discipline as the hash indexes: kept current in
+  /// place by appends and compaction deletes.
   bool enable_ordered_log_indexes = true;
 
   /// Maintain incremental per-policy evaluation state (see

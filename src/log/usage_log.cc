@@ -180,13 +180,6 @@ void UsageLog::DisableStats() {
   for (auto& [name, rel] : relations_) rel.main->DisableStats();
 }
 
-void UsageLog::RefreshIndexes() {
-  if (!indexes_enabled_ && !ordered_indexes_enabled_ && !stats_enabled_) {
-    return;
-  }
-  for (auto& [name, rel] : relations_) rel.main->RefreshIndexes();
-}
-
 size_t UsageLog::CommitStaged() {
   size_t flushed = 0;
   for (auto& [name, rel] : relations_) {

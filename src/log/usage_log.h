@@ -59,8 +59,9 @@ class UsageLog {
 
   /// Builds equality hash indexes on every column of every log relation's
   /// main table and keeps them maintained: appends (CommitStaged, the
-  /// compactor's insert phase) update them incrementally; deletions
-  /// (compaction) invalidate them and RefreshIndexes rebuilds. Policy
+  /// compactor's insert phase) add the new positions; deletions
+  /// (compaction) drop the removed positions and renumber the survivors in
+  /// place (see Table). Policy
   /// evaluation probes these through ConcatRelation for conjunctive
   /// equality predicates (`uid = $user`, `ts = $now` — the access pattern
   /// of nearly every paper policy). Deltas are never indexed: they hold one
@@ -76,8 +77,8 @@ class UsageLog {
   /// Builds an ordered (sorted-run) index on the timestamp column ("ts")
   /// of every log relation's main table and keeps it maintained under the
   /// same discipline as the hash indexes: appends extend the unsorted tail
-  /// (merged into the sorted run past a threshold), deletions invalidate,
-  /// RefreshIndexes rebuilds. Policy evaluation answers sliding-window
+  /// (merged into the sorted run past a threshold), deletions drop and
+  /// renumber entries in place. Policy evaluation answers sliding-window
   /// range predicates (`p.ts > $now - 30`, BETWEEN) through these via
   /// ConcatRelation::RangeLookup.
   void EnableOrderedIndexes();
@@ -86,19 +87,13 @@ class UsageLog {
   /// Drops all ordered indexes and turns their maintenance off.
   void DisableOrderedIndexes();
 
-  /// Keeps per-column statistics (row count, NDV, min/max) on every log
-  /// relation's main table, folded incrementally on append and rebuilt by
-  /// RefreshIndexes after compaction deletes. The planner's cost model
-  /// reads these through RelationData::Stats().
+  /// Keeps exact per-column statistics (row count, NDV, NULL count,
+  /// min/max) on every log relation's main table, folded in on append and
+  /// subtracted on compaction deletes. The planner's cost model reads these
+  /// through RelationData::Stats().
   void EnableStats();
   bool stats_enabled() const { return stats_enabled_; }
   void DisableStats();
-
-  /// Rebuilds any main-table index or statistics snapshot invalidated by a
-  /// deletion. Must not run concurrently with policy evaluation; callers
-  /// invoke it after the compactor's delete phase, before the next query's
-  /// checks.
-  void RefreshIndexes();
 
   /// Direct table access for the log compactor (mark/delete/insert phases).
   Table* main_table(const std::string& name);

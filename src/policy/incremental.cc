@@ -383,10 +383,9 @@ std::unique_ptr<IncrementalState> IncrementalState::Build(
     }
   }
 
-  for (RelationState& r : st->rels_) {
-    r.folded_rows = 0;
-    r.folded_epoch = r.main->mutation_epoch();
-  }
+  st->permanent_sources_.resize(st->rels_.size());
+  st->fold_sources_.resize(st->rels_.size());
+  st->ClearState();
   return st;
 }
 
@@ -394,9 +393,10 @@ void IncrementalState::ClearState() {
   groups_.clear();
   pending_.clear();
   active_.clear();
+  for (std::unordered_set<int64_t>& ids : permanent_sources_) ids.clear();
   total_active_ = 0;
   for (RelationState& r : rels_) {
-    r.folded_rows = 0;
+    r.folded_below = 0;
     r.folded_epoch = r.main->mutation_epoch();
   }
   built_ = false;
@@ -410,19 +410,32 @@ void IncrementalState::Advance(int64_t now, size_t* rebuilds) {
     return;
   }
   bool invalid = ready_ && now < current_now_;
-  for (const RelationState& r : rels_) {
-    if (r.main->mutation_epoch() != r.folded_epoch ||
-        r.main->NumRows() < r.folded_rows) {
+  // A dependency that moved by exactly its last retraction (a compaction
+  // delete) is subtracted; any other deletion invalidates the state.
+  std::vector<const std::vector<int64_t>*> retracted(rels_.size(), nullptr);
+  bool any_retracted = false;
+  for (size_t j = 0; j < rels_.size(); ++j) {
+    const RelationState& r = rels_[j];
+    if (r.main->mutation_epoch() == r.folded_epoch) continue;
+    const Table::Retraction& rt = r.main->last_retraction();
+    if (rt.valid && rt.from_epoch == r.folded_epoch &&
+        r.main->mutation_epoch() == rt.from_epoch + 1) {
+      retracted[j] = &rt.row_ids;
+      any_retracted = true;
+    } else {
       invalid = true;
-      break;
     }
+  }
+  // An unbuilt state holds nothing a retraction could touch.
+  if (!invalid && any_retracted && built_ && !Retract(retracted)) {
+    invalid = true;
   }
   if (invalid) {
     ClearState();
     // Exponential-backoff cooldown: dependencies invalidated in quick
-    // succession (steady-state compaction deleting rows every query) would
-    // otherwise trigger a full rebuild per query — strictly worse than the
-    // plain full evaluation the fallback already provides.
+    // succession (user DML deleting rows every query) would otherwise
+    // trigger a full rebuild per query — strictly worse than the plain
+    // full evaluation the fallback already provides.
     if (advance_count_ - last_invalid_at_ <= 4) {
       backoff_ = std::min(backoff_ + 1, 6);
     } else {
@@ -430,14 +443,17 @@ void IncrementalState::Advance(int64_t now, size_t* rebuilds) {
     }
     last_invalid_at_ = advance_count_;
     cooldown_until_ = advance_count_ + ((uint64_t(1) << backoff_) - 1);
+  } else if (any_retracted) {
+    for (RelationState& r : rels_) r.folded_epoch = r.main->mutation_epoch();
   }
-  if (!built_ && advance_count_ < cooldown_until_) {
+  if (poisoned() || (!built_ && advance_count_ < cooldown_until_)) {
     ready_ = false;
     return;
   }
   bool full_build = !built_;
   bool growth = false;
-  for (const RelationState& r : rels_) {
+  for (RelationState& r : rels_) {
+    r.folded_rows = r.main->LowerBoundRowId(r.folded_below);
     if (r.folded_rows < r.main->NumRows()) growth = true;
   }
   if (growth) {
@@ -453,7 +469,7 @@ void IncrementalState::Advance(int64_t now, size_t* rebuilds) {
     }
   }
   for (RelationState& r : rels_) {
-    r.folded_rows = r.main->NumRows();
+    r.folded_below = r.main->next_row_id();
     r.folded_epoch = r.main->mutation_epoch();
   }
   if (full_build && ever_built_ && rebuilds != nullptr) ++*rebuilds;
@@ -467,6 +483,38 @@ void IncrementalState::Advance(int64_t now, size_t* rebuilds) {
   }
   current_now_ = now;
   ready_ = true;
+}
+
+bool IncrementalState::Retract(
+    const std::vector<const std::vector<int64_t>*>& retracted) {
+  for (size_t j = 0; j < rels_.size(); ++j) {
+    if (retracted[j] == nullptr) continue;
+    for (int64_t id : *retracted[j]) {
+      if (permanent_sources_[j].count(id) > 0) return false;
+    }
+  }
+  auto hit = [&](const Contribution& c) {
+    for (size_t j = 0; j < rels_.size(); ++j) {
+      const std::vector<int64_t>* ids = retracted[j];
+      if (ids != nullptr &&
+          std::binary_search(ids->begin(), ids->end(), c.sources[j])) {
+        return true;
+      }
+    }
+    return false;
+  };
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    it = hit(it->second) ? pending_.erase(it) : std::next(it);
+  }
+  for (auto it = active_.begin(); it != active_.end();) {
+    if (!hit(it->second)) {
+      ++it;
+      continue;
+    }
+    UnapplyContribution(it->second);
+    it = active_.erase(it);
+  }
+  return true;
 }
 
 bool IncrementalState::FoldGrowth(int64_t now) {
@@ -597,6 +645,7 @@ bool IncrementalState::FoldTerm(size_t level, size_t term, int64_t now,
   auto visit = [&](size_t i) -> bool {
     if (++fold_steps_ > kFoldStepCap) return false;
     const Row& row = r.main->RowAt(i);
+    fold_sources_[level] = r.main->RowIdAt(i);
     size_t arity = std::min(r.arity, row.size());
     for (size_t c = 0; c < arity; ++c) {
       (*scratch)[r.slot_offset + c] = row[c];
@@ -650,6 +699,7 @@ bool IncrementalState::EmitContribution(const Row& scratch, int64_t now) {
   Contribution c;
   c.enter_at = enter_at;
   c.expire_at = expire_at;
+  c.sources = fold_sources_;
   if (!exists_only_) {
     c.key.reserve(group_slots_.size());
     for (size_t s : group_slots_) c.key.push_back(scratch[s]);
@@ -674,9 +724,19 @@ bool IncrementalState::EmitContribution(const Row& scratch, int64_t now) {
     pending_.emplace(enter_at, std::move(c));
     return true;
   }
-  ApplyContribution(c);
-  if (expire_at < kNoExpire) active_.emplace(expire_at, std::move(c));
+  Activate(std::move(c));
   return true;
+}
+
+void IncrementalState::Activate(Contribution c) {
+  ApplyContribution(c);
+  if (c.expire_at < kNoExpire) {
+    active_.emplace(c.expire_at, std::move(c));
+    return;
+  }
+  for (size_t j = 0; j < c.sources.size(); ++j) {
+    permanent_sources_[j].insert(c.sources[j]);
+  }
 }
 
 void IncrementalState::ApplyContribution(const Contribution& c) {
@@ -789,9 +849,8 @@ void IncrementalState::ActivatePending(int64_t now) {
     Contribution c = std::move(pending_.begin()->second);
     pending_.erase(pending_.begin());
     if (c.expire_at <= now) continue;  // window passed between queries
-    ApplyContribution(c);
+    Activate(std::move(c));
     if (poisoned()) return;
-    if (c.expire_at < kNoExpire) active_.emplace(c.expire_at, std::move(c));
   }
 }
 

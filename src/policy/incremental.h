@@ -8,6 +8,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "analysis/bound_query.h"
@@ -35,6 +36,14 @@ bool IncrementalDisabledByEnv();
 /// removable per-group aggregate accumulators. Each query then costs
 /// O(delta): fold the committed growth, expire/activate window edges, and
 /// overlay the staged increment at evaluation time.
+///
+/// Each contribution remembers the main-table row id it took from every
+/// relation. A compaction delete (Table::RetainOnly) publishes the removed
+/// row ids as a retraction delta, and Advance subtracts it: contributions
+/// with a retracted source are dropped (unapplied when active). Row ids are
+/// stable and a contribution is one joined tuple of source rows, so what is
+/// left is exactly the fold of the surviving rows — compaction and the
+/// maintained state compose instead of forcing a rebuild.
 ///
 /// Correctness contract: Evaluate() either reproduces the full evaluation's
 /// verdict and violation message byte-for-byte, or declines
@@ -64,11 +73,14 @@ class IncrementalState {
                                                  const UsageLog& log,
                                                  const CatalogView* statics);
 
-  /// Serial head: brings the state up to clock `now`. Folds committed
-  /// main-table growth (the delta-join of new suffixes), activates pending
-  /// window entries, expires elapsed ones, and rebuilds from scratch (with
-  /// exponential-backoff cooldown) when a dependency shrank or mutated in
-  /// place. Increments *rebuilds per invalidation-triggered full rebuild.
+  /// Serial head: brings the state up to clock `now`. Subtracts each
+  /// dependency's last retraction when that is exactly what changed it,
+  /// folds committed main-table growth (the delta-join of new suffixes),
+  /// activates pending window entries, and expires elapsed ones. Any other
+  /// deletion (RemoveIds, Clear, a missed retraction), a retraction that
+  /// hits a never-expiring contribution, or a clock that moved backwards
+  /// rebuilds from scratch with an exponential-backoff cooldown. Increments
+  /// *rebuilds per invalidation-triggered full rebuild.
   void Advance(int64_t now, size_t* rebuilds);
 
   struct Verdict {
@@ -100,8 +112,12 @@ class IncrementalState {
     size_t arity = 0;
     const Table* main = nullptr;   ///< log main table or static table
     const Table* delta = nullptr;  ///< log delta table; null for statics
-    size_t folded_rows = 0;        ///< main rows folded into state
-    uint64_t folded_epoch = 0;     ///< main mutation epoch at that fold
+    /// Watermark: main rows with a smaller row id are folded into state.
+    int64_t folded_below = 0;
+    /// Position of the watermark in main (ids ascend with position);
+    /// refreshed at the head of every Advance.
+    size_t folded_rows = 0;
+    uint64_t folded_epoch = 0;  ///< main mutation epoch at the last fold
   };
 
   /// One clock window bound: contribution active iff
@@ -171,6 +187,7 @@ class IncrementalState {
     int64_t expire_at = 0;
     Row key;                  ///< group-by column values
     std::vector<Value> args;  ///< evaluated aggregate arguments
+    std::vector<int64_t> sources;  ///< main row id per fold level
   };
 
   /// Per-eval additive accumulator for overlay (staged-increment) tuples.
@@ -198,6 +215,11 @@ class IncrementalState {
   /// Resets every fold marker and container (dependency invalidation).
   void ClearState();
 
+  /// Subtracts retraction deltas: `retracted[j]` lists the row ids (ascending)
+  /// removed from rels_[j].main, or is null. Returns false when one feeds a
+  /// never-expiring contribution, which is not kept and forces a rebuild.
+  bool Retract(const std::vector<const std::vector<int64_t>*>& retracted);
+
   /// Folds the committed growth of every relation's main table via the
   /// delta-join decomposition. Returns false (caller poisons) on an
   /// expression error, a non-integer window timestamp, or the work cap.
@@ -213,6 +235,9 @@ class IncrementalState {
   bool ProbePositions(size_t level, bool fold_mode, int64_t now, Row* scratch,
                       std::vector<size_t>* out) const;
 
+  /// Applies an active contribution and keeps it for its expiry, or only
+  /// its sources when it never expires.
+  void Activate(Contribution c);
   void ApplyContribution(const Contribution& c);
   bool ApplyAgg(const AggSpec& spec, const Value& v, AggState* s);
   void UnapplyContribution(const Contribution& c);
@@ -264,7 +289,12 @@ class IncrementalState {
   std::unordered_map<Row, GroupState, RowHash> groups_;
   std::multimap<int64_t, Contribution> pending_;  ///< keyed by enter_at
   std::multimap<int64_t, Contribution> active_;   ///< keyed by expire_at
+  /// Per fold level: source row ids of applied never-expiring
+  /// contributions, which are not kept in active_.
+  std::vector<std::unordered_set<int64_t>> permanent_sources_;
   int64_t total_active_ = 0;
+  /// Source row id per fold level of the tuple FoldTerm is building.
+  std::vector<int64_t> fold_sources_;
 
   bool ready_ = false;       ///< Advance completed for current_now_
   bool built_ = false;       ///< state reflects the folded rows

@@ -138,9 +138,6 @@ Result<CompactionStats> LogCompactor::CompactAndFlush(
     }
   }
   log_->DiscardStaged();  // clears deltas and per-query generation flags
-  // The delete phase invalidated main-table indexes; restore them while the
-  // compactor still owns the tables (no reader can be probing concurrently).
-  log_->RefreshIndexes();
   stats.insert_ms = MsSince(t0);
   return stats;
 }

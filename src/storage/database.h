@@ -43,7 +43,7 @@ class Database {
   /// Forces an epoch bump without a schema change — used when something a
   /// cached plan depends on but the stamp cannot see changes shape (e.g.
   /// the statistics a cost-based plan was chosen under drift past the
-  /// replan threshold, or a log index is rebuilt after compaction).
+  /// replan threshold).
   void BumpVersion() { ++version_; }
 
  private:

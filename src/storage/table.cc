@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace datalawyer {
 
@@ -26,7 +27,26 @@ int OrderedClassOf(const Value& v) {
   return v.is_string() ? 2 : 0;
 }
 
+bool EntryLess(const std::pair<Value, size_t>& a,
+               const std::pair<Value, size_t>& b) {
+  return OrderedLess(a.first, b.first);
+}
+
+/// Finite numerics carry a statistics range; any other non-NULL value in a
+/// column drops it.
+bool IsRanged(const Value& v) {
+  return v.is_numeric() && std::isfinite(v.ToDouble());
+}
+
+/// Position-remap marker for a deleted row.
+constexpr size_t kErased = std::numeric_limits<size_t>::max();
+
 }  // namespace
+
+size_t Table::LowerBoundRowId(int64_t id) const {
+  auto it = std::lower_bound(row_ids_.begin(), row_ids_.end(), id);
+  return size_t(it - row_ids_.begin());
+}
 
 Status Table::BuildIndex(const std::string& column) {
   auto col = schema_.FindColumn(column);
@@ -42,32 +62,12 @@ Status Table::BuildIndex(const std::string& column) {
   }
   HashIndex index;
   index.column = *col;
-  index.built_at_version = version_;
   index.positions.reserve(rows_.size());
   for (size_t i = 0; i < rows_.size(); ++i) {
     index.positions[rows_[i][*col]].push_back(i);
   }
   indexes_.push_back(std::move(index));
   return Status::OK();
-}
-
-void Table::RefreshIndexes() {
-  for (HashIndex& index : indexes_) {
-    if (index.built_at_version == version_) continue;
-    index.positions.clear();
-    index.positions.reserve(rows_.size());
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      index.positions[rows_[i][index.column]].push_back(i);
-    }
-    index.built_at_version = version_;
-  }
-  for (OrderedIndex& index : ordered_indexes_) {
-    if (index.built_at_version == version_) continue;
-    RebuildOrderedIndex(&index);
-  }
-  if (stats_enabled_ && stats_built_at_version_ != version_) {
-    RebuildStats();
-  }
 }
 
 Status Table::BuildOrderedIndex(const std::string& column) {
@@ -88,38 +88,37 @@ Status Table::BuildOrderedIndex(const std::string& column) {
   return Status::OK();
 }
 
+bool Table::ClassifyOrdered(OrderedIndex* index, const Value& v) {
+  if (v.is_null()) return true;
+  int cls = OrderedClassOf(v);
+  if (cls == 0 || (index->value_class != 0 && cls != index->value_class)) {
+    index->usable = false;
+    index->sorted.clear();
+    return false;
+  }
+  index->value_class = cls;
+  ++index->non_null;
+  return true;
+}
+
 void Table::RebuildOrderedIndex(OrderedIndex* index) {
   index->sorted.clear();
   index->indexed_rows = rows_.size();
-  index->built_at_version = version_;
   index->usable = true;
   index->value_class = 0;
+  index->non_null = 0;
   index->sorted.reserve(rows_.size());
   for (size_t i = 0; i < rows_.size(); ++i) {
     const Value& v = rows_[i][index->column];
-    if (v.is_null()) continue;
-    int cls = OrderedClassOf(v);
-    if (cls == 0 || (index->value_class != 0 && cls != index->value_class)) {
-      index->usable = false;
-      index->sorted.clear();
-      return;
-    }
-    index->value_class = cls;
-    index->sorted.emplace_back(v, i);
+    if (!ClassifyOrdered(index, v)) return;
+    if (!v.is_null()) index->sorted.emplace_back(v, i);
   }
-  std::sort(index->sorted.begin(), index->sorted.end(),
-            [](const std::pair<Value, size_t>& a,
-               const std::pair<Value, size_t>& b) {
-              return OrderedLess(a.first, b.first);
-            });
+  std::sort(index->sorted.begin(), index->sorted.end(), EntryLess);
 }
 
 bool Table::HasValidOrderedIndex(size_t col) const {
   for (const OrderedIndex& index : ordered_indexes_) {
-    if (index.column == col && index.built_at_version == version_ &&
-        index.usable) {
-      return true;
-    }
+    if (index.column == col && index.usable) return true;
   }
   return false;
 }
@@ -129,7 +128,7 @@ bool Table::RangeLookup(size_t col, const Value* lo, bool lo_inclusive,
                         std::vector<size_t>* out) const {
   const OrderedIndex* index = nullptr;
   for (const OrderedIndex& oi : ordered_indexes_) {
-    if (oi.column == col && oi.built_at_version == version_) {
+    if (oi.column == col) {
       index = &oi;
       break;
     }
@@ -144,8 +143,9 @@ bool Table::RangeLookup(size_t col, const Value* lo, bool lo_inclusive,
   }
   // A bound whose class differs from the column's would need Value::Compare
   // semantics the index cannot reproduce (TypeError); fall back to a scan
-  // so errors surface exactly as the naive path raises them. After this
-  // loop cls_required is the one class every compared value must share.
+  // so errors surface exactly as the naive path raises them. Every value,
+  // tail included, shares value_class (Append classifies it), so the
+  // bounds are the only values left to vet.
   int cls_required = index->value_class;
   for (const Value* bound : {lo, hi}) {
     if (bound == nullptr) continue;
@@ -176,9 +176,7 @@ bool Table::RangeLookup(size_t col, const Value* lo, bool lo_inclusive,
   }
   for (auto it = begin; it != end; ++it) hits.push_back(it->second);
 
-  // Tail: rows appended since the last merge, scanned linearly. A tail
-  // value outside the column's class means the comparison semantics are no
-  // longer the index's — bail out to a full scan before emitting anything.
+  // Tail: rows appended since the last merge, scanned linearly.
   auto in_range = [&](const Value& v) {
     if (lo != nullptr) {
       if (OrderedLess(v, *lo)) return false;
@@ -192,9 +190,7 @@ bool Table::RangeLookup(size_t col, const Value* lo, bool lo_inclusive,
   };
   for (size_t i = index->indexed_rows; i < rows_.size(); ++i) {
     const Value& v = rows_[i][col];
-    if (v.is_null()) continue;
-    if (OrderedClassOf(v) != cls_required) return false;
-    if (in_range(v)) hits.push_back(i);
+    if (!v.is_null() && in_range(v)) hits.push_back(i);
   }
   std::sort(hits.begin(), hits.end());
   out->insert(out->end(), hits.begin(), hits.end());
@@ -203,7 +199,7 @@ bool Table::RangeLookup(size_t col, const Value* lo, bool lo_inclusive,
 
 bool Table::HasValidIndex(size_t col) const {
   for (const HashIndex& index : indexes_) {
-    if (index.column == col && index.built_at_version == version_) return true;
+    if (index.column == col) return true;
   }
   return false;
 }
@@ -211,7 +207,7 @@ bool Table::HasValidIndex(size_t col) const {
 bool Table::IndexLookup(size_t col, const Value& v,
                         std::vector<size_t>* out) const {
   for (const HashIndex& index : indexes_) {
-    if (index.column == col && index.built_at_version == version_) {
+    if (index.column == col) {
       auto it = index.positions.find(v);
       if (it != index.positions.end()) {
         out->insert(out->end(), it->second.begin(), it->second.end());
@@ -232,48 +228,31 @@ Result<int64_t> Table::Append(Row row) {
   size_t pos = rows_.size();
   rows_.push_back(std::move(row));
   row_ids_.push_back(id);
-  // Appends maintain current indexes in place; already-stale indexes stay
-  // stale until RefreshIndexes/BuildIndex.
   for (HashIndex& index : indexes_) {
-    if (index.built_at_version == version_) {
-      index.positions[rows_[pos][index.column]].push_back(pos);
-    }
+    index.positions[rows_[pos][index.column]].push_back(pos);
   }
   // Ordered indexes absorb appends into an implicit tail (rows past
   // indexed_rows, scanned linearly by RangeLookup); once the tail grows
   // past the threshold it is sorted and merged into the run — amortized
   // O(log n) per append, and probes stay O(log n + tail).
   for (OrderedIndex& index : ordered_indexes_) {
-    if (index.built_at_version != version_ || !index.usable) continue;
+    if (!index.usable || !ClassifyOrdered(&index, rows_[pos][index.column])) {
+      continue;
+    }
     if (rows_.size() - index.indexed_rows < kOrderedTailMergeThreshold) {
       continue;
     }
     size_t run = index.sorted.size();
     for (size_t i = index.indexed_rows; i < rows_.size(); ++i) {
       const Value& v = rows_[i][index.column];
-      if (v.is_null()) continue;
-      int cls = OrderedClassOf(v);
-      if (cls == 0 || (index.value_class != 0 && cls != index.value_class)) {
-        index.usable = false;
-        index.sorted.clear();
-        break;
-      }
-      index.value_class = cls;
-      index.sorted.emplace_back(v, i);
+      if (!v.is_null()) index.sorted.emplace_back(v, i);
     }
-    if (!index.usable) continue;
-    auto cmp = [](const std::pair<Value, size_t>& a,
-                  const std::pair<Value, size_t>& b) {
-      return OrderedLess(a.first, b.first);
-    };
-    std::sort(index.sorted.begin() + run, index.sorted.end(), cmp);
+    std::sort(index.sorted.begin() + run, index.sorted.end(), EntryLess);
     std::inplace_merge(index.sorted.begin(), index.sorted.begin() + run,
-                       index.sorted.end(), cmp);
+                       index.sorted.end(), EntryLess);
     index.indexed_rows = rows_.size();
   }
-  if (stats_enabled_ && stats_built_at_version_ == version_) {
-    FoldRowIntoStats(rows_[pos]);
-  }
+  if (stats_enabled_) FoldRowIntoStats(rows_[pos]);
   return id;
 }
 
@@ -285,46 +264,74 @@ void Table::EnableStats() {
 void Table::DisableStats() {
   stats_enabled_ = false;
   stats_ = TableStats{};
-  stats_distinct_.clear();
-  stats_range_ok_.clear();
+  stats_tally_.clear();
 }
 
 void Table::RebuildStats() {
   stats_ = TableStats{};
   stats_.valid = true;
   stats_.columns.resize(schema_.NumColumns());
-  stats_distinct_.assign(schema_.NumColumns(), {});
-  stats_range_ok_.assign(schema_.NumColumns(), true);
+  stats_tally_.assign(schema_.NumColumns(), ColumnTally{});
   for (const Row& row : rows_) FoldRowIntoStats(row);
-  stats_built_at_version_ = version_;
 }
 
 void Table::FoldRowIntoStats(const Row& row) {
   ++stats_.row_count;
   for (size_t c = 0; c < stats_.columns.size() && c < row.size(); ++c) {
     const Value& v = row[c];
-    ColumnStats& cs = stats_.columns[c];
     if (v.is_null()) {
-      ++cs.null_count;
+      ++stats_.columns[c].null_count;
       continue;
     }
-    stats_distinct_[c].insert(v);
-    cs.ndv = stats_distinct_[c].size();
-    if (!v.is_numeric() || !std::isfinite(v.ToDouble())) {
-      stats_range_ok_[c] = false;
-      cs.has_range = false;
-      continue;
-    }
-    if (!stats_range_ok_[c]) continue;
-    double d = v.ToDouble();
-    if (!cs.has_range) {
-      cs.has_range = true;
-      cs.min = cs.max = d;
+    ColumnTally& t = stats_tally_[c];
+    ++t.counts[v];
+    if (IsRanged(v)) {
+      double d = v.ToDouble();
+      if (t.ranged++ == 0) {
+        t.min = t.max = d;
+      } else {
+        t.min = std::min(t.min, d);
+        t.max = std::max(t.max, d);
+      }
     } else {
-      cs.min = std::min(cs.min, d);
-      cs.max = std::max(cs.max, d);
+      ++t.unranged;
     }
+    PublishColumnStats(c);
   }
+}
+
+void Table::UnfoldRowFromStats(const Row& row,
+                               std::vector<bool>* stale_range) {
+  --stats_.row_count;
+  for (size_t c = 0; c < stats_.columns.size() && c < row.size(); ++c) {
+    const Value& v = row[c];
+    if (v.is_null()) {
+      --stats_.columns[c].null_count;
+      continue;
+    }
+    ColumnTally& t = stats_tally_[c];
+    auto it = t.counts.find(v);
+    bool last = --it->second == 0;
+    if (last) t.counts.erase(it);
+    if (!IsRanged(v)) {
+      --t.unranged;
+      continue;
+    }
+    --t.ranged;
+    // Another copy of the value keeps the bound; only the last one of a
+    // bound value forces a recompute.
+    double d = v.ToDouble();
+    if (last && (d == t.min || d == t.max)) (*stale_range)[c] = true;
+  }
+}
+
+void Table::PublishColumnStats(size_t c) {
+  const ColumnTally& t = stats_tally_[c];
+  ColumnStats& cs = stats_.columns[c];
+  cs.ndv = t.counts.size();
+  cs.has_range = t.ranged > 0 && t.unranged == 0;
+  cs.min = cs.has_range ? t.min : 0;
+  cs.max = cs.has_range ? t.max : 0;
 }
 
 Status Table::AppendAll(std::vector<Row> rows) {
@@ -334,46 +341,123 @@ Status Table::AppendAll(std::vector<Row> rows) {
   return Status::OK();
 }
 
-size_t Table::RetainOnly(const std::unordered_set<int64_t>& keep) {
-  size_t out = 0;
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    if (keep.count(row_ids_[i])) {
-      if (out != i) {
-        rows_[out] = std::move(rows_[i]);
-        row_ids_[out] = row_ids_[i];
+void Table::ErasePositions(const std::vector<size_t>& removed) {
+  if (stats_enabled_) {
+    std::vector<bool> stale_range(stats_tally_.size(), false);
+    for (size_t p : removed) UnfoldRowFromStats(rows_[p], &stale_range);
+    for (size_t c = 0; c < stats_tally_.size(); ++c) {
+      ColumnTally& t = stats_tally_[c];
+      if (stale_range[c] && t.ranged > 0) {
+        bool first = true;
+        for (const auto& entry : t.counts) {
+          if (!IsRanged(entry.first)) continue;
+          double d = entry.first.ToDouble();
+          t.min = first ? d : std::min(t.min, d);
+          t.max = first ? d : std::max(t.max, d);
+          first = false;
+        }
       }
-      ++out;
+      PublishColumnStats(c);
     }
   }
-  size_t removed = rows_.size() - out;
+
+  // Old position -> new position; survivors keep their order.
+  std::vector<size_t> remap(rows_.size());
+  for (size_t i = 0, r = 0, next = 0; i < rows_.size(); ++i) {
+    if (r < removed.size() && removed[r] == i) {
+      remap[i] = kErased;
+      ++r;
+    } else {
+      remap[i] = next++;
+    }
+  }
+  for (HashIndex& index : indexes_) {
+    for (auto it = index.positions.begin(); it != index.positions.end();) {
+      std::vector<size_t>& positions = it->second;
+      size_t out = 0;
+      for (size_t p : positions) {
+        if (remap[p] != kErased) positions[out++] = remap[p];
+      }
+      if (out == 0) {
+        it = index.positions.erase(it);
+      } else {
+        positions.resize(out);
+        ++it;
+      }
+    }
+  }
+  std::vector<OrderedIndex*> rebuild;
+  for (OrderedIndex& index : ordered_indexes_) {
+    // The deletion may have removed the values that made it unusable.
+    if (!index.usable) {
+      rebuild.push_back(&index);
+      continue;
+    }
+    size_t out = 0;
+    for (size_t i = 0; i < index.sorted.size(); ++i) {
+      size_t p = remap[index.sorted[i].second];
+      if (p == kErased) continue;
+      if (out != i) index.sorted[out].first = std::move(index.sorted[i].first);
+      index.sorted[out++].second = p;
+    }
+    index.sorted.resize(out);
+    size_t removed_from_run = 0;
+    for (size_t p : removed) {
+      if (!rows_[p][index.column].is_null()) --index.non_null;
+      if (p < index.indexed_rows) ++removed_from_run;
+    }
+    if (index.non_null == 0) index.value_class = 0;
+    index.indexed_rows -= removed_from_run;
+  }
+
+  size_t out = 0;
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    if (remap[i] == kErased) continue;
+    if (out != i) {
+      rows_[out] = std::move(rows_[i]);
+      row_ids_[out] = row_ids_[i];
+    }
+    ++out;
+  }
   rows_.resize(out);
   row_ids_.resize(out);
-  if (removed > 0) InvalidateIndexes();
-  return removed;
+  for (OrderedIndex* index : rebuild) RebuildOrderedIndex(index);
+  ++version_;
+}
+
+size_t Table::RetainOnly(const std::unordered_set<int64_t>& keep) {
+  std::vector<size_t> removed;
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    if (!keep.count(row_ids_[i])) removed.push_back(i);
+  }
+  if (removed.empty()) return 0;
+  retraction_.valid = true;
+  retraction_.from_epoch = version_;
+  retraction_.row_ids.clear();
+  for (size_t p : removed) retraction_.row_ids.push_back(row_ids_[p]);
+  ErasePositions(removed);
+  return removed.size();
 }
 
 size_t Table::RemoveIds(const std::unordered_set<int64_t>& remove) {
-  size_t out = 0;
+  std::vector<size_t> removed;
   for (size_t i = 0; i < rows_.size(); ++i) {
-    if (!remove.count(row_ids_[i])) {
-      if (out != i) {
-        rows_[out] = std::move(rows_[i]);
-        row_ids_[out] = row_ids_[i];
-      }
-      ++out;
-    }
+    if (remove.count(row_ids_[i])) removed.push_back(i);
   }
-  size_t removed = rows_.size() - out;
-  rows_.resize(out);
-  row_ids_.resize(out);
-  if (removed > 0) InvalidateIndexes();
-  return removed;
+  if (removed.empty()) return 0;
+  retraction_ = Retraction{};
+  ErasePositions(removed);
+  return removed.size();
 }
 
 void Table::Clear() {
   rows_.clear();
   row_ids_.clear();
-  InvalidateIndexes();
+  for (HashIndex& index : indexes_) index.positions.clear();
+  for (OrderedIndex& index : ordered_indexes_) RebuildOrderedIndex(&index);
+  if (stats_enabled_) RebuildStats();
+  retraction_ = Retraction{};
+  ++version_;
 }
 
 }  // namespace datalawyer

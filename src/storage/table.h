@@ -81,7 +81,12 @@ class RelationData {
 /// In-memory row store with stable row ids.
 ///
 /// Deletion is by *retention*: LogCompactor computes the set of row ids that
-/// form the absolute witness and calls RetainOnly() with it (§4.1.2).
+/// form the absolute witness and calls RetainOnly() with it (§4.1.2). Every
+/// mutation keeps the hash indexes, ordered indexes and statistics current
+/// in place: appends fold the new row in, deletions drop the removed
+/// positions and renumber the survivors in order (no rehash, no re-sort).
+/// Row ids ascend with position, since appends take fresh, larger ids and
+/// deletions keep the survivors' order.
 class Table : public RelationData {
  public:
   explicit Table(TableSchema schema) : schema_(std::move(schema)) {}
@@ -94,6 +99,13 @@ class Table : public RelationData {
   const Row& RowAt(size_t i) const override { return rows_[i]; }
   int64_t RowIdAt(size_t i) const override { return row_ids_[i]; }
 
+  /// Position of the first row whose id is >= `id` (NumRows() if none).
+  size_t LowerBoundRowId(int64_t id) const;
+
+  /// The id the next appended row will get; every current row's id is
+  /// smaller.
+  int64_t next_row_id() const { return next_row_id_; }
+
   /// Appends one row; returns its stable row id. Fails if the arity does
   /// not match the schema.
   Result<int64_t> Append(Row row);
@@ -102,31 +114,37 @@ class Table : public RelationData {
   Status AppendAll(std::vector<Row> rows);
 
   /// Deletes every row whose id is NOT in `keep`; returns the number of
-  /// rows removed.
+  /// rows removed. A deletion is recorded as last_retraction().
   size_t RetainOnly(const std::unordered_set<int64_t>& keep);
 
   /// Deletes every row whose id IS in `remove`; returns the number removed.
+  /// Resets last_retraction(): this is not a compaction delete.
   size_t RemoveIds(const std::unordered_set<int64_t>& remove);
 
+  /// Deletes every row. Resets last_retraction().
   void Clear();
 
-  /// Builds a hash index on `column` for equality pushdown. Append maintains
-  /// the index incrementally; deletions (RetainOnly/RemoveIds/Clear)
-  /// invalidate it (silently, falling back to scans) until the next
-  /// BuildIndex or RefreshIndexes call.
-  Status BuildIndex(const std::string& column);
+  /// The last RetainOnly deletion, as a retraction delta: it moved the
+  /// table from mutation epoch `from_epoch` to `from_epoch + 1` by removing
+  /// `row_ids` (ascending). Incremental-evaluation state built at
+  /// `from_epoch` subtracts it instead of rebuilding. `valid` is false
+  /// until the first RetainOnly deletion and after RemoveIds/Clear.
+  struct Retraction {
+    bool valid = false;
+    uint64_t from_epoch = 0;
+    std::vector<int64_t> row_ids;
+  };
+  const Retraction& last_retraction() const { return retraction_; }
 
-  /// Rebuilds every index invalidated by a deletion. Cheap no-op when all
-  /// indexes are current. Not thread-safe: call only while no reader is
-  /// scanning the table (the usage-log protocol guarantees this — indexes
-  /// are refreshed after compaction, before the next query's checks).
-  void RefreshIndexes();
+  /// Builds a hash index on `column` for equality pushdown, maintained by
+  /// every append and deletion.
+  Status BuildIndex(const std::string& column);
 
   /// Drops every hash index (the inverse of BuildIndex). Subsequent scans
   /// fall back to full walks until indexes are built again.
   void DropIndexes() { indexes_.clear(); }
 
-  /// True if a current (non-invalidated) index exists on `col`.
+  /// True if a hash index exists on `col`.
   bool HasValidIndex(size_t col) const;
 
   bool IndexLookup(size_t col, const Value& v,
@@ -135,17 +153,18 @@ class Table : public RelationData {
   /// Builds an ordered (sorted-run) index on `column` for range pushdown.
   /// Appends accumulate in an unsorted tail that probes scan linearly until
   /// it grows past a threshold, when it is merged into the run; deletions
-  /// invalidate the index (silently, falling back to scans) until the next
-  /// RefreshIndexes/BuildOrderedIndex. Only homogeneously typed columns
+  /// drop and renumber entries in place. Only homogeneously typed columns
   /// (all-numeric or all-string, NULLs aside) are servable: a mixed-type or
-  /// non-finite column marks the index unusable rather than risking a
-  /// comparison whose semantics differ from the executor's.
+  /// non-finite value marks the index unusable rather than risking a
+  /// comparison whose semantics differ from the executor's. An unusable
+  /// index is rebuilt on the next deletion, which may have removed the
+  /// offending values.
   Status BuildOrderedIndex(const std::string& column);
 
   /// Drops every ordered index (the inverse of BuildOrderedIndex).
   void DropOrderedIndexes() { ordered_indexes_.clear(); }
 
-  /// True if a current (non-invalidated) ordered index exists on `col`.
+  /// True if a usable ordered index exists on `col`.
   bool HasValidOrderedIndex(size_t col) const;
 
   bool RangeLookup(size_t col, const Value* lo, bool lo_inclusive,
@@ -157,42 +176,50 @@ class Table : public RelationData {
     return HasValidOrderedIndex(col);
   }
 
-  /// Turns on incremental statistics (row count, exact per-column NDVs,
-  /// numeric min/max): Append folds each new row in; deletions invalidate
-  /// the stats until RefreshIndexes recomputes them. Stats() is a const
-  /// read of the eagerly maintained snapshot, safe under the same phasing
-  /// as index probes.
+  /// Turns on exact statistics (row count, per-column NDVs and NULL
+  /// counts, numeric min/max), kept current by every append and deletion.
+  /// Stats() is a const read of the eagerly maintained snapshot, safe under
+  /// the same phasing as index probes.
   void EnableStats();
   void DisableStats();
   bool stats_enabled() const { return stats_enabled_; }
 
   const TableStats* Stats() const override {
-    return stats_enabled_ && stats_built_at_version_ == version_ ? &stats_
-                                                                 : nullptr;
+    return stats_enabled_ ? &stats_ : nullptr;
   }
 
   /// Monotonic counter bumped by every deletion (RetainOnly / RemoveIds /
   /// Clear); appends leave it unchanged. Lets incremental-evaluation state
-  /// detect in-place shrinkage that a (NumRows, suffix-fold) protocol would
-  /// otherwise miss.
+  /// detect in-place shrinkage that a row-id watermark would otherwise
+  /// miss; last_retraction() says whether the change was a compaction
+  /// delete it can subtract.
   uint64_t mutation_epoch() const { return version_; }
 
  private:
   struct OrderedIndex;
 
-  void InvalidateIndexes() { ++version_; }
+  /// Removes the rows at `removed` (ascending positions) and keeps every
+  /// index and the statistics current; bumps the mutation epoch.
+  void ErasePositions(const std::vector<size_t>& removed);
   void RebuildStats();
   void FoldRowIntoStats(const Row& row);
+  /// Subtracts one row from the tallies; marks in `*stale_range` every
+  /// column whose min or max it held.
+  void UnfoldRowFromStats(const Row& row, std::vector<bool>* stale_range);
+  void PublishColumnStats(size_t c);
   void RebuildOrderedIndex(OrderedIndex* index);
+  /// Admits one appended value into `index`'s class; false (and the index
+  /// marked unusable) when the value breaks the column's homogeneity.
+  static bool ClassifyOrdered(OrderedIndex* index, const Value& v);
 
   TableSchema schema_;
   std::vector<Row> rows_;
   std::vector<int64_t> row_ids_;
   int64_t next_row_id_ = 0;
+  Retraction retraction_;
 
   struct HashIndex {
     size_t column = 0;
-    uint64_t built_at_version = 0;
     std::unordered_map<Value, std::vector<size_t>, ValueHash> positions;
   };
   std::vector<HashIndex> indexes_;
@@ -202,26 +229,32 @@ class Table : public RelationData {
   /// scanned linearly by RangeLookup until Append merges them in.
   struct OrderedIndex {
     size_t column = 0;
-    uint64_t built_at_version = 0;
     std::vector<std::pair<Value, size_t>> sorted;
     size_t indexed_rows = 0;
     bool usable = true;  ///< false: mixed/unorderable types, always scan
     /// Homogeneous value class of the indexed column: 0 = no non-NULL
-    /// values seen yet, 1 = numeric, 2 = string.
+    /// values, 1 = numeric, 2 = string. Tail values are classified on
+    /// append, so this covers every row.
     int value_class = 0;
+    size_t non_null = 0;  ///< non-NULL values in the column
   };
   /// Tail length that triggers a merge into the sorted run on Append.
   static constexpr size_t kOrderedTailMergeThreshold = 256;
   std::vector<OrderedIndex> ordered_indexes_;
 
+  /// Exact per-column tallies behind stats_: value multiplicities (the NDV
+  /// is their key count), how many non-NULL values are finite numerics and
+  /// how many are not, and the numerics' min/max.
+  struct ColumnTally {
+    std::unordered_map<Value, uint64_t, ValueHash> counts;
+    uint64_t ranged = 0;
+    uint64_t unranged = 0;
+    double min = 0;
+    double max = 0;
+  };
   bool stats_enabled_ = false;
   TableStats stats_;
-  uint64_t stats_built_at_version_ = 0;
-  /// Exact distinct-value sets backing stats_.columns[i].ndv.
-  std::vector<std::unordered_set<Value, ValueHash>> stats_distinct_;
-  /// Per-column flag: a non-numeric or non-finite value was seen, so the
-  /// min/max range is permanently dropped (until a rebuild).
-  std::vector<bool> stats_range_ok_;
+  std::vector<ColumnTally> stats_tally_;
 
   uint64_t version_ = 0;
 };

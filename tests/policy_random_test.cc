@@ -138,23 +138,23 @@ TEST_P(RandomPolicyScenarioTest, OptimizedAgreesWithNoOptEverywhere) {
   (void)rejections;  // some seeds reject, some don't — both fine
 }
 
-// Differential property for incremental evaluation: the same random
-// workload, run with incremental evaluation on and off, must agree on
-// every verdict, violation message, and captured witness — the incremental
-// path either reproduces the full evaluation byte-for-byte or falls back
-// to it. Compaction and unification are pinned off on both sides so the
-// states survive long enough to actually serve verdicts (compaction's
-// steady-state deletions would otherwise keep invalidating them).
-TEST_P(RandomPolicyScenarioTest, IncrementalAgreesWithFullEverywhere) {
-  std::mt19937_64 rng(GetParam().seed);
+struct DifferentialCounts {
+  uint64_t hits = 0;
+  uint64_t fallbacks = 0;
+  bool any_incremental = false;
+};
+
+// Runs the same random workload through two systems that differ only in
+// enable_incremental_eval and asserts they agree on every verdict,
+// violation message, and captured witness — the incremental path either
+// reproduces the full evaluation byte-for-byte or falls back to it.
+void ExpectIncrementalAgreesWithFull(uint64_t seed, DataLawyerOptions with,
+                                     int steps, DifferentialCounts* counts) {
+  std::mt19937_64 rng(seed);
   Database db;
   ASSERT_TRUE(LoadMimicData(&db, MimicConfig::Tiny()).ok());
 
   auto policies = DrawPolicies(&rng);
-  DataLawyerOptions with = DataLawyerOptions::AllOptimizations();
-  with.enable_unification = false;
-  with.enable_log_compaction = false;
-  with.enable_preemptive_compaction = false;
   DataLawyerOptions without = with;
   without.enable_incremental_eval = false;
 
@@ -167,23 +167,23 @@ TEST_P(RandomPolicyScenarioTest, IncrementalAgreesWithFullEverywhere) {
     ASSERT_TRUE(full.AddPolicy(name, sql).ok()) << sql;
   }
 
-  uint64_t hits = 0;
-  for (int step = 0; step < 50; ++step) {
+  for (int step = 0; step < steps; ++step) {
     QueryContext ctx;
     ctx.uid = int64_t(rng() % 3);
     std::string sql = DrawQuery(&rng);
     auto a = incremental.Execute(sql, ctx);
     auto b = full.Execute(sql, ctx);
     ASSERT_EQ(a.status().ToString(), b.status().ToString())
-        << "seed " << GetParam().seed << " step " << step << " uid "
-        << ctx.uid << "\n  query: " << sql;
+        << "seed " << seed << " step " << step << " uid " << ctx.uid
+        << "\n  query: " << sql;
     if (a.ok()) {
       ASSERT_EQ(a->NumRows(), b->NumRows());
     }
     ASSERT_EQ(incremental.last_stats().violations,
               full.last_stats().violations)
-        << "seed " << GetParam().seed << " step " << step;
-    hits += incremental.last_stats().incremental_hits;
+        << "seed " << seed << " step " << step;
+    counts->hits += incremental.last_stats().incremental_hits;
+    counts->fallbacks += incremental.last_stats().incremental_fallbacks;
     ASSERT_EQ(full.last_stats().incremental_hits, 0u);
 
     // Witness capture rides the unchanged full re-evaluation at rejection
@@ -206,14 +206,59 @@ TEST_P(RandomPolicyScenarioTest, IncrementalAgreesWithFullEverywhere) {
     }
   }
 
+  for (const PolicyStats& s : incremental.PolicyReport()) {
+    if (s.incremental_class == "incremental") counts->any_incremental = true;
+  }
+}
+
+// Unification is pinned off on both sides so every policy keeps its own
+// incremental state. Compaction is off too: the states fold the whole,
+// unpruned history. IncrementalAgreesWithFullUnderCompaction covers the
+// compacted log.
+TEST_P(RandomPolicyScenarioTest, IncrementalAgreesWithFullEverywhere) {
+  DataLawyerOptions with = DataLawyerOptions::AllOptimizations();
+  with.enable_unification = false;
+  with.enable_log_compaction = false;
+  with.enable_preemptive_compaction = false;
+  DifferentialCounts counts;
+  ExpectIncrementalAgreesWithFull(GetParam().seed, with, 50, &counts);
+  if (HasFatalFailure()) return;
   // If any policy classified as incrementalizable, the fast path must have
   // actually served verdicts (otherwise this differential proves nothing).
-  bool any_incremental = false;
-  for (const PolicyStats& s : incremental.PolicyReport()) {
-    if (s.incremental_class == "incremental") any_incremental = true;
+  if (counts.any_incremental) {
+    EXPECT_GT(counts.hits, 0u) << "seed " << GetParam().seed;
   }
-  if (any_incremental) {
-    EXPECT_GT(hits, 0u) << "seed " << GetParam().seed;
+}
+
+// The same differential with compaction on, synchronous every query, every
+// third query, and asynchronous with a policy fan-out. Compaction deletes
+// reach the incremental states as retraction deltas, so the states never
+// fall back: every verdict of an incremental policy comes from its state.
+TEST_P(RandomPolicyScenarioTest, IncrementalAgreesWithFullUnderCompaction) {
+  struct Variant {
+    const char* name;
+    int compaction_period;
+    bool async;
+  };
+  const Variant variants[] = {
+      {"period 1", 1, false},
+      {"period 3", 3, false},
+      {"async, 2 policy threads", 1, true},
+  };
+  for (const Variant& v : variants) {
+    SCOPED_TRACE(v.name);
+    DataLawyerOptions with = DataLawyerOptions::AllOptimizations();
+    with.enable_unification = false;
+    with.compaction_period = v.compaction_period;
+    with.async_compaction = v.async;
+    if (v.async) with.policy_threads = 2;
+    DifferentialCounts counts;
+    ExpectIncrementalAgreesWithFull(GetParam().seed, with, 200, &counts);
+    if (HasFatalFailure()) return;
+    EXPECT_EQ(counts.fallbacks, 0u) << "seed " << GetParam().seed;
+    if (counts.any_incremental) {
+      EXPECT_GT(counts.hits, 0u) << "seed " << GetParam().seed;
+    }
   }
 }
 

@@ -62,7 +62,7 @@ TEST(TableTest, RetainOnlyKeepsExactlyTheWitness) {
   EXPECT_EQ(table.NumRows(), 0u);
 }
 
-TEST(TableTest, IndexProbeAndInvalidation) {
+TEST(TableTest, IndexProbeAcrossAppendsAndDeletes) {
   Table table(TwoCols());
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(
@@ -91,17 +91,14 @@ TEST(TableTest, IndexProbeAndInvalidation) {
   EXPECT_EQ(hits.size(), 11u);
   EXPECT_EQ(hits.back(), 100u);
 
-  // Deletions invalidate (falls back to scans, never stale results);
-  // RefreshIndexes restores the probe path.
+  // Deletions keep the index current: the removed position is dropped and
+  // the survivors renumbered.
   EXPECT_EQ(table.RemoveIds({0}), 1u);
-  hits.clear();
-  EXPECT_FALSE(table.IndexLookup(0, Value(int64_t{3}), &hits));
-  EXPECT_FALSE(table.HasValidIndex(0));
-  table.RefreshIndexes();
   ASSERT_TRUE(table.HasValidIndex(0));
   hits.clear();
   ASSERT_TRUE(table.IndexLookup(0, Value(int64_t{3}), &hits));
   EXPECT_EQ(hits.size(), 11u);
+  EXPECT_EQ(hits.back(), 99u);
   for (size_t pos : hits) {
     EXPECT_EQ(table.RowAt(pos)[0], Value(int64_t{3}));
   }
