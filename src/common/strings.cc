@@ -1,7 +1,11 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <type_traits>
 
 namespace datalawyer {
 
@@ -139,6 +143,38 @@ std::vector<std::string> SplitEscaped(const std::string& line, char delim) {
   }
   fields.push_back(std::move(cur));
   return fields;
+}
+
+namespace {
+
+template <typename T>
+bool ParseWholeImpl(const std::string& s, T* out) {
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s[0]))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  T v;
+  if constexpr (std::is_same_v<T, double>) {
+    v = std::strtod(s.c_str(), &end);
+  } else {
+    v = std::strtoll(s.c_str(), &end, 10);
+  }
+  if (errno != 0 || end != s.c_str() + s.size() || !std::isfinite(double(v))) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+}  // namespace
+
+bool ParseWhole(const std::string& s, int64_t* out) {
+  return ParseWholeImpl(s, out);
+}
+
+bool ParseWhole(const std::string& s, double* out) {
+  return ParseWholeImpl(s, out);
 }
 
 uint64_t Fnv1a64(const std::string& s) {

@@ -45,6 +45,12 @@ std::string TsvUnescape(const std::string& s);
 /// returned still escaped; callers unescape with TsvUnescape.
 std::vector<std::string> SplitEscaped(const std::string& line, char delim);
 
+/// Strict numeric field parsers shared by the on-disk loaders: the whole of
+/// `s` must parse — no leading blanks, no trailing garbage, no overflow, no
+/// inf/nan. `*out` is written only on success.
+bool ParseWhole(const std::string& s, int64_t* out);
+bool ParseWhole(const std::string& s, double* out);
+
 /// 64-bit FNV-1a hash of `s` — stable across runs and platforms, used for
 /// compact query fingerprints in decision records.
 uint64_t Fnv1a64(const std::string& s);

@@ -149,9 +149,9 @@ struct DataLawyer::PreparedPolicy {
   /// every pair of its log relations equi-joins on ts.
   bool improved_ok = false;
 
-  /// prefix_touches_log[k]: the k-relation partial actually references at
-  /// least one generated log relation (a prerequisite for the
-  /// increment-dependence reasoning).
+  /// prefix_touches_log[k]: the k-relation partial references at least one
+  /// generated log relation, in every UNION member that reads the log (a
+  /// prerequisite for the increment-dependence reasoning).
   std::vector<bool> prefix_touches_log;
 
   /// partials[k] is π_S for S = the first k generated log relations;
@@ -175,26 +175,9 @@ DataLawyer::DataLawyer(Database* db, std::unique_ptr<UsageLog> log,
                           : UsageLog::WithStandardGenerators()),
       clock_(clock != nullptr ? std::move(clock)
                               : std::make_unique<ManualClock>()),
-      options_(options),
       engine_(db),
       decisions_(options.decision_capacity) {
-  // Tracing is opt-in and process-global (one timeline); an instance turns
-  // it on but never off, so a default-options instance elsewhere in the
-  // process cannot silence an active trace.
-  if (options_.enable_tracing) Tracer::Global().set_enabled(true);
-  decisions_.set_enabled(options_.enable_decisions);
-  // Out-of-range thread counts are clamped rather than rejected — the
-  // constructor cannot return a status, and a clamped instance is strictly
-  // better than a crashed one. Callers who want the warning call
-  // DataLawyerOptions::ClampThreadCounts() themselves before constructing.
-  (void)options_.ClampThreadCounts();
-  incremental_enabled_ = options_.enable_incremental_eval &&
-                         options_.enable_plan_cache &&
-                         !IncrementalDisabledByEnv();
-  morsel_enabled_ =
-      options_.exec_threads > 0 && !MorselExecutionDisabledByEnv();
-  adaptive_enabled_ = morsel_enabled_ && options_.adaptive_morsel_size &&
-                      !AdaptiveMorselSizingDisabledByEnv();
+  set_options(options);
   system_catalog_ = std::make_unique<SystemCatalog>(engine_.db_catalog());
   RegisterSystemRelations();
 }
@@ -206,14 +189,14 @@ DataLawyer::~DataLawyer() {
 void DataLawyer::set_options(DataLawyerOptions options) {
   options_ = options;
   prepared_valid_ = false;
+  // Out-of-range thread counts are clamped rather than rejected — the
+  // constructor cannot return a status, and a clamped instance is strictly
+  // better than a crashed one. Callers who want the warning call
+  // DataLawyerOptions::ClampThreadCounts() themselves.
   (void)options_.ClampThreadCounts();
-  incremental_enabled_ = options_.enable_incremental_eval &&
-                         options_.enable_plan_cache &&
-                         !IncrementalDisabledByEnv();
-  morsel_enabled_ =
-      options_.exec_threads > 0 && !MorselExecutionDisabledByEnv();
-  adaptive_enabled_ = morsel_enabled_ && options_.adaptive_morsel_size &&
-                      !AdaptiveMorselSizingDisabledByEnv();
+  // Tracing is opt-in and process-global (one timeline); an instance turns
+  // it on but never off, so a default-options instance elsewhere in the
+  // process cannot silence an active trace.
   if (options_.enable_tracing) Tracer::Global().set_enabled(true);
   decisions_.set_enabled(options_.enable_decisions);
   decisions_.set_capacity(options_.decision_capacity);
@@ -392,7 +375,7 @@ Status DataLawyer::Prepare() {
   } else {
     log_->DisableOrderedIndexes();
   }
-  if (options_.enable_stats_costing && !StatsCostingDisabledByEnv()) {
+  if (options_.enable_stats_costing) {
     log_->EnableStats();
   } else {
     log_->DisableStats();
@@ -434,11 +417,24 @@ Status DataLawyer::Prepare() {
           if (!available.count(rel)) covered = false;
         }
         prep.covered.push_back(covered);
+        // Every UNION member that reads the log must read a generated
+        // relation: a member that reads none carries no lineage, so its
+        // partial never depends on the increment even when its full
+        // statement does.
         bool touches = false;
-        for (const std::string& rel : policy.log_relations) {
-          if (available.count(rel)) touches = true;
+        bool every_member_touches = true;
+        for (const SelectStmt* member = &policy.effective(); member != nullptr;
+             member = member->union_next.get()) {
+          bool reads = false;
+          bool member_touches = false;
+          for (const auto& [alias, rel] : LogAliasesOf(*member, *log_)) {
+            reads = true;
+            if (available.count(rel)) member_touches = true;
+          }
+          touches = touches || member_touches;
+          if (reads && !member_touches) every_member_touches = false;
         }
-        prep.prefix_touches_log.push_back(touches);
+        prep.prefix_touches_log.push_back(touches && every_member_touches);
         if (policy.guard != nullptr) {
           bool guard_ok = true;
           for (const std::string& rel : prep.guard_relations) {
@@ -551,7 +547,7 @@ void DataLawyer::WarmPlanCache() {
     // incrementalizable entries. Clear() above already destroyed any prior
     // state, which is exactly the invalidation contract: DDL, index-flag,
     // and stats-drift stamp changes force a rebuild from scratch.
-    if (incremental_enabled_) {
+    if (incremental_enabled()) {
       PlanCache::Entry* entry = plan_cache_.MutableLookup(policy.effective());
       if (entry != nullptr && entry->bound != nullptr) {
         entry->incremental = IncrementalState::Build(
@@ -608,10 +604,10 @@ Result<QueryResult> DataLawyer::Execute(const std::string& sql,
     // with the same morsel execution options a checked query would use,
     // so EXPLAIN ANALYZE profiles production splits (and morsel timing).
     ExecOptions diag_options;
-    if (morsel_enabled_ && stmt.kind == StatementKind::kExplain) {
+    if (morsel_enabled() && stmt.kind == StatementKind::kExplain) {
       diag_options.scheduler = EnsureScheduler(1);
       diag_options.morsel_size = options_.morsel_size;
-      if (adaptive_enabled_) {
+      if (adaptive_morsel_enabled()) {
         diag_options.morsel_feedback = &morsel_feedback_;
       }
     }
@@ -759,12 +755,12 @@ Result<std::string> DataLawyer::ExplainAnalyzePolicy(const std::string& name) {
             : nullptr;
     if (cached != nullptr) {
       ExecOptions exec_options;
-      if (morsel_enabled_) {
+      if (morsel_enabled()) {
         // Same scheduler a real evaluation would use, so the profiled
         // morsel/partition counts match production execution.
         exec_options.scheduler = EnsureScheduler(1);
         exec_options.morsel_size = options_.morsel_size;
-        if (adaptive_enabled_) {
+        if (adaptive_morsel_enabled()) {
           exec_options.morsel_feedback = &morsel_feedback_;
         }
       }
@@ -810,7 +806,7 @@ Result<DataLawyer::PolicyEvalOutput> DataLawyer::EvalPolicyStatement(
   ExecOptions exec_options;
   exec_options.capture_lineage = check_increment_dependence;
   exec_options.enable_stats_costing = options_.enable_stats_costing;
-  if (morsel_enabled_ && scheduler_ != nullptr) {
+  if (morsel_enabled() && scheduler_ != nullptr) {
     // The scheduler was ensured in ExecuteChecked's serial head; workers
     // already running policy tasks push their morsels onto their own
     // deques, so plan-level parallelism composes with the fan-out.
@@ -819,7 +815,9 @@ Result<DataLawyer::PolicyEvalOutput> DataLawyer::EvalPolicyStatement(
     // morsel_feedback_ is mutable and lock-free; suggestions are frozen
     // for the duration of the query (Roll() runs only at the serial head),
     // so concurrent statements all see the same sizes.
-    if (adaptive_enabled_) exec_options.morsel_feedback = &morsel_feedback_;
+    if (adaptive_morsel_enabled()) {
+      exec_options.morsel_feedback = &morsel_feedback_;
+    }
   }
   PolicyEvalOutput out;
   QueryResult result;
@@ -834,7 +832,7 @@ Result<DataLawyer::PolicyEvalOutput> DataLawyer::EvalPolicyStatement(
   // increment, skipping the plan execution entirely. Only full policy
   // statements carry state (guards/partials/union never do), and a decline
   // falls through to the identical-verdict full evaluation below.
-  if (incremental_enabled_ && cached != nullptr &&
+  if (incremental_enabled() && cached != nullptr &&
       cached->incremental != nullptr && !check_increment_dependence) {
     IncrementalState::Verdict verdict =
         cached->incremental->Evaluate(stats_.ts);
@@ -955,7 +953,7 @@ TaskScheduler* DataLawyer::EnsureScheduler(size_t min_threads) {
   // share the same workers instead of oversubscribing the machine.
   size_t want = std::max(
       min_threads, size_t(std::max(0, options_.policy_threads)));
-  if (morsel_enabled_) {
+  if (morsel_enabled()) {
     want = std::max(want, size_t(std::max(0, options_.exec_threads)));
   }
   if (scheduler_ == nullptr || scheduler_->num_threads() < want) {
@@ -1047,13 +1045,13 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
   // Morsel execution hands the scheduler to every plan executor below;
   // create it here in the serial head — EvalPolicyStatement is const and
   // runs concurrently, so it can only read scheduler_, never grow it.
-  if (morsel_enabled_) EnsureScheduler(1);
+  if (morsel_enabled()) EnsureScheduler(1);
 
   // Fold last query's morsel observations into the adaptive sizer and
   // publish new suggestions. Serial head, no query in flight: every
   // executor this query sees the same sizes, so morsel boundaries are
   // stable for the whole query.
-  if (adaptive_enabled_) morsel_feedback_.Roll();
+  if (adaptive_morsel_enabled()) morsel_feedback_.Roll();
 
   // Serial head: drop telemetry snapshots materialized by earlier queries,
   // so every phase of *this* query (bind, log generation, evaluation,
@@ -1100,7 +1098,7 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
   // edges to `ts`, before the evaluation fan-out reads the states
   // concurrently. Timed into plan_us (it is plan-shaped warm work), so the
   // phase identity total_ms == sum-of-profile-phases is preserved.
-  if (incremental_enabled_) {
+  if (incremental_enabled()) {
     auto advance_start = Now();
     AdvanceIncrementalStates(ts);
     stats_.plan_us += UsSince(advance_start);
@@ -1449,10 +1447,12 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
   DL_TRACE_SPAN("exec.user_query", "exec");
   auto t0 = Now();
   ExecOptions user_options;
-  if (morsel_enabled_ && scheduler_ != nullptr) {
+  if (morsel_enabled() && scheduler_ != nullptr) {
     user_options.scheduler = scheduler_.get();
     user_options.morsel_size = options_.morsel_size;
-    if (adaptive_enabled_) user_options.morsel_feedback = &morsel_feedback_;
+    if (adaptive_morsel_enabled()) {
+      user_options.morsel_feedback = &morsel_feedback_;
+    }
   }
   Executor user_exec(system_catalog_.get(), user_options);
   Result<QueryResult> result = user_exec.Execute(stmt);
@@ -1480,7 +1480,7 @@ std::vector<PolicyStats> DataLawyer::PolicyReport() const {
     report.back().incremental_class =
         cls != incremental_class_.end()
             ? cls->second
-            : (incremental_enabled_ ? std::string() : std::string("off"));
+            : (incremental_enabled() ? std::string() : std::string("off"));
     emitted.insert(policy.name);
   }
   // Then whatever else accumulated: "(union)", removed/renamed policies.

@@ -187,9 +187,11 @@ class DataLawyer {
   /// Live regardless of whether adaptive sizing is active; suggestions
   /// only steer execution when adaptive_morsel_enabled().
   const MorselFeedback& morsel_feedback() const { return morsel_feedback_; }
-  /// adaptive_morsel_size && exec_threads > 0 && no env kill switch —
-  /// resolved once per options change.
-  bool adaptive_morsel_enabled() const { return adaptive_enabled_; }
+  /// adaptive_morsel_size && exec_threads > 0: the feedback accumulator is
+  /// handed to plan executors.
+  bool adaptive_morsel_enabled() const {
+    return morsel_enabled() && options_.adaptive_morsel_size;
+  }
 
  private:
   struct PreparedPolicy;
@@ -350,16 +352,12 @@ class DataLawyer {
   /// False until the first WarmPlanCache — the initial population does not
   /// count as an invalidation on dl_plan_cache_misses_total.
   bool plan_cache_warmed_ = false;
-  /// enable_incremental_eval && enable_plan_cache && !DL_DISABLE_INCREMENTAL
-  /// — resolved once per options change so the disabled path costs one
-  /// plain bool read per query (no getenv, no allocation).
-  bool incremental_enabled_ = false;
-  /// exec_threads > 0 && !DL_DISABLE_MORSEL — same resolve-once idiom;
-  /// gates handing the scheduler to plan executors.
-  bool morsel_enabled_ = false;
-  /// morsel_enabled_ && adaptive_morsel_size && !DL_DISABLE_ADAPTIVE_MORSEL
-  /// — gates handing the feedback accumulator to plan executors.
-  bool adaptive_enabled_ = false;
+  /// Incremental state lives in plan-cache entries, so it needs both.
+  bool incremental_enabled() const {
+    return options_.enable_incremental_eval && options_.enable_plan_cache;
+  }
+  /// Gates handing the scheduler to plan executors.
+  bool morsel_enabled() const { return options_.exec_threads > 0; }
   /// Adaptive morsel-sizing feedback: executors Record() into it from any
   /// thread; Roll() publishes new suggestions at the serial head of each
   /// checked query (mutable: EvalPolicyStatement is const but recording

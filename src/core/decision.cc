@@ -1,13 +1,8 @@
 #include "core/decision.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <type_traits>
 
 #include "common/strings.h"
 
@@ -48,28 +43,6 @@ std::string EscapeName(const std::string& s) {
 /// records get fresh ids.
 constexpr char kHeader[] = "dl-audit-v2";
 constexpr char kHeaderV1[] = "dl-audit-v1";
-
-/// Strict numeric field parser (int64_t or double): the whole field must
-/// parse — no leading blanks, no trailing garbage, no overflow, no inf/nan.
-template <typename T>
-bool ParseWhole(const std::string& s, T* out) {
-  if (s.empty() || std::isspace(static_cast<unsigned char>(s[0]))) {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  T v;
-  if constexpr (std::is_same_v<T, double>) {
-    v = std::strtod(s.c_str(), &end);
-  } else {
-    v = std::strtoll(s.c_str(), &end, 10);
-  }
-  if (errno != 0 || end != s.c_str() + s.size() || !std::isfinite(double(v))) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
 
 bool ParseFlag(const std::string& s, bool* out) {
   if (s != "0" && s != "1") return false;

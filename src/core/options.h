@@ -70,7 +70,7 @@ struct DataLawyerOptions {
   /// stats are byte-identical to serial execution at every thread count.
   /// Policy fan-out (policy_threads) and morsel execution share one
   /// scheduler sized to the larger of the two, so the process is never
-  /// oversubscribed. DL_DISABLE_MORSEL=1 forces the path off process-wide.
+  /// oversubscribed.
   int exec_threads = 0;
 
   /// Rows per morsel when exec_threads > 0. A plan fragment shorter than
@@ -85,7 +85,6 @@ struct DataLawyerOptions {
   /// between queries, and morsel boundaries never affect results (fragments
   /// merge in deterministic morsel order), so output stays byte-identical
   /// at every setting. No effect unless exec_threads > 0.
-  /// DL_DISABLE_ADAPTIVE_MORSEL=1 forces the loop off process-wide.
   bool adaptive_morsel_size = true;
 
   /// Clamps policy_threads and exec_threads into [0, hardware_concurrency]
@@ -151,8 +150,7 @@ struct DataLawyerOptions {
   /// each query from state + the staged increment in O(delta), instead of
   /// re-running the full statement over the whole log. Verdicts, messages,
   /// and witnesses are byte-identical: any shape or value the maintenance
-  /// cannot mirror exactly falls back to the full evaluation.
-  /// DL_DISABLE_INCREMENTAL=1 forces the path off process-wide. Requires
+  /// cannot mirror exactly falls back to the full evaluation. Requires
   /// enable_plan_cache (the state lives in cache entries).
   bool enable_incremental_eval = true;
 
@@ -160,7 +158,6 @@ struct DataLawyerOptions {
   /// the usage-log main relations and let the planner cost access paths
   /// (seq scan vs hash probe vs range scan) and join orders from estimated
   /// cardinalities. Pure plan-choice optimization: results are identical.
-  /// DL_DISABLE_STATS_COSTING=1 forces the costing half off process-wide.
   bool enable_stats_costing = true;
 
   /// Collect RAII spans for every pipeline phase into Tracer::Global(),

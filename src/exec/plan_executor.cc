@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <unordered_map>
 
@@ -23,22 +22,6 @@ void MergeLineage(LineageSet* dst, const LineageSet& src) {
 }
 
 }  // namespace
-
-bool MorselExecutionDisabledByEnv() {
-  static const bool disabled = [] {
-    const char* v = std::getenv("DL_DISABLE_MORSEL");
-    return v != nullptr && v[0] != '\0' && std::string(v) != "0";
-  }();
-  return disabled;
-}
-
-bool AdaptiveMorselSizingDisabledByEnv() {
-  static const bool disabled = [] {
-    const char* v = std::getenv("DL_DISABLE_ADAPTIVE_MORSEL");
-    return v != nullptr && v[0] != '\0' && std::string(v) != "0";
-  }();
-  return disabled;
-}
 
 const char* MorselClassName(MorselClass cls) {
   switch (cls) {
@@ -133,8 +116,7 @@ double MorselTiming::Percentile(double q) const {
 
 bool PlanExecutor::MorselsEnabled() const {
   return options_.scheduler != nullptr &&
-         options_.scheduler->num_threads() > 0 &&
-         !MorselExecutionDisabledByEnv();
+         options_.scheduler->num_threads() > 0;
 }
 
 PlanExecutor::MorselSplit PlanExecutor::PlanMorselSplit(

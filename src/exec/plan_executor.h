@@ -15,18 +15,6 @@
 
 namespace datalawyer {
 
-/// True when DL_DISABLE_MORSEL=1 (or any non-empty, non-"0" value) is set:
-/// morsel-driven execution is forced off process-wide and every plan runs
-/// serially regardless of ExecOptions. Mirrors DL_DISABLE_OPTIMIZER /
-/// DL_DISABLE_INCREMENTAL; read once and cached.
-bool MorselExecutionDisabledByEnv();
-
-/// True when DL_DISABLE_ADAPTIVE_MORSEL=1 (same convention): adaptive
-/// morsel sizing is forced off process-wide and every morselized operator
-/// uses the fixed ExecOptions::morsel_size. Kill switch for the feedback
-/// loop only — morsel execution itself stays on.
-bool AdaptiveMorselSizingDisabledByEnv();
-
 /// Operator classes the adaptive sizer distinguishes. Per-row cost differs
 /// by an order of magnitude between, say, a full scan's copy-out and a
 /// nested loop's full right-side sweep, so one suggested size per class is
@@ -116,21 +104,19 @@ struct ExecOptions {
 
   /// Apply the planner's cost-improving rules (constant folding, join
   /// reordering, computed-constant index probes). Results are identical
-  /// either way; DL_DISABLE_OPTIMIZER=1 forces false process-wide.
+  /// either way.
   bool enable_optimizer = true;
 
   /// Statistics-driven cost-based planning (see PlannerOptions). Only
   /// affects which plan the facade Executor builds; results are identical.
-  /// DL_DISABLE_STATS_COSTING=1 forces false process-wide.
   bool enable_stats_costing = true;
 
   /// Work-stealing scheduler for morsel-driven intra-plan parallelism;
-  /// nullptr (or a zero-thread scheduler, or DL_DISABLE_MORSEL=1) keeps
-  /// every operator serial. The scheduler is shared with the policy
-  /// fan-out and must outlive the executor. Results are byte-identical to
-  /// serial execution: fragments are merged in deterministic morsel order,
-  /// and any merge that cannot be proven exact (float partial sums) redoes
-  /// the operator serially.
+  /// nullptr (or a zero-thread scheduler) keeps every operator serial. The
+  /// scheduler is shared with the policy fan-out and must outlive the
+  /// executor. Results are byte-identical to serial execution: fragments
+  /// are merged in deterministic morsel order, and any merge that cannot be
+  /// proven exact (float partial sums) redoes the operator serially.
   TaskScheduler* scheduler = nullptr;
 
   /// Rows per morsel. A fragment shorter than two morsels is not worth a
@@ -139,9 +125,8 @@ struct ExecOptions {
 
   /// Adaptive morsel sizing: when non-null, observed per-morsel times feed
   /// this accumulator and its per-class suggestions (published between
-  /// queries by Roll()) override morsel_size. nullptr — or
-  /// DL_DISABLE_ADAPTIVE_MORSEL=1 upstream — keeps the fixed size. Must
-  /// outlive the executor.
+  /// queries by Roll()) override morsel_size. nullptr keeps the fixed size.
+  /// Must outlive the executor.
   MorselFeedback* morsel_feedback = nullptr;
 };
 
@@ -260,8 +245,7 @@ class PlanExecutor {
   /// Index into base_relations_ for `name`, interning it if new.
   uint32_t InternRelation(const std::string& name);
 
-  /// True when a scheduler with workers is attached and morsel execution
-  /// is not disabled by DL_DISABLE_MORSEL.
+  /// True when a scheduler with workers is attached.
   bool MorselsEnabled() const;
   /// One operator's morselization decision: how many morsels an n-row
   /// fragment splits into (1 = serial — morsels disabled or the fragment

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <string>
 
@@ -254,27 +253,8 @@ std::vector<size_t> ChooseJoinOrder(const BoundQuery& bq,
 
 }  // namespace
 
-bool OptimizerDisabledByEnv() {
-  static const bool disabled = [] {
-    const char* v = std::getenv("DL_DISABLE_OPTIMIZER");
-    return v != nullptr && v[0] != '\0' && std::string(v) != "0";
-  }();
-  return disabled;
-}
-
-bool StatsCostingDisabledByEnv() {
-  static const bool disabled = [] {
-    const char* v = std::getenv("DL_DISABLE_STATS_COSTING");
-    return v != nullptr && v[0] != '\0' && std::string(v) != "0";
-  }();
-  return disabled;
-}
-
 Planner::Planner(PlannerOptions options) : options_(options) {
-  if (OptimizerDisabledByEnv()) options_.enable_optimizer = false;
-  if (StatsCostingDisabledByEnv() || !options_.enable_optimizer) {
-    options_.enable_stats_costing = false;
-  }
+  if (!options_.enable_optimizer) options_.enable_stats_costing = false;
 }
 
 Result<LogicalPlan> Planner::PlanLogical(const BoundQuery& bound) const {

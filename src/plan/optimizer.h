@@ -14,8 +14,7 @@ struct PlannerOptions {
   /// extraction. Predicate pushdown, equality-conjunct extraction into
   /// join keys, and literal index probes are structural — they always run
   /// and reproduce the original executor's behavior exactly, so `false` is
-  /// the baseline ("naive") plan. The DL_DISABLE_OPTIMIZER environment
-  /// variable forces false process-wide (the CI fallback job sets it).
+  /// the baseline ("naive") plan.
   bool enable_optimizer = true;
 
   /// Statistics-driven cost-based planning: join order and scan cardinality
@@ -24,18 +23,9 @@ struct PlannerOptions {
   /// estimated cost instead of adaptively at run time. Off: join order
   /// falls back to the heuristic smallest-NumRows greedy and access paths
   /// stay adaptive — plans remain correct, only the choices change.
-  /// Requires enable_optimizer; DL_DISABLE_STATS_COSTING forces false
-  /// process-wide (the costing-off CI leg sets it).
+  /// Requires enable_optimizer.
   bool enable_stats_costing = true;
 };
-
-/// True when DL_DISABLE_OPTIMIZER is set to a non-empty value other
-/// than "0". Cached after the first call.
-bool OptimizerDisabledByEnv();
-
-/// True when DL_DISABLE_STATS_COSTING is set to a non-empty value other
-/// than "0". Cached after the first call.
-bool StatsCostingDisabledByEnv();
 
 /// The rule-based planner: bound AST → logical plan → rules → physical
 /// plan. Stateless apart from its options; const and safe to share across

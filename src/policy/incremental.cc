@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <utility>
@@ -76,14 +75,6 @@ RefScan ScanRefs(const Expr& expr, const BoundQuery& bq,
 }
 
 }  // namespace
-
-bool IncrementalDisabledByEnv() {
-  static const bool disabled = [] {
-    const char* v = std::getenv("DL_DISABLE_INCREMENTAL");
-    return v != nullptr && v[0] != '\0' && std::string(v) != "0";
-  }();
-  return disabled;
-}
 
 std::unique_ptr<IncrementalState> IncrementalState::Build(
     const SelectStmt& stmt, const BoundQuery& bq, const UsageLog& log,

@@ -21,11 +21,6 @@
 
 namespace datalawyer {
 
-/// True when DL_DISABLE_INCREMENTAL is set to a non-empty value other than
-/// "0" — the CI leg that proves the full-evaluation path still stands on its
-/// own. Cached after the first call (getenv is not free on every query).
-bool IncrementalDisabledByEnv();
-
 /// Incrementally maintained evaluation state for one cached policy plan.
 ///
 /// A policy is a standing query over the usage log; re-running it from

@@ -24,11 +24,31 @@ bool HasUnqualifiedRef(const Expr& expr) {
   return found;
 }
 
-/// True if `expr` must be dropped: it references a removed alias, or it has
-/// unqualified references while something was removed.
+/// True if `expr` holds an aggregate other than COUNT(DISTINCT ...). Such an
+/// aggregate counts or sums joined rows, so removing any FROM item changes
+/// its value in either direction — COUNT(*) over an emptied FROM counts one
+/// row and would prune every query. A distinct count over the surviving
+/// columns can only grow, so `COUNT(DISTINCT u.uid) > k` stays a relaxation
+/// (the paper's P2c, Example 4.5).
+bool HasRowCountingAggregate(const Expr& expr) {
+  bool found = false;
+  expr.Visit([&](const Expr& e) {
+    if (e.kind() != ExprKind::kFuncCall) return;
+    const auto& call = static_cast<const FuncCallExpr&>(e);
+    if (call.IsAggregate() && !(call.name == "count" && call.distinct)) {
+      found = true;
+    }
+  });
+  return found;
+}
+
+/// True if `expr` must be dropped: it references a removed alias, holds a
+/// row-counting aggregate, or has unqualified references while something
+/// was removed.
 bool MustDrop(const Expr& expr, const std::vector<std::string>& removed) {
   if (removed.empty()) return false;
   if (ReferencesAnyQualifier(expr, removed)) return true;
+  if (HasRowCountingAggregate(expr)) return true;
   bool star_removed = false;
   expr.Visit([&](const Expr& e) {
     if (e.kind() == ExprKind::kStar) {

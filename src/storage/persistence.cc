@@ -1,8 +1,8 @@
 #include "storage/persistence.h"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/strings.h"
@@ -76,6 +76,21 @@ std::string EncodeCell(const Value& v) {
   return "N:";
 }
 
+/// The non-finite doubles as EncodeCell's stream formatting spells them;
+/// ParseWhole refuses them, but a saved table may hold them.
+bool ParseNonFinite(const std::string& s, double* out) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  if (s == "inf" || s == "-inf") {
+    *out = s[0] == '-' ? -kInf : kInf;
+  } else if (s == "nan" || s == "-nan") {
+    *out = s[0] == '-' ? -kNaN : kNaN;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 Result<Value> DecodeCell(const std::string& cell) {
   if (cell.size() < 2 || cell[1] != ':') {
     return Status::InvalidArgument("malformed cell: " + cell);
@@ -84,17 +99,25 @@ Result<Value> DecodeCell(const std::string& cell) {
   switch (cell[0]) {
     case 'N':
       return Value::Null();
-    case 'I':
-      return Value(int64_t(std::strtoll(body.c_str(), nullptr, 10)));
-    case 'D':
-      return Value(std::strtod(body.c_str(), nullptr));
+    case 'I': {
+      int64_t v;
+      if (ParseWhole(body, &v)) return Value(v);
+      break;
+    }
+    case 'D': {
+      double v;
+      if (ParseWhole(body, &v) || ParseNonFinite(body, &v)) return Value(v);
+      break;
+    }
     case 'S':
       return Value(UnescapeString(body));
     case 'B':
-      return Value(body == "1");
+      if (body == "0" || body == "1") return Value(body == "1");
+      break;
     default:
       return Status::InvalidArgument("unknown cell tag: " + cell);
   }
+  return Status::InvalidArgument("malformed cell: " + cell);
 }
 
 /// Splits on unescaped tabs (escapes never contain raw tabs).

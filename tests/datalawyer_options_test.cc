@@ -1,9 +1,23 @@
-// Property: no combination of DataLawyer's optimizations may change the
-// accept/reject verdict of any query — the optimizations are performance
-// transformations, not semantics changes.
+// Property: no combination of DataLawyer's options may change what a query
+// observes — the optimizations are performance transformations, not
+// semantics changes. Two halves:
+//
+//  * Semantic: every combination of the §4 rewrites (compaction with its
+//    period and async variants, time-independent rewriting, unification,
+//    preemptive compaction, improved partials, evaluation strategy) must
+//    return NoOpt()'s full status — code and every violation message — at
+//    every step. Steps after a compaction check that it preserved every
+//    future verdict (Lemmas 4.1–4.3).
+//  * Physical: incremental evaluation, stats costing, hash and ordered log
+//    indexes, the plan cache, morsel execution (fixed and adaptive) and
+//    policy fan-out, over two bases (the defaults and NoOpt()). Every row
+//    must be byte-equal to its base run serially with every physical knob
+//    off: statuses, decision records with witness rows, and the final
+//    usage log.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <thread>
 
@@ -15,8 +29,10 @@
 namespace datalawyer {
 namespace {
 
-struct OptionCombo {
+struct SemanticCombo {
   bool compaction;
+  int compaction_period;
+  bool async_compaction;
   bool time_independent;
   bool unification;
   bool preemptive;
@@ -25,7 +41,8 @@ struct OptionCombo {
 
   std::string Label() const {
     std::string s;
-    s += compaction ? "C" : "-";
+    s += compaction ? "C" + std::to_string(compaction_period) : "-";
+    s += async_compaction ? "A" : "-";
     s += time_independent ? "T" : "-";
     s += unification ? "U" : "-";
     s += preemptive ? "P" : "-";
@@ -35,24 +52,40 @@ struct OptionCombo {
                                                 : "u";
     return s;
   }
+
+  void ApplyTo(DataLawyerOptions* options) const {
+    options->enable_log_compaction = compaction;
+    options->compaction_period = compaction_period;
+    options->async_compaction = async_compaction;
+    options->enable_time_independent = time_independent;
+    options->enable_unification = unification;
+    options->enable_preemptive_compaction = preemptive;
+    options->enable_improved_partial = improved_partial;
+    options->strategy = strategy;
+  }
 };
 
-std::vector<OptionCombo> AllCombos() {
-  std::vector<OptionCombo> combos;
+std::vector<SemanticCombo> SemanticCombos() {
+  std::vector<SemanticCombo> combos;
   for (bool c : {false, true}) {
-    for (bool t : {false, true}) {
-      for (bool u : {false, true}) {
-        for (bool p : {false, true}) {
-          for (bool i : {false, true}) {
-            for (EvalStrategy s :
-                 {EvalStrategy::kInterleaved, EvalStrategy::kSerial,
-                  EvalStrategy::kUnion}) {
-              // Preemptive compaction and improved partials only modify
-              // behaviour under their parent features; prune redundant rows
-              // to keep the matrix affordable.
-              if (p && !c) continue;
-              if (i && s != EvalStrategy::kInterleaved) continue;
-              combos.push_back(OptionCombo{c, t, u, p, i, s});
+    for (int period : {1, 3}) {
+      for (bool async : {false, true}) {
+        for (bool t : {false, true}) {
+          for (bool u : {false, true}) {
+            for (bool p : {false, true}) {
+              for (bool i : {false, true}) {
+                for (EvalStrategy s :
+                     {EvalStrategy::kInterleaved, EvalStrategy::kSerial,
+                      EvalStrategy::kUnion}) {
+                  // Period, async and preemptive compaction only modify
+                  // behaviour under compaction, and improved partials only
+                  // under interleaving; prune the redundant rows.
+                  if (!c && (period != 1 || async || p)) continue;
+                  if (i && s != EvalStrategy::kInterleaved) continue;
+                  combos.push_back(
+                      SemanticCombo{c, period, async, t, u, p, i, s});
+                }
+              }
             }
           }
         }
@@ -62,8 +95,81 @@ std::vector<OptionCombo> AllCombos() {
   return combos;
 }
 
-/// One scripted scenario exercising accepts and rejects across all six
-/// paper policies plus a tight rate limit.
+/// The knobs that choose how a verdict is computed, never which one.
+struct PhysicalKnobs {
+  bool incremental;
+  bool stats_costing;
+  bool log_indexes;
+  bool ordered_log_indexes;
+  bool plan_cache;
+  enum Exec { kSerialExec, kFixedMorsels, kAdaptiveMorsels } exec;
+  int policy_threads;
+
+  std::string Label() const {
+    std::string s;
+    s += incremental ? "N" : "-";
+    s += stats_costing ? "S" : "-";
+    s += log_indexes ? "H" : "-";
+    s += ordered_log_indexes ? "O" : "-";
+    s += plan_cache ? "K" : "-";
+    s += exec == kSerialExec ? "e0" : exec == kFixedMorsels ? "e4f" : "e4a";
+    s += "p" + std::to_string(policy_threads);
+    return s;
+  }
+
+  void ApplyTo(DataLawyerOptions* options) const {
+    options->enable_incremental_eval = incremental;
+    options->enable_stats_costing = stats_costing;
+    options->enable_log_indexes = log_indexes;
+    options->enable_ordered_log_indexes = ordered_log_indexes;
+    options->enable_plan_cache = plan_cache;
+    options->exec_threads = exec == kSerialExec ? 0 : 4;
+    options->adaptive_morsel_size = exec == kAdaptiveMorsels;
+    // Small enough that even the tiny tables split into morsels.
+    options->morsel_size = 16;
+    options->policy_threads = policy_threads;
+  }
+};
+
+const PhysicalKnobs kAllPhysicalOff{false, false, false, false, false,
+                                    PhysicalKnobs::kSerialExec, 0};
+
+/// A fixed all-pairs covering array over the physical knobs: every value
+/// of every knob meets every value of every other knob in some row (the
+/// test checks this). It opens with the all-on row and the four rows that
+/// each turn off exactly one of incremental evaluation, stats costing,
+/// morsel execution and adaptive sizing. The full product (192 rows per
+/// base) takes about 16 s in RelWithDebInfo on a 4-core x86-64 machine;
+/// these 12 rows take under 2 s.
+std::vector<PhysicalKnobs> PhysicalRows() {
+  constexpr auto kSerial = PhysicalKnobs::kSerialExec;
+  constexpr auto kFixed = PhysicalKnobs::kFixedMorsels;
+  constexpr auto kAdaptive = PhysicalKnobs::kAdaptiveMorsels;
+  return {
+      {true, true, true, true, true, kAdaptive, 4},  // all on
+      {false, true, true, true, true, kAdaptive, 4},
+      {true, false, true, true, true, kAdaptive, 4},
+      {true, true, true, true, true, kSerial, 4},
+      {true, true, true, true, true, kFixed, 4},
+      {false, false, false, false, false, kSerial, 0},
+      {true, true, false, false, false, kFixed, 0},
+      {false, false, false, false, false, kAdaptive, 4},
+      {false, false, false, true, true, kFixed, 0},
+      {false, false, true, false, false, kAdaptive, 0},
+      {false, false, false, false, true, kSerial, 0},
+      {false, false, false, true, false, kSerial, 0},
+  };
+}
+
+/// The knob values of `row`, one small integer per knob.
+std::vector<int> KnobValues(const PhysicalKnobs& row) {
+  return {row.incremental,         row.stats_costing, row.log_indexes,
+          row.ordered_log_indexes, row.plan_cache,    int(row.exec),
+          row.policy_threads};
+}
+
+/// One scripted scenario exercising accepts and rejects across every
+/// policy in Policies().
 struct Step {
   int64_t uid;
   std::string sql;
@@ -84,60 +190,206 @@ std::vector<Step> Scenario(uint64_t seed) {
   steps.push_back(Step{0,
                        "SELECT o.medication, p.sex FROM poe_order o, "
                        "d_patients p WHERE o.subject_id = p.subject_id"});
+  // Trips the UNION policy's provenance member.
+  steps.push_back(Step{0, "SELECT * FROM d_patients"});
+  for (int i = 0; i < 4; ++i) {
+    steps.push_back(
+        Step{int64_t(rng() % 2), queries[rng() % queries.size()].second});
+  }
   return steps;
 }
 
-TEST(DataLawyerOptionsMatrixTest, AllCombosAgreeOnEveryVerdict) {
-  Database db;
-  ASSERT_TRUE(LoadMimicData(&db, MimicConfig::Tiny()).ok());
-  std::vector<Step> steps = Scenario(7);
+/// P1–P6, a rate limit, a history-wide COUNT(*) cap (no column reference
+/// in its aggregate: its §4.4 partial over an emptied FROM must not prune),
+/// and a UNION policy with a windowed and a per-query member.
+std::vector<std::pair<std::string, std::string>> Policies() {
+  auto policies = PaperPolicies::All();
+  policies.emplace_back("rate", PaperPolicies::RateLimitForUser(0, 200, 5));
+  policies.emplace_back("cap",
+                        "SELECT DISTINCT 'm' FROM users u WHERE u.uid = 1 "
+                        "HAVING COUNT(*) > 5");
+  policies.emplace_back(
+      "union",
+      "SELECT DISTINCT 'uid 0 read chartevents 3 times in 100' "
+      "FROM users u, schema s, clock c "
+      "WHERE u.ts = s.ts AND u.uid = 0 AND s.irid = 'chartevents' "
+      "AND u.ts > c.ts - 100 HAVING COUNT(DISTINCT u.ts) > 2 "
+      "UNION SELECT DISTINCT 'over 100 d_patients tuples in one query' "
+      "FROM provenance p WHERE p.irid = 'd_patients' "
+      "GROUP BY p.ts HAVING COUNT(DISTINCT p.itid) > 100");
+  return policies;
+}
 
-  // Reference run: NoOpt.
-  std::vector<bool> reference;
-  {
-    DataLawyer dl(&db, UsageLog::WithStandardGenerators(),
-                  std::make_unique<ManualClock>(0, 10),
-                  DataLawyerOptions::NoOpt());
-    for (const auto& [name, sql] : PaperPolicies::All()) {
-      ASSERT_TRUE(dl.AddPolicy(name, sql).ok());
+/// Everything a run exposes, flattened to comparable strings.
+struct Observed {
+  std::vector<std::string> statuses;  // one per step
+  std::vector<std::vector<std::string>> violations;  // one per step
+  std::string decisions;  // per decision: verdict, messages, witness rows
+  std::string log;        // every usage-log main relation after Flush
+  uint64_t incremental_hits = 0;  // verdicts served from state
+  uint64_t morsels = 0;           // plan morsels dispatched
+};
+
+Observed RunScenario(Database* db, const DataLawyerOptions& options,
+                     const std::vector<Step>& steps) {
+  DataLawyer dl(db, UsageLog::WithStandardGenerators(),
+                std::make_unique<ManualClock>(0, 10), options);
+  for (const auto& [name, sql] : Policies()) {
+    EXPECT_TRUE(dl.AddPolicy(name, sql).ok()) << name;
+  }
+  Observed out;
+  for (const Step& step : steps) {
+    QueryContext ctx;
+    ctx.uid = step.uid;
+    out.statuses.push_back(dl.Execute(step.sql, ctx).status().ToString());
+    out.violations.push_back(dl.last_stats().violations);
+    out.incremental_hits += dl.last_stats().incremental_hits;
+    out.morsels += dl.last_stats().morsels;
+  }
+  for (const DecisionRecord& d : dl.decision_store().records()) {
+    out.decisions += std::to_string(d.ts) + "|" + std::to_string(d.uid) +
+                     "|" + d.verdict() + "|" + d.policy;
+    for (const std::string& m : d.messages) out.decisions += ";" + m;
+    for (const DecisionWitness& w : d.witnesses) {
+      out.decisions += "/w:" + w.relation + ":" + std::to_string(w.row_id) +
+                       ":" + (w.from_increment ? "i" : "m") + ":" +
+                       std::to_string(w.ts);
+      for (const std::string& v : w.values) out.decisions += "," + v;
     }
-    ASSERT_TRUE(
-        dl.AddPolicy("rate", PaperPolicies::RateLimitForUser(1, 500, 10))
-            .ok());
-    for (const Step& step : steps) {
-      QueryContext ctx;
-      ctx.uid = step.uid;
-      reference.push_back(dl.Execute(step.sql, ctx).ok());
+    out.decisions += "/trunc=" + std::to_string(d.witnesses_truncated) + "\n";
+  }
+  EXPECT_TRUE(dl.Flush().ok());
+  for (const std::string& name : dl.usage_log()->RelationNamesInOrder()) {
+    const Table* main = dl.usage_log()->main_table(name);
+    out.log += name + ":\n";
+    for (size_t i = 0; i < main->NumRows(); ++i) {
+      for (const Value& v : main->RowAt(i)) out.log += v.ToString() + ",";
+      out.log += "\n";
     }
   }
-  // Both outcomes must occur or the property is vacuous.
-  EXPECT_NE(std::count(reference.begin(), reference.end(), false), 0);
-  EXPECT_NE(std::count(reference.begin(), reference.end(), true), 0);
+  return out;
+}
 
-  for (const OptionCombo& combo : AllCombos()) {
+class DataLawyerOptionsMatrixTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(LoadMimicData(&db_, MimicConfig::Tiny()).ok());
+  }
+
+  Database db_;
+  std::vector<Step> steps_ = Scenario(7);
+};
+
+// The union strategy evaluates every policy, as NoOpt() does, so it must
+// report NoOpt()'s status verbatim. The serial and interleaved strategies
+// stop at the first violation they reach, so they report the same verdict
+// with a non-empty subset of its violation messages.
+TEST_F(DataLawyerOptionsMatrixTest, AllCombosAgreeOnEveryVerdict) {
+  Observed reference = RunScenario(&db_, DataLawyerOptions::NoOpt(), steps_);
+  // Both verdicts must occur, and several policies — one step with two at
+  // once — must reject, or the property is vacuous.
+  size_t admits = 0;
+  size_t multiple = 0;
+  std::string rejections;
+  for (size_t i = 0; i < steps_.size(); ++i) {
+    if (reference.statuses[i] == "OK") ++admits;
+    if (reference.violations[i].size() > 1) ++multiple;
+    rejections += reference.statuses[i] + "\n";
+  }
+  EXPECT_NE(admits, 0u);
+  EXPECT_NE(multiple, 0u);
+  for (const char* needle :
+       {"P2 violated", "rate limit", "PolicyViolation: m",
+        "uid 0 read chartevents", "over 100 d_patients"}) {
+    EXPECT_NE(rejections.find(needle), std::string::npos) << needle;
+  }
+
+  std::vector<SemanticCombo> combos = SemanticCombos();
+  EXPECT_EQ(combos.size(), 144u);
+  for (const SemanticCombo& combo : combos) {
     DataLawyerOptions options;
-    options.enable_log_compaction = combo.compaction;
-    options.enable_time_independent = combo.time_independent;
-    options.enable_unification = combo.unification;
-    options.enable_preemptive_compaction = combo.preemptive;
-    options.enable_improved_partial = combo.improved_partial;
-    options.strategy = combo.strategy;
-
-    DataLawyer dl(&db, UsageLog::WithStandardGenerators(),
-                  std::make_unique<ManualClock>(0, 10), options);
-    for (const auto& [name, sql] : PaperPolicies::All()) {
-      ASSERT_TRUE(dl.AddPolicy(name, sql).ok());
+    combo.ApplyTo(&options);
+    Observed run = RunScenario(&db_, options, steps_);
+    for (size_t i = 0; i < steps_.size(); ++i) {
+      const std::string where = "combo " + combo.Label() + " step " +
+                                std::to_string(i) + " uid " +
+                                std::to_string(steps_[i].uid) + ": " +
+                                run.statuses[i];
+      if (combo.strategy == EvalStrategy::kUnion) {
+        ASSERT_EQ(run.statuses[i], reference.statuses[i]) << where;
+        continue;
+      }
+      auto code = [](const std::string& status) {
+        return status.substr(0, status.find(':'));
+      };
+      ASSERT_EQ(code(run.statuses[i]), code(reference.statuses[i])) << where;
+      ASSERT_EQ(run.violations[i].empty(), reference.violations[i].empty())
+          << where;
+      for (const std::string& message : run.violations[i]) {
+        ASSERT_NE(std::find(reference.violations[i].begin(),
+                            reference.violations[i].end(), message),
+                  reference.violations[i].end())
+            << where;
+      }
     }
-    ASSERT_TRUE(
-        dl.AddPolicy("rate", PaperPolicies::RateLimitForUser(1, 500, 10))
-            .ok());
-    for (size_t i = 0; i < steps.size(); ++i) {
-      QueryContext ctx;
-      ctx.uid = steps[i].uid;
-      auto result = dl.Execute(steps[i].sql, ctx);
-      ASSERT_EQ(result.ok(), reference[i])
-          << "combo " << combo.Label() << " step " << i << " uid "
-          << steps[i].uid << ": " << result.status().ToString();
+  }
+}
+
+TEST_F(DataLawyerOptionsMatrixTest, PhysicalKnobsAreInvisible) {
+  std::vector<PhysicalKnobs> rows = PhysicalRows();
+  // Every pair of knob values occurs in some row.
+  const std::vector<std::vector<int>> domains = {
+      {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1, 2}, {0, 4}};
+  for (size_t i = 0; i < domains.size(); ++i) {
+    for (size_t j = i + 1; j < domains.size(); ++j) {
+      for (int a : domains[i]) {
+        for (int b : domains[j]) {
+          bool present = false;
+          for (const PhysicalKnobs& row : rows) {
+            std::vector<int> v = KnobValues(row);
+            present = present || (v[i] == a && v[j] == b);
+          }
+          EXPECT_TRUE(present) << "knobs " << i << "=" << a << ", " << j
+                               << "=" << b;
+        }
+      }
+    }
+  }
+  // The all-on row, then the rows that each turn off one of incremental
+  // evaluation, stats costing, morsel execution and adaptive sizing.
+  const PhysicalKnobs all_on = rows[0];
+  std::vector<PhysicalKnobs> one_off(4, all_on);
+  one_off[0].incremental = false;
+  one_off[1].stats_costing = false;
+  one_off[2].exec = PhysicalKnobs::kSerialExec;
+  one_off[3].exec = PhysicalKnobs::kFixedMorsels;
+  EXPECT_EQ(all_on.Label(), "NSHOKe4ap4");
+  for (size_t i = 0; i < one_off.size(); ++i) {
+    EXPECT_EQ(rows[i + 1].Label(), one_off[i].Label());
+  }
+
+  for (const DataLawyerOptions& base :
+       {DataLawyerOptions::AllOptimizations(), DataLawyerOptions::NoOpt()}) {
+    DataLawyerOptions reference_options = base;
+    kAllPhysicalOff.ApplyTo(&reference_options);
+    Observed reference = RunScenario(&db_, reference_options, steps_);
+    // Rejections carry witness rows, or their comparison is vacuous.
+    EXPECT_NE(reference.decisions.find("/w:"), std::string::npos);
+    const std::string base_label =
+        base.enable_log_compaction ? "defaults" : "NoOpt";
+    for (const PhysicalKnobs& row : rows) {
+      DataLawyerOptions options = base;
+      row.ApplyTo(&options);
+      Observed run = RunScenario(&db_, options, steps_);
+      const std::string where = base_label + " " + row.Label();
+      ASSERT_EQ(run.statuses, reference.statuses) << where;
+      ASSERT_EQ(run.decisions, reference.decisions) << where;
+      ASSERT_EQ(run.log, reference.log) << where;
+      // The all-on row demonstrably takes the fast paths.
+      if (row.Label() == all_on.Label()) {
+        EXPECT_GT(run.incremental_hits, 0u) << where;
+        EXPECT_GT(run.morsels, 0u) << where;
+      }
     }
   }
 }

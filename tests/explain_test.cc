@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "exec/engine.h"
-#include "plan/optimizer.h"
 
 namespace datalawyer {
 namespace {
@@ -62,7 +61,6 @@ TEST_F(ExplainTest, JoinAlgorithms) {
 }
 
 TEST_F(ExplainTest, JoinReorderedSmallestFirst) {
-  if (OptimizerDisabledByEnv()) GTEST_SKIP() << "optimizer disabled";
   // big listed first, but the optimizer builds the join from the smaller
   // relation, so small (2 rows) becomes the outer scan.
   std::string plan =
@@ -72,7 +70,6 @@ TEST_F(ExplainTest, JoinReorderedSmallestFirst) {
 }
 
 TEST_F(ExplainTest, ConstantFoldingShowsProvablyEmpty) {
-  if (OptimizerDisabledByEnv()) GTEST_SKIP() << "optimizer disabled";
   std::string plan = Plan("SELECT big.v FROM big WHERE 1 = 2");
   EXPECT_NE(plan.find("[provably empty]"), std::string::npos);
   // A true constant folds away entirely.

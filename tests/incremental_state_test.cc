@@ -163,11 +163,8 @@ TEST(IncrementalStateTest, RetractingNeverExpiringSourceRebuilds) {
   // A history-wide count: its contributions never expire, so the state
   // keeps only their source row ids, and a retraction hitting one rebuilds.
   // Compaction keeps the whole history (every row is in the witness); the
-  // test deletes from the log directly. Serial evaluation: each query runs
-  // the full policy statement.
-  DataLawyerOptions options = CompactingOptions();
-  options.strategy = EvalStrategy::kSerial;
-  Twins twins(options);
+  // test deletes from the log directly.
+  Twins twins(CompactingOptions());
   twins.AddPolicy("cap",
                   "SELECT DISTINCT 'more than 5 queries by user 1' "
                   "FROM users u WHERE u.uid = 1 HAVING COUNT(*) > 5");

@@ -10,8 +10,13 @@
 #include "core/datalawyer.h"
 #include "exec/engine.h"
 #include "exec/executor.h"
+#include "policy/partial_policy.h"
 #include "policy/templates.h"
+#include "policy/witness.h"
 #include "sql/parser.h"
+#include "workload/mimic.h"
+#include "workload/paper_policies.h"
+#include "workload/paper_queries.h"
 
 namespace datalawyer {
 namespace {
@@ -116,43 +121,111 @@ class OptimizerDifferentialTest : public ::testing::Test {
   std::unique_ptr<Engine> engine_;
 };
 
+/// Runs `stmt` over `catalog` with the optimizer off and on (with and
+/// without stats costing), capturing lineage: rows (order included) and
+/// each row's lineage must be identical. Adds the rows compared to `*rows`.
+void ExpectOptimizerInvisible(const SelectStmt& stmt,
+                              const CatalogView* catalog,
+                              size_t* rows = nullptr) {
+  ExecOptions naive_opts;
+  naive_opts.capture_lineage = true;
+  naive_opts.enable_optimizer = false;
+  auto naive_result = Executor(catalog, naive_opts).Execute(stmt);
+  if (rows != nullptr && naive_result.ok()) *rows += naive_result->NumRows();
+  for (bool costing : {true, false}) {
+    SCOPED_TRACE(costing ? "costing on" : "costing off");
+    ExecOptions opt_opts;
+    opt_opts.capture_lineage = true;
+    opt_opts.enable_optimizer = true;
+    opt_opts.enable_stats_costing = costing;
+    auto opt_result = Executor(catalog, opt_opts).Execute(stmt);
+
+    ASSERT_EQ(naive_result.ok(), opt_result.ok())
+        << naive_result.status().ToString() << " vs "
+        << opt_result.status().ToString();
+    if (!naive_result.ok()) continue;
+
+    ASSERT_EQ(naive_result->rows, opt_result->rows);
+    ASSERT_EQ(naive_result->lineage.size(), opt_result->lineage.size());
+    for (size_t i = 0; i < naive_result->lineage.size(); ++i) {
+      EXPECT_EQ(ResolvedLineage(*naive_result, i),
+                ResolvedLineage(*opt_result, i));
+    }
+  }
+}
+
 // The tentpole guarantee: the optimized pipeline returns byte-identical
 // rows (including order) and identical lineage to the naive plan for the
 // whole workload.
 TEST_F(OptimizerDifferentialTest, RowsAndLineageIdentical) {
   for (const char* sql : kWorkload) {
-    for (bool costing : {true, false}) {
-      SCOPED_TRACE(std::string(sql) +
-                   (costing ? " [costing on]" : " [costing off]"));
-      auto stmt = Parser::ParseSelect(sql);
-      ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
-
-      ExecOptions naive_opts;
-      naive_opts.capture_lineage = true;
-      naive_opts.enable_optimizer = false;
-      Executor naive(engine_->db_catalog(), naive_opts);
-      auto naive_result = naive.Execute(**stmt);
-
-      ExecOptions opt_opts;
-      opt_opts.capture_lineage = true;
-      opt_opts.enable_optimizer = true;
-      opt_opts.enable_stats_costing = costing;
-      Executor optimized(engine_->db_catalog(), opt_opts);
-      auto opt_result = optimized.Execute(**stmt);
-
-      ASSERT_EQ(naive_result.ok(), opt_result.ok())
-          << naive_result.status().ToString() << " vs "
-          << opt_result.status().ToString();
-      if (!naive_result.ok()) continue;
-
-      ASSERT_EQ(naive_result->rows, opt_result->rows);
-      ASSERT_EQ(naive_result->lineage.size(), opt_result->lineage.size());
-      for (size_t i = 0; i < naive_result->lineage.size(); ++i) {
-        EXPECT_EQ(ResolvedLineage(*naive_result, i),
-                  ResolvedLineage(*opt_result, i));
-      }
-    }
+    SCOPED_TRACE(sql);
+    auto stmt = Parser::ParseSelect(sql);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    ExpectOptimizerInvisible(**stmt, engine_->db_catalog());
   }
+}
+
+// The same guarantee for the statements DataLawyer itself plans, over a
+// usage log a NoOpt() stream filled: every paper policy, its §4.4 partial
+// for every prefix of the generation order, and the witness bodies the
+// compactor marks with.
+TEST_F(OptimizerDifferentialTest, PolicyCorpusRowsAndLineageIdentical) {
+  Database db;
+  ASSERT_TRUE(LoadMimicData(&db, MimicConfig::Tiny()).ok());
+  DataLawyer dl(&db, UsageLog::WithStandardGenerators(),
+                std::make_unique<ManualClock>(0, 10),
+                DataLawyerOptions::NoOpt());
+  std::vector<std::unique_ptr<SelectStmt>> policies;
+  for (const auto& [name, sql] : PaperPolicies::All()) {
+    ASSERT_TRUE(dl.AddPolicy(name, sql).ok());
+    auto stmt = Parser::ParseSelect(sql);
+    ASSERT_TRUE(stmt.ok());
+    policies.push_back(std::move(*stmt));
+  }
+  auto queries = PaperQueries::All();
+  for (int i = 0; i < 24; ++i) {
+    QueryContext ctx;
+    ctx.uid = i % 3;
+    (void)dl.Execute(queries[size_t(i) % queries.size()].second, ctx);
+  }
+  const UsageLog& log = *dl.usage_log();
+  ASSERT_GT(log.main_table("provenance")->NumRows(), 0u);
+
+  UsageLog::PolicyCatalog catalog =
+      log.MakeCatalog(dl.engine()->db_catalog(), dl.clock()->Now());
+  std::vector<std::string> order = log.RelationNamesInOrder();
+  WitnessBuilder witness_builder(&log);
+  std::vector<WitnessSet> witness_sets;
+  size_t partial_rows = 0;
+  for (const auto& policy : policies) {
+    SCOPED_TRACE(policy->ToString());
+    ExpectOptimizerInvisible(*policy, catalog.view());
+    std::set<std::string> available;
+    for (size_t k = 0; k < order.size(); ++k) {
+      auto partial = BuildPartialPolicy(*policy, log, available);
+      SCOPED_TRACE(partial->ToString());
+      ExpectOptimizerInvisible(*partial, catalog.view(), &partial_rows);
+      available.insert(order[k]);
+    }
+    auto witnesses = witness_builder.Build(*policy);
+    ASSERT_TRUE(witnesses.ok()) << witnesses.status().ToString();
+    witness_sets.push_back(std::move(*witnesses));
+  }
+
+  std::vector<const WitnessSet*> sets;
+  for (const WitnessSet& set : witness_sets) sets.push_back(&set);
+  WitnessBodies bodies = FoldWitnesses(sets);
+  ASSERT_FALSE(bodies.bodies.empty());
+  AddNowRelation(&catalog, dl.clock()->Now());
+  size_t witness_rows = 0;
+  for (const WitnessBody& body : bodies.bodies) {
+    SCOPED_TRACE(body.query->ToString());
+    ExpectOptimizerInvisible(*body.query, catalog.view(), &witness_rows);
+  }
+  // Non-empty answers, or the lineage comparison is vacuous.
+  EXPECT_GT(partial_rows, 0u);
+  EXPECT_GT(witness_rows, 0u);
 }
 
 // Policy verdicts must agree between the cached-plan path and the one-shot

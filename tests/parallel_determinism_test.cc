@@ -15,7 +15,6 @@
 #include "common/trace.h"
 #include "core/datalawyer.h"
 #include "exec/plan_executor.h"
-#include "policy/incremental.h"
 #include "workload/mimic.h"
 #include "workload/paper_policies.h"
 #include "workload/paper_queries.h"
@@ -181,12 +180,7 @@ TEST(ParallelDeterminismTest, IncrementalStateIsThreadInvisible) {
   options.enable_incremental_eval = true;
   options.policy_threads = 0;
   Trace serial = RunScenario(options, steps);
-  // Under DL_DISABLE_INCREMENTAL=1 both runs take the full path and the
-  // equalities below check the full path against itself — still valid,
-  // but the non-vacuity expectation does not apply.
-  if (!IncrementalDisabledByEnv()) {
-    EXPECT_GT(serial.incremental_hits, 0u);
-  }
+  EXPECT_GT(serial.incremental_hits, 0u);
 
   for (int threads : {1, 4, 8}) {
     options.policy_threads = threads;
@@ -239,9 +233,8 @@ TEST(ParallelDeterminismTest, MorselExecutionIsInvisible) {
       EXPECT_EQ(morsel.decision_dump, serial.decision_dump)
           << "exec_threads " << threads << " morsel_size " << morsel_size;
       // Single-row morsels force even the tiny workload tables to split,
-      // so the path demonstrably ran (unless the kill switch is set, in
-      // which case the equalities above checked serial against serial).
-      if (morsel_size == 1 && !MorselExecutionDisabledByEnv()) {
+      // so the path demonstrably ran.
+      if (morsel_size == 1) {
         EXPECT_GT(morsel.morsels, 0u) << "exec_threads " << threads;
       }
     }
@@ -318,11 +311,6 @@ TEST(ParallelDeterminismTest, AdaptiveFeedbackPublishesSuggestions) {
   ctx.uid = 0;
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(dl.Execute("SELECT * FROM d_patients", ctx).ok());
-  }
-  if (MorselExecutionDisabledByEnv() || AdaptiveMorselSizingDisabledByEnv()) {
-    EXPECT_FALSE(dl.adaptive_morsel_enabled());
-    EXPECT_EQ(dl.morsel_feedback().SuggestedSize(MorselClass::kScan), 0u);
-    return;
   }
   EXPECT_TRUE(dl.adaptive_morsel_enabled());
   size_t suggested = dl.morsel_feedback().SuggestedSize(MorselClass::kScan);

@@ -106,6 +106,38 @@ TEST_F(PartialPolicyTest, UnqualifiedRefsDroppedConservatively) {
   EXPECT_EQ(partial.find("uid"), std::string::npos);
 }
 
+TEST_F(PartialPolicyTest, RowCountingAggregatesDroppedWithAnyFromItem) {
+  // COUNT(*) names no alias, but it counts the rows of the whole FROM: over
+  // the emptied FROM it would count one row, leave the partial empty, and
+  // prune a policy the full statement rejects.
+  const std::string cap =
+      "SELECT DISTINCT 'm' FROM users u WHERE u.uid = 1 "
+      "HAVING COUNT(*) > 5";
+  std::string emptied = Partial(cap, {});
+  EXPECT_EQ(emptied.find("users"), std::string::npos) << emptied;
+  EXPECT_EQ(emptied.find("HAVING"), std::string::npos) << emptied;
+  EXPECT_EQ(emptied.find("count"), std::string::npos) << emptied;
+  EXPECT_NE(emptied.find("'m'"), std::string::npos) << emptied;
+  EXPECT_NE(Partial(cap, {"users"}).find("HAVING (count(*) > 5)"),
+            std::string::npos);
+
+  // A non-distinct aggregate over a surviving alias counts join rows too,
+  // in select items as in HAVING; a distinct count keeps its HAVING.
+  std::string counted = Partial(
+      "SELECT DISTINCT 'm', SUM(u.uid) FROM users u, schema s "
+      "WHERE u.ts = s.ts HAVING COUNT(u.uid) > 5",
+      {"users"});
+  EXPECT_EQ(counted.find("HAVING"), std::string::npos) << counted;
+  EXPECT_EQ(counted.find("sum"), std::string::npos) << counted;
+  std::string distinct = Partial(
+      "SELECT DISTINCT 'm' FROM users u, schema s "
+      "WHERE u.ts = s.ts HAVING COUNT(DISTINCT u.uid) > 5",
+      {"users"});
+  EXPECT_NE(distinct.find("HAVING (count(DISTINCT u.uid) > 5)"),
+            std::string::npos)
+      << distinct;
+}
+
 TEST_F(PartialPolicyTest, UnionMembersRewrittenIndependently) {
   std::string partial = Partial(
       "SELECT DISTINCT 'a' FROM users u WHERE u.uid = 1 "

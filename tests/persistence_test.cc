@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <limits>
 
 #include "core/datalawyer.h"
 #include "storage/persistence.h"
@@ -92,6 +95,43 @@ TEST_F(PersistenceTest, LoadErrors) {
                 .AddColumn("b", ValueType::kInt64));
   ASSERT_TRUE(SaveTable(two, (dir_ / "two.dltab").string()).ok());
   EXPECT_FALSE(LoadTableInto(&table, (dir_ / "two.dltab").string()).ok());
+
+  // A cell body must parse completely: no trailing garbage, no blanks, no
+  // overflow, and booleans are exactly 0 or 1.
+  Table typed(TableSchema()
+                  .AddColumn("i", ValueType::kInt64)
+                  .AddColumn("d", ValueType::kDouble)
+                  .AddColumn("b", ValueType::kBool));
+  std::string path = (dir_ / "typed.dltab").string();
+  auto load_row = [&](const std::string& row) {
+    EXPECT_TRUE(SaveTable(typed, path).ok());
+    std::ofstream(path, std::ios::app) << row << "\n";
+    Table loaded(typed.schema());
+    return LoadTableInto(&loaded, path);
+  };
+  ASSERT_TRUE(load_row("I:12\tD:1.5\tB:1").ok());
+  for (const char* row :
+       {"I:12x\tD:1.5\tB:1", "I:abc\tD:1.5\tB:1", "I:\tD:1.5\tB:1",
+        "I: 12\tD:1.5\tB:1", "I:99999999999999999999\tD:1.5\tB:1",
+        "I:12\tD:1.5q\tB:1", "I:12\tD:\tB:1", "I:12\tD:infinity\tB:1",
+        "I:12\tD:1.5\tB:7", "I:12\tD:1.5\tB:"}) {
+    Status status = load_row(row);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << row;
+  }
+
+  // The non-finite doubles SaveTable writes still load.
+  Table doubles(TableSchema().AddColumn("d", ValueType::kDouble));
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double d : {inf, -inf, std::numeric_limits<double>::quiet_NaN()}) {
+    ASSERT_TRUE(doubles.Append(Row{Value(d)}).ok());
+  }
+  ASSERT_TRUE(SaveTable(doubles, path).ok());
+  Table loaded(doubles.schema());
+  ASSERT_TRUE(LoadTableInto(&loaded, path).ok());
+  ASSERT_EQ(loaded.NumRows(), 3u);
+  EXPECT_EQ(loaded.RowAt(0)[0].AsDouble(), inf);
+  EXPECT_EQ(loaded.RowAt(1)[0].AsDouble(), -inf);
+  EXPECT_TRUE(std::isnan(loaded.RowAt(2)[0].AsDouble()));
 }
 
 TEST_F(PersistenceTest, EnforcementSurvivesRestart) {

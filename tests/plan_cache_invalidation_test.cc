@@ -6,7 +6,6 @@
 #include "common/metrics.h"
 #include "core/datalawyer.h"
 #include "exec/engine.h"
-#include "plan/optimizer.h"
 
 namespace datalawyer {
 namespace {
@@ -88,16 +87,13 @@ TEST(PlanCacheInvalidationTest, MissCounterTicksOncePerStampChange) {
   EXPECT_EQ(misses->value(), base + 5);
 
   // So does the stats bit: costed plans may not outlive a stats toggle.
-  // (When the environment already forces costing off the bit never moves.)
-  if (!StatsCostingDisabledByEnv()) {
-    DataLawyerOptions no_stats = options;
-    no_stats.enable_stats_costing = false;
-    dl.set_options(no_stats);
-    run();
-    EXPECT_EQ(misses->value(), base + 6);
-    run();
-    EXPECT_EQ(misses->value(), base + 6);
-  }
+  DataLawyerOptions no_stats = options;
+  no_stats.enable_stats_costing = false;
+  dl.set_options(no_stats);
+  run();
+  EXPECT_EQ(misses->value(), base + 6);
+  run();
+  EXPECT_EQ(misses->value(), base + 6);
 
   // Per-query stats never saw a steady-state miss: every evaluated
   // statement after each rewarm ran from the cache.
@@ -110,9 +106,6 @@ TEST(PlanCacheInvalidationTest, MissCounterTicksOncePerStampChange) {
 // checked query rewarms (one miss tick), and steady state after the rewarm
 // is quiet again. Compaction is disabled so the grown log persists.
 TEST(PlanCacheInvalidationTest, StatsDriftRewarmsExactlyOnce) {
-  if (StatsCostingDisabledByEnv()) {
-    GTEST_SKIP() << "stats-based costing disabled by environment";
-  }
   Database db;
   Engine engine(&db);
   ASSERT_TRUE(engine

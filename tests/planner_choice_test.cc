@@ -9,7 +9,6 @@
 #include <string>
 
 #include "core/datalawyer.h"
-#include "plan/optimizer.h"
 #include "workload/paper_policies.h"
 
 namespace datalawyer {
@@ -18,9 +17,6 @@ namespace {
 class PlannerChoiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (OptimizerDisabledByEnv() || StatsCostingDisabledByEnv()) {
-      GTEST_SKIP() << "cost-based planning disabled by environment";
-    }
     ASSERT_TRUE(db_.CreateTable("t", TableSchema().AddColumn(
                                          "x", ValueType::kInt64))
                     .ok());

@@ -160,10 +160,6 @@ TEST_F(ExplainAnalyzeTest, MorselTimingPercentilesRendered) {
       "EXPLAIN ANALYZE SELECT a.x, b.y FROM a, b WHERE a.x = b.x", ctx);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   std::string plan = PlanText(*result);
-  if (MorselExecutionDisabledByEnv()) {
-    EXPECT_EQ(plan.find("morsels"), std::string::npos) << plan;
-    return;
-  }
   // Every split fragment renders its per-morsel wall-time distribution.
   EXPECT_NE(plan.find("morsels"), std::string::npos) << plan;
   EXPECT_NE(plan.find("morsel min"), std::string::npos) << plan;

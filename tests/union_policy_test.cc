@@ -152,5 +152,30 @@ TEST_F(UnionPolicyTest, VerdictsMatchNoOptBaseline) {
   EXPECT_GT(rejections, 0);
 }
 
+// §4.3 improved partials dismiss a non-empty partial whose output does not
+// depend on the current increment. A member that reads no generated log
+// relation yet carries no lineage, so its partial never "depends" — the
+// policy may only be dismissed once every log-reading member reads one.
+TEST_F(UnionPolicyTest, ImprovedPartialWaitsForEveryMember) {
+  DataLawyerOptions options;
+  options.enable_improved_partial = true;
+  options.strategy = EvalStrategy::kInterleaved;
+  dl_->set_options(options);
+  ASSERT_TRUE(dl_->AddPolicy("u", R"sql(
+    SELECT DISTINCT 'uid 0 read chartevents' FROM users u, schema s
+    WHERE u.ts = s.ts AND u.uid = 0 AND s.irid = 'chartevents'
+    UNION
+    SELECT DISTINCT 'over 100 d_patients tuples in one query'
+    FROM provenance p WHERE p.irid = 'd_patients'
+    GROUP BY p.ts HAVING COUNT(DISTINCT p.itid) > 100
+  )sql")
+                  .ok());
+  QueryContext ctx;
+  ctx.uid = 0;
+  auto result = dl_->Execute("SELECT * FROM d_patients", ctx);
+  EXPECT_EQ(result.status().ToString(),
+            "PolicyViolation: over 100 d_patients tuples in one query");
+}
+
 }  // namespace
 }  // namespace datalawyer
