@@ -507,6 +507,12 @@ uint64_t DataLawyer::CacheStamp() const {
          (log_->stats_enabled() ? 1 : 0);
 }
 
+const PlanCache::Entry* DataLawyer::CachedPlan(const SelectStmt& stmt) const {
+  return options_.enable_plan_cache && plan_cache_.stamp() == CacheStamp()
+             ? plan_cache_.Lookup(stmt)
+             : nullptr;
+}
+
 void DataLawyer::WarmPlanCache() {
   uint64_t stamp = CacheStamp();
   // A stamp change after the initial warm means every cached plan just
@@ -601,17 +607,12 @@ Result<QueryResult> DataLawyer::Execute(const std::string& sql,
   if (stmt.kind != StatementKind::kSelect) {
     // DDL/DML bypasses policy checking (policies govern reads, §3);
     // EXPLAIN is a diagnostic and bypasses it the same way — but it runs
-    // with the same morsel execution options a checked query would use,
-    // so EXPLAIN ANALYZE profiles production splits (and morsel timing).
-    ExecOptions diag_options;
+    // with the same execution options a checked query would use, so
+    // EXPLAIN ANALYZE profiles production splits (and morsel timing).
     if (morsel_enabled() && stmt.kind == StatementKind::kExplain) {
-      diag_options.scheduler = EnsureScheduler(1);
-      diag_options.morsel_size = options_.morsel_size;
-      if (adaptive_morsel_enabled()) {
-        diag_options.morsel_feedback = &morsel_feedback_;
-      }
+      EnsureScheduler(1);
     }
-    return engine_.ExecuteStatement(stmt, diag_options);
+    return engine_.ExecuteStatement(stmt, PlanExecOptions());
   }
   int64_t ts = clock_->Tick();
   stats_.ts = ts;
@@ -722,59 +723,34 @@ Result<std::string> DataLawyer::ExplainLogQuery(const std::string& sql) {
 }
 
 Result<std::string> DataLawyer::ExplainPolicy(const std::string& name) {
-  if (!prepared_valid_) DL_RETURN_NOT_OK(Prepare());
-  DL_RETURN_NOT_OK(Flush());  // the catalog below reads the log tables
-  for (const Policy& policy : active_) {
-    if (policy.name != name) continue;
-    UsageLog::PolicyCatalog catalog =
-        log_->MakeCatalog(policy_base_catalog(), clock_->Now());
-    const PlanCache::Entry* cached =
-        options_.enable_plan_cache && plan_cache_.stamp() == CacheStamp()
-            ? plan_cache_.Lookup(policy.effective())
-            : nullptr;
-    if (cached != nullptr) {
-      return RenderPhysicalPlan(cached->plan, catalog.view());
-    }
-    Executor executor(catalog.view());
-    return executor.Explain(policy.effective());
-  }
-  return Status::NotFound("no such policy: " + name);
+  return ExplainPolicyPlan(name, /*analyze=*/false);
 }
 
 Result<std::string> DataLawyer::ExplainAnalyzePolicy(const std::string& name) {
+  return ExplainPolicyPlan(name, /*analyze=*/true);
+}
+
+Result<std::string> DataLawyer::ExplainPolicyPlan(const std::string& name,
+                                                  bool analyze) {
   if (!prepared_valid_) DL_RETURN_NOT_OK(Prepare());
-  // Run against the committed log (same state a real evaluation would see).
+  // Against the committed log: the state a real evaluation would see.
   DL_RETURN_NOT_OK(Flush());
   for (const Policy& policy : active_) {
     if (policy.name != name) continue;
     UsageLog::PolicyCatalog catalog =
         log_->MakeCatalog(policy_base_catalog(), clock_->Now());
-    const PlanCache::Entry* cached =
-        options_.enable_plan_cache && plan_cache_.stamp() == CacheStamp()
-            ? plan_cache_.Lookup(policy.effective())
-            : nullptr;
-    if (cached != nullptr) {
-      ExecOptions exec_options;
-      if (morsel_enabled()) {
-        // Same scheduler a real evaluation would use, so the profiled
-        // morsel/partition counts match production execution.
-        exec_options.scheduler = EnsureScheduler(1);
-        exec_options.morsel_size = options_.morsel_size;
-        if (adaptive_morsel_enabled()) {
-          exec_options.morsel_feedback = &morsel_feedback_;
-        }
-      }
-      PlanExecutor exec(catalog.view(), exec_options);
-      exec.EnableProfiling();
-      auto start = Now();
-      DL_ASSIGN_OR_RETURN(QueryResult result, exec.Run(cached->plan));
-      double total_us = UsSince(start);
-      std::string out = RenderOperatorProfile(exec.profile(), total_us);
-      out += "  result: " + std::to_string(result.rows.size()) + " rows\n";
-      return out;
+    // Same options a real evaluation would use, so the profiled
+    // morsel/partition counts match production execution.
+    if (analyze && morsel_enabled()) EnsureScheduler(1);
+    const PlanCache::Entry* cached = CachedPlan(policy.effective());
+    if (cached == nullptr) {
+      Executor executor(catalog.view(), PlanExecOptions());
+      return analyze ? executor.ExplainAnalyze(policy.effective())
+                     : executor.Explain(policy.effective());
     }
-    Executor executor(catalog.view());
-    return executor.ExplainAnalyze(policy.effective());
+    return analyze ? ExplainAnalyzePlan(cached->plan, catalog.view(),
+                                        PlanExecOptions())
+                   : RenderPhysicalPlan(cached->plan, catalog.view());
   }
   return Status::NotFound("no such policy: " + name);
 }
@@ -803,31 +779,15 @@ Result<DataLawyer::PolicyEvalOutput> DataLawyer::EvalPolicyStatement(
     }
   }
 
-  ExecOptions exec_options;
+  ExecOptions exec_options = PlanExecOptions();
   exec_options.capture_lineage = check_increment_dependence;
   exec_options.enable_stats_costing = options_.enable_stats_costing;
-  if (morsel_enabled() && scheduler_ != nullptr) {
-    // The scheduler was ensured in ExecuteChecked's serial head; workers
-    // already running policy tasks push their morsels onto their own
-    // deques, so plan-level parallelism composes with the fan-out.
-    exec_options.scheduler = scheduler_.get();
-    exec_options.morsel_size = options_.morsel_size;
-    // morsel_feedback_ is mutable and lock-free; suggestions are frozen
-    // for the duration of the query (Roll() runs only at the serial head),
-    // so concurrent statements all see the same sizes.
-    if (adaptive_morsel_enabled()) {
-      exec_options.morsel_feedback = &morsel_feedback_;
-    }
-  }
   PolicyEvalOutput out;
   QueryResult result;
   // A registered statement runs from its cached physical plan — zero
   // bind/plan work per evaluation; anything else (or a stale stamp) takes
   // the one-shot bind-and-plan path.
-  const PlanCache::Entry* cached =
-      options_.enable_plan_cache && plan_cache_.stamp() == CacheStamp()
-          ? plan_cache_.Lookup(stmt)
-          : nullptr;
+  const PlanCache::Entry* cached = CachedPlan(stmt);
   // Incremental fast path: answer from maintained state + the staged
   // increment, skipping the plan execution entirely. Only full policy
   // statements carry state (guards/partials/union never do), and a decline
@@ -851,19 +811,11 @@ Result<DataLawyer::PolicyEvalOutput> DataLawyer::EvalPolicyStatement(
     PlanExecutor plan_exec(catalog, exec_options);
     DL_ASSIGN_OR_RETURN(result, plan_exec.Run(cached->plan));
     out.plan_cache_hit = true;
-    out.index_probes = plan_exec.scan_stats().index_probes;
-    out.index_hits = plan_exec.scan_stats().index_hits;
-    out.range_probes = plan_exec.scan_stats().range_probes;
-    out.range_hits = plan_exec.scan_stats().range_hits;
-    out.morsels = plan_exec.scan_stats().morsels;
+    out.scan = plan_exec.scan_stats();
   } else {
     Executor executor(catalog, exec_options);
     DL_ASSIGN_OR_RETURN(result, executor.Execute(stmt));
-    out.index_probes = executor.scan_stats().index_probes;
-    out.index_hits = executor.scan_stats().index_hits;
-    out.range_probes = executor.scan_stats().range_probes;
-    out.range_hits = executor.scan_stats().range_hits;
-    out.morsels = executor.scan_stats().morsels;
+    out.scan = executor.scan_stats();
   }
 
   if (check_increment_dependence) {
@@ -910,11 +862,11 @@ void DataLawyer::RecordEvalCounters(const PolicyEvalOutput& out,
                           : stats_.plan_cache_misses);
   }
   stats_.policy_cpu_us += out.eval_us;
-  stats_.index_probes += out.index_probes;
-  stats_.index_hits += out.index_hits;
-  stats_.range_probes += out.range_probes;
-  stats_.range_hits += out.range_hits;
-  stats_.morsels += out.morsels;
+  stats_.index_probes += out.scan.index_probes;
+  stats_.index_hits += out.scan.index_hits;
+  stats_.range_probes += out.scan.range_probes;
+  stats_.range_hits += out.scan.range_hits;
+  stats_.morsels += out.scan.morsels;
   QueryAttribution& slot = AttributionFor(attribute_to);
   ++slot.evaluations;
   slot.eval_us += out.eval_us;
@@ -945,6 +897,21 @@ size_t DataLawyer::RunPolicyWave(size_t n,
   }
   stats_.policy_wall_us += UsSince(t0);
   return decisive.load();
+}
+
+ExecOptions DataLawyer::PlanExecOptions() const {
+  ExecOptions exec;
+  if (morsel_enabled() && scheduler_ != nullptr) {
+    // Workers already running policy tasks push their morsels onto their
+    // own deques, so plan-level parallelism composes with the fan-out.
+    exec.scheduler = scheduler_.get();
+    exec.morsel_size = options_.morsel_size;
+    // morsel_feedback_ is mutable and lock-free; suggestions are frozen
+    // for the duration of a query (Roll() runs only at the serial head),
+    // so concurrent statements all see the same sizes.
+    if (adaptive_morsel_enabled()) exec.morsel_feedback = &morsel_feedback_;
+  }
+  return exec;
 }
 
 TaskScheduler* DataLawyer::EnsureScheduler(size_t min_threads) {
@@ -1112,11 +1079,16 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
   DL_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bound, binder.Bind(stmt));
   stats_.bind_us = UsSince(bind_start);
 
+  // f_Provenance's lineage run, if any, is the query's only run.
+  QueryResult answer;
   GenerationInput input;
   input.query = &stmt;
   input.bound = bound.get();
   input.db_catalog = system_catalog_.get();
   input.context = &context;
+  input.exec = PlanExecOptions();
+  input.answer = &answer;
+  input.morsels = &stats_.morsels;
 
   UsageLog::PolicyCatalog catalog =
       log_->MakeCatalog(policy_base_catalog(), ts);
@@ -1441,21 +1413,17 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
     stats_.compact_insert_ms = MsSince(t0);
   }
 
-  // ---- execute the user's query ----
-  // Through the system catalog, so SELECTs over dl_* relations execute
-  // like any other read (real tables shadow the virtual names).
+  // ---- the user's answer ----
+  // The lineage run's rows with the lineage dropped, or, when no provenance
+  // was generated, one run of the bound query. Through the system catalog,
+  // so SELECTs over dl_* relations execute like any other read.
   DL_TRACE_SPAN("exec.user_query", "exec");
   auto t0 = Now();
-  ExecOptions user_options;
-  if (morsel_enabled() && scheduler_ != nullptr) {
-    user_options.scheduler = scheduler_.get();
-    user_options.morsel_size = options_.morsel_size;
-    if (adaptive_morsel_enabled()) {
-      user_options.morsel_feedback = &morsel_feedback_;
-    }
-  }
-  Executor user_exec(system_catalog_.get(), user_options);
-  Result<QueryResult> result = user_exec.Execute(stmt);
+  Executor user_exec(system_catalog_.get(), PlanExecOptions());
+  Result<QueryResult> result =
+      QueryResult{std::move(answer.schema), std::move(answer.rows)};
+  if (!answer.has_lineage) result = user_exec.ExecuteBound(*bound);
+  answer = QueryResult{};  // frees the lineage inside the timed phase
   stats_.query_exec_ms = MsSince(t0);
   // The user plan's morsels count toward dl_morsels_total; its index
   // counters do not (those are defined over policy statements only).

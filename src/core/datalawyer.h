@@ -206,11 +206,7 @@ class DataLawyer {
     bool plan_cache_hit = false;  ///< ran from a cached physical plan
     bool incremental_hit = false;  ///< verdict served from incremental state
     bool incremental_fallback = false;  ///< state declined; full eval ran
-    size_t index_probes = 0;
-    size_t index_hits = 0;
-    size_t range_probes = 0;
-    size_t range_hits = 0;
-    size_t morsels = 0;  ///< morsels this statement's plan dispatched
+    ScanStats scan;  ///< access-path counters of the statement's plan run
     double eval_us = 0;  ///< this statement's own elapsed time
   };
 
@@ -290,6 +286,10 @@ class DataLawyer {
   /// parallelism from oversubscribing the machine: a policy task that
   /// splits its plan into morsels enqueues them onto the same workers.
   TaskScheduler* EnsureScheduler(size_t min_threads);
+  /// Execution options of every plan this instance runs: the shared
+  /// scheduler, morsel size and feedback once a scheduler exists. Callers
+  /// outside ExecuteChecked ensure the scheduler first.
+  ExecOptions PlanExecOptions() const;
   Status GenerateLog(const std::string& relation, int64_t ts,
                      const GenerationInput& input);
   /// §4.3 preemptive compaction: true if relation `name`'s increment can be
@@ -308,6 +308,10 @@ class DataLawyer {
   /// schema version plus whether log indexes are on. A cached plan built
   /// under a different stamp is not trusted.
   uint64_t CacheStamp() const;
+  /// `stmt`'s cached entry, or null when the cache is off or stale.
+  const PlanCache::Entry* CachedPlan(const SelectStmt& stmt) const;
+  /// ExplainPolicy (`analyze` false) and ExplainAnalyzePolicy (true).
+  Result<std::string> ExplainPolicyPlan(const std::string& name, bool analyze);
 
   /// (Re)plans every prepared policy statement — full, guard, partials,
   /// and the unified UNION statement — against a fresh policy catalog, and

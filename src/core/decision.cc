@@ -238,7 +238,8 @@ Status DecisionStore::LoadFrom(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::NotFound("cannot read " + path);
   std::string line;
-  if (!std::getline(in, line) || (line != kHeader && line != kHeaderV1)) {
+  if (!std::getline(in, line) || in.eof() ||
+      (line != kHeader && line != kHeaderV1)) {
     return Status::InvalidArgument("not an audit file: " + path);
   }
   const bool v1 = line == kHeaderV1;
@@ -246,12 +247,14 @@ Status DecisionStore::LoadFrom(const std::string& path) {
   // Parse everything first; the store changes only if every line is good.
   std::vector<DecisionRecord> loaded;
   for (size_t line_no = 2; std::getline(in, line); ++line_no) {
-    if (line.empty()) continue;
     auto malformed = [&](const std::string& why) {
       return Status::InvalidArgument("malformed audit line " +
                                      std::to_string(line_no) + " in " + path +
                                      ": " + why);
     };
+    // SaveTo ends every line with '\n'; a torn write ends at EOF instead.
+    if (in.eof()) return malformed("truncated");
+    if (line.empty()) continue;
     std::vector<std::string> f = SplitEscaped(line, '\t');
     if (f.size() != expected_fields) {
       return malformed(std::to_string(f.size()) + " fields, expected " +

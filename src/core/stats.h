@@ -19,7 +19,8 @@ struct PhaseTimes {
   double log_gen_us = 0;      ///< usage-log generation (usage tracking)
   double policy_eval_us = 0;  ///< policy-evaluation wall time
   double compaction_us = 0;   ///< mark + delete + insert/commit
-  double user_exec_us = 0;    ///< running the user's query
+  double user_exec_us = 0;    ///< user query; after f_Provenance ran it
+                              ///< (in log_gen_us), only the lineage strip
 
   double total_us() const {
     return parse_us + bind_us + plan_us + log_gen_us + policy_eval_us +
@@ -33,7 +34,7 @@ struct PhaseTimes {
 struct ExecutionStats {
   int64_t ts = 0;
 
-  double query_exec_ms = 0;    ///< running the user's query
+  double query_exec_ms = 0;    ///< see PhaseTimes::user_exec_us
   double log_gen_ms = 0;       ///< log-generating functions (usage tracking)
   double compact_mark_ms = 0;  ///< witness queries + marking
   double compact_delete_ms = 0;

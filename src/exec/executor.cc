@@ -29,18 +29,19 @@ Result<std::string> Executor::ExplainAnalyze(const SelectStmt& stmt) const {
   Binder binder(catalog_);
   DL_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bound, binder.Bind(stmt));
   DL_ASSIGN_OR_RETURN(PhysicalPlan plan, planner_.Plan(*bound));
+  return ExplainAnalyzePlan(plan, catalog_, options_);
+}
 
-  PlanExecutor exec(catalog_, options_);
+Result<std::string> ExplainAnalyzePlan(const PhysicalPlan& plan,
+                                       const CatalogView* catalog,
+                                       ExecOptions options) {
+  PlanExecutor exec(catalog, options);
   exec.EnableProfiling();
   auto t0 = std::chrono::steady_clock::now();
   DL_ASSIGN_OR_RETURN(QueryResult result, exec.Run(plan));
-  double total_us =
-      double(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                 std::chrono::steady_clock::now() - t0)
-                 .count()) /
-      1000.0;
-
-  std::string out = RenderOperatorProfile(exec.profile(), total_us);
+  std::chrono::duration<double, std::micro> total_us =
+      std::chrono::steady_clock::now() - t0;
+  std::string out = RenderOperatorProfile(exec.profile(), total_us.count());
   out += "  result: " + std::to_string(result.rows.size()) + " rows\n";
   return out;
 }

@@ -12,6 +12,13 @@
 
 namespace datalawyer {
 
+/// EXPLAIN ANALYZE of a built plan: runs it once, profiled, on a dedicated
+/// PlanExecutor and renders each operator with its observed row counts,
+/// wall time, peak hash-table size, and index probe/hit counts.
+Result<std::string> ExplainAnalyzePlan(const PhysicalPlan& plan,
+                                       const CatalogView* catalog,
+                                       ExecOptions options);
+
 /// Facade over the three-stage pipeline: bind → plan (src/plan) → interpret
 /// (PlanExecutor). Keeps the historical one-call API for callers that do not
 /// need to hold on to plans; the policy engine plans once per registered
@@ -35,10 +42,8 @@ class Executor {
   /// keys, then the grouping / distinct / order stages.
   Result<std::string> Explain(const SelectStmt& stmt) const;
 
-  /// EXPLAIN ANALYZE: executes `stmt` once with per-operator profiling and
-  /// renders each operator annotated with its observed row counts, wall
-  /// time, peak hash-table size, and index probe/hit counts. Runs on a
-  /// dedicated PlanExecutor so this executor's scan stats stay untouched.
+  /// EXPLAIN ANALYZE: binds and plans `stmt`, then ExplainAnalyzePlan with
+  /// this executor's options.
   Result<std::string> ExplainAnalyze(const SelectStmt& stmt) const;
 
   /// Plans and executes an already-bound query.

@@ -84,13 +84,14 @@ const TableSchema& ProvenanceLogGenerator::schema() const {
 
 Result<std::vector<Row>> ProvenanceLogGenerator::Generate(
     const GenerationInput& input) {
-  if (input.query == nullptr || input.db_catalog == nullptr) {
-    return Status::Internal("ProvenanceLogGenerator requires query + catalog");
+  if (input.bound == nullptr || input.db_catalog == nullptr) {
+    return Status::Internal("ProvenanceLogGenerator requires bound + catalog");
   }
-  ExecOptions options;
+  ExecOptions options = input.exec;
   options.capture_lineage = true;
   Executor executor(input.db_catalog, options);
-  DL_ASSIGN_OR_RETURN(QueryResult result, executor.Execute(*input.query));
+  DL_ASSIGN_OR_RETURN(QueryResult result, executor.ExecuteBound(*input.bound));
+  if (input.morsels != nullptr) *input.morsels += executor.scan_stats().morsels;
 
   std::vector<Row> rows;
   for (size_t otid = 0; otid < result.rows.size(); ++otid) {
@@ -100,6 +101,7 @@ Result<std::vector<Row>> ProvenanceLogGenerator::Generate(
                          Value(entry.row_id)});
     }
   }
+  if (input.answer != nullptr) *input.answer = std::move(result);
   return rows;
 }
 

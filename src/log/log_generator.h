@@ -6,6 +6,7 @@
 
 #include "analysis/bound_query.h"
 #include "common/result.h"
+#include "exec/plan_executor.h"
 #include "log/query_context.h"
 #include "sql/ast.h"
 #include "storage/catalog_view.h"
@@ -21,6 +22,12 @@ struct GenerationInput {
   const BoundQuery* bound = nullptr;
   const CatalogView* db_catalog = nullptr;
   const QueryContext* context = nullptr;
+  ExecOptions exec;  ///< how a generator that runs the query runs it
+  /// Optional sinks: a generator that runs the query moves its result here,
+  /// so the caller need not run it again, and adds the run's morsels to
+  /// `*morsels`. nullptr = no sink.
+  QueryResult* answer = nullptr;
+  size_t* morsels = nullptr;
 };
 
 /// A log-generating function f_i: computes the feature set S_i = f_i(q, D)
@@ -69,10 +76,11 @@ class SchemaLogGenerator : public LogGenerator {
   int cost_rank() const override { return 1; }
 };
 
-/// f_Provenance: runs the query with lineage capture and emits
+/// f_Provenance: runs the bound query with lineage capture and emits
 /// (otid, irid, itid) for every contributing input tuple of every output
-/// tuple. Like the paper's Perm-style rewriting, this costs about as much
-/// as the query itself.
+/// tuple. The paper's Perm-style rewrite runs a second copy of the query;
+/// here the lineage run is the query's only run — its result, lineage
+/// included, goes to GenerationInput::answer when that is set.
 class ProvenanceLogGenerator : public LogGenerator {
  public:
   const std::string& relation_name() const override;

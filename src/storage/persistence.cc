@@ -178,6 +178,7 @@ Result<TableSchema> LoadSchema(const std::string& path) {
   if (!std::getline(in, header)) {
     return Status::InvalidArgument("empty table file: " + path);
   }
+  if (in.eof()) return Status::InvalidArgument("truncated header in " + path);
   TableSchema schema;
   for (const std::string& cell : SplitCells(header)) {
     size_t space = cell.find(' ');
@@ -201,6 +202,12 @@ Status LoadTableInto(Table* table, const std::string& path) {
   size_t line_no = 1;
   while (std::getline(in, line)) {
     ++line_no;
+    // SaveTable ends every line with '\n'; a line cut short by a torn
+    // write ends at EOF instead.
+    if (in.eof()) {
+      return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
+                                     ": truncated line");
+    }
     if (line.empty()) continue;
     std::vector<std::string> cells = SplitCells(line);
     if (cells.size() != schema.NumColumns()) {

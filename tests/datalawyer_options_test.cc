@@ -12,8 +12,11 @@
 //    indexes, the plan cache, morsel execution (fixed and adaptive) and
 //    policy fan-out, over two bases (the defaults and NoOpt()). Every row
 //    must be byte-equal to its base run serially with every physical knob
-//    off: statuses, decision records with witness rows, and the final
-//    usage log.
+//    off: statuses, decision records with witness rows, the final usage
+//    log, and every admitted answer.
+//
+// Every admitted answer must also carry no lineage and equal a direct
+// Engine run of the same SQL.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +24,7 @@
 #include <random>
 #include <thread>
 
+#include "admitted_answer.h"
 #include "core/datalawyer.h"
 #include "workload/mimic.h"
 #include "workload/paper_policies.h"
@@ -226,6 +230,7 @@ struct Observed {
   std::vector<std::vector<std::string>> violations;  // one per step
   std::string decisions;  // per decision: verdict, messages, witness rows
   std::string log;        // every usage-log main relation after Flush
+  std::vector<AdmittedAnswer> answers;  // one per admitted step
   uint64_t incremental_hits = 0;  // verdicts served from state
   uint64_t morsels = 0;           // plan morsels dispatched
 };
@@ -241,7 +246,11 @@ Observed RunScenario(Database* db, const DataLawyerOptions& options,
   for (const Step& step : steps) {
     QueryContext ctx;
     ctx.uid = step.uid;
-    out.statuses.push_back(dl.Execute(step.sql, ctx).status().ToString());
+    Result<QueryResult> result = dl.Execute(step.sql, ctx);
+    out.statuses.push_back(result.status().ToString());
+    if (result.ok()) {
+      out.answers.push_back(CheckAdmittedAnswer(db, step.sql, *result));
+    }
     out.violations.push_back(dl.last_stats().violations);
     out.incremental_hits += dl.last_stats().incremental_hits;
     out.morsels += dl.last_stats().morsels;
@@ -332,6 +341,8 @@ TEST_F(DataLawyerOptionsMatrixTest, AllCombosAgreeOnEveryVerdict) {
             << where;
       }
     }
+    // Equal verdicts admit the same steps, which must answer the same.
+    ASSERT_EQ(run.answers, reference.answers) << "combo " << combo.Label();
   }
 }
 
@@ -385,6 +396,7 @@ TEST_F(DataLawyerOptionsMatrixTest, PhysicalKnobsAreInvisible) {
       ASSERT_EQ(run.statuses, reference.statuses) << where;
       ASSERT_EQ(run.decisions, reference.decisions) << where;
       ASSERT_EQ(run.log, reference.log) << where;
+      ASSERT_EQ(run.answers, reference.answers) << where;
       // The all-on row demonstrably takes the fast paths.
       if (row.Label() == all_on.Label()) {
         EXPECT_GT(run.incremental_hits, 0u) << where;
@@ -397,20 +409,31 @@ TEST_F(DataLawyerOptionsMatrixTest, PhysicalKnobsAreInvisible) {
 TEST(DataLawyerOptionsTest, StatsReportPhases) {
   Database db;
   ASSERT_TRUE(LoadMimicData(&db, MimicConfig::Tiny()).ok());
-  DataLawyer dl(&db, UsageLog::WithStandardGenerators(),
-                std::make_unique<ManualClock>(0, 10), {});
-  ASSERT_TRUE(dl.AddPolicy("p6", PaperPolicies::P6()).ok());
   QueryContext ctx;
   ctx.uid = 1;
+  {
+    DataLawyer dl(&db, UsageLog::WithStandardGenerators(),
+                  std::make_unique<ManualClock>(0, 10), {});
+    ASSERT_TRUE(dl.AddPolicy("p6", PaperPolicies::P6()).ok());
+    ASSERT_TRUE(dl.Execute(PaperQueries::W2(), ctx).ok());
+    const ExecutionStats& stats = dl.last_stats();
+    EXPECT_GT(stats.ts, 0);
+    // f_Provenance's lineage run is the query's only run, timed as log
+    // generation; the query phase only strips the lineage.
+    EXPECT_GT(stats.log_gen_ms, 0.0);
+    EXPECT_EQ(stats.logs_generated, 2u);  // users + provenance
+    EXPECT_GT(stats.log_rows_staged, 0u);
+    EXPECT_GT(stats.policies_evaluated, 0u);
+    EXPECT_FALSE(stats.rejected);
+    EXPECT_GE(stats.total_ms(), stats.overhead_ms());
+  }
+  // Without a provenance policy the query runs in its own phase.
+  DataLawyer dl(&db, UsageLog::WithStandardGenerators(),
+                std::make_unique<ManualClock>(0, 10), {});
+  ASSERT_TRUE(dl.AddPolicy("p1", PaperPolicies::P1()).ok());
   ASSERT_TRUE(dl.Execute(PaperQueries::W2(), ctx).ok());
-  const ExecutionStats& stats = dl.last_stats();
-  EXPECT_GT(stats.ts, 0);
-  EXPECT_GT(stats.query_exec_ms, 0.0);
-  EXPECT_EQ(stats.logs_generated, 2u);  // users + provenance
-  EXPECT_GT(stats.log_rows_staged, 0u);
-  EXPECT_GT(stats.policies_evaluated, 0u);
-  EXPECT_FALSE(stats.rejected);
-  EXPECT_GE(stats.total_ms(), stats.overhead_ms());
+  EXPECT_GT(dl.last_stats().query_exec_ms, 0.0);
+  EXPECT_EQ(dl.last_stats().logs_generated, 1u);  // users
 }
 
 TEST(DataLawyerOptionsTest, RejectionStatsCarryViolations) {

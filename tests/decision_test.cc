@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -47,6 +50,46 @@ TEST(DecisionStoreTest, RingEvictsOldestAndCountsDrops) {
   EXPECT_EQ(store.dropped(), 2u);
   EXPECT_EQ(store.records().front().query_sql, "q3");
   EXPECT_EQ(store.records().back().query_sql, "q5");
+}
+
+// SaveTo ends every line with '\n', so a file cut at any byte either ends
+// on a line boundary — a shorter, valid trail — or holds a torn line, which
+// must fail the load (a cut query text would otherwise load as a shorter
+// query) and leave the store untouched.
+TEST(DecisionStoreTest, TornFileRejectedAtEveryOffset) {
+  DecisionStore store(8);
+  store.Append(MakeRecord(1, "SELECT 12345 FROM t", true));
+  DecisionRecord rejected = MakeRecord(2, "SELECT * FROM d_patients", false);
+  rejected.uid = 7;
+  PolicyOutcome outcome;
+  outcome.policy = "p3";
+  outcome.outcome = "violated";
+  rejected.outcomes.push_back(outcome);
+  store.Append(rejected);
+  std::string path = ::testing::TempDir() + "/audit_torn.tsv";
+  ASSERT_TRUE(store.SaveTo(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string full((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_EQ(full.back(), '\n');
+
+  size_t complete = 0;  // cuts that ended on a line boundary
+  for (size_t cut = 0; cut <= full.size(); ++cut) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << full.substr(0, cut);
+    DecisionStore restored(8);
+    Status st = restored.LoadFrom(path);
+    if (cut > 0 && full[cut - 1] == '\n') {
+      ++complete;
+      ASSERT_TRUE(st.ok()) << "cut " << cut << ": " << st.ToString();
+      EXPECT_EQ(restored.size(), complete - 1) << "cut " << cut;
+    } else {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << "cut " << cut;
+      EXPECT_EQ(restored.size(), 0u) << "cut " << cut;
+    }
+  }
+  EXPECT_EQ(complete, 3u);  // header, then each record
+  std::remove(path.c_str());
 }
 
 TEST(DecisionStoreTest, NextIdIsMonotonicFromOne) {

@@ -123,7 +123,9 @@ class OptimizerDifferentialTest : public ::testing::Test {
 
 /// Runs `stmt` over `catalog` with the optimizer off and on (with and
 /// without stats costing), capturing lineage: rows (order included) and
-/// each row's lineage must be identical. Adds the rows compared to `*rows`.
+/// each row's lineage must be identical. So must the rows of a plain run
+/// without lineage — an admitted query's answer is its lineage run's rows.
+/// Adds the rows compared to `*rows`.
 void ExpectOptimizerInvisible(const SelectStmt& stmt,
                               const CatalogView* catalog,
                               size_t* rows = nullptr) {
@@ -132,6 +134,9 @@ void ExpectOptimizerInvisible(const SelectStmt& stmt,
   naive_opts.enable_optimizer = false;
   auto naive_result = Executor(catalog, naive_opts).Execute(stmt);
   if (rows != nullptr && naive_result.ok()) *rows += naive_result->NumRows();
+  auto plain_result = Executor(catalog).Execute(stmt);
+  ASSERT_EQ(naive_result.ok(), plain_result.ok());
+  if (naive_result.ok()) ASSERT_EQ(naive_result->rows, plain_result->rows);
   for (bool costing : {true, false}) {
     SCOPED_TRACE(costing ? "costing on" : "costing off");
     ExecOptions opt_opts;
@@ -280,12 +285,17 @@ TEST(PlanCacheDifferentialTest, VerdictsIdentical) {
   EXPECT_EQ(without_cache->last_stats().plan_cache_hits, 0u);
 }
 
-// The cache's acceptance bar: a steady-state query emits exactly one
-// "planning" span — for the user's ad-hoc SQL — while the policy fan-out
-// and the compaction's mark phase plan nothing. Without the cache every
-// policy evaluation and witness query plans again.
+// The cache's acceptance bar: a steady-state query binds and plans exactly
+// once — the user's ad-hoc SQL — while the policy fan-out and the
+// compaction's mark phase plan nothing. With a provenance policy the
+// lineage run is the answer, so the query is still bound and planned once.
+// Without the cache every policy evaluation and witness query plans again.
 TEST(PlanCacheDifferentialTest, SteadyStateDoesNoPolicyPlanning) {
-  auto planning_spans_per_query = [](bool cached) {
+  struct Spans {
+    size_t bind = 0;
+    size_t planning = 0;
+  };
+  auto spans_per_query = [](bool cached, bool provenance) {
     Database db;
     Engine engine(&db);
     EXPECT_TRUE(engine
@@ -300,25 +310,33 @@ TEST(PlanCacheDifferentialTest, SteadyStateDoesNoPolicyPlanning) {
     DataLawyer dl(&db, nullptr, std::make_unique<ManualClock>(), options);
     EXPECT_TRUE(
         dl.AddPolicy("cap", PolicyTemplates::RateLimit(100, 5, 7)).ok());
+    // P6 for uid 1 reads the provenance log: f_Provenance runs the query.
+    if (provenance) EXPECT_TRUE(dl.AddPolicy("p6", PaperPolicies::P6()).ok());
     QueryContext ctx;
     ctx.uid = 1;  // never rate-limited, so the query itself always runs
     // First Execute prepares the policies (and warms the cache).
     EXPECT_TRUE(dl.Execute("SELECT * FROM t", ctx).ok());
     Tracer::Global().Clear();
     EXPECT_TRUE(dl.Execute("SELECT * FROM t", ctx).ok());
-    size_t planning = 0;
+    EXPECT_EQ(dl.last_stats().logs_generated, provenance ? 2u : 1u);
+    Spans spans;
     for (const TraceEvent& e : Tracer::Global().Snapshot()) {
-      if (e.name == "planning") ++planning;
+      if (e.name == "analysis.bind") ++spans.bind;
+      if (e.name == "planning") ++spans.planning;
     }
     Tracer::Global().set_enabled(false);
     Tracer::Global().Clear();
-    return planning;
+    return spans;
   };
 
-  size_t with_cache = planning_spans_per_query(true);
-  size_t without_cache = planning_spans_per_query(false);
-  EXPECT_EQ(with_cache, 1u);
-  EXPECT_GT(without_cache, with_cache);
+  for (bool provenance : {false, true}) {
+    SCOPED_TRACE(provenance ? "with provenance" : "without provenance");
+    Spans with_cache = spans_per_query(true, provenance);
+    Spans without_cache = spans_per_query(false, provenance);
+    EXPECT_EQ(with_cache.bind, 1u);
+    EXPECT_EQ(with_cache.planning, 1u);
+    EXPECT_GT(without_cache.planning, with_cache.planning);
+  }
 }
 
 }  // namespace

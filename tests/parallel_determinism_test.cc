@@ -2,8 +2,9 @@
 // observable output. For policy_threads in {0, 1, 4, 8} and every
 // evaluation strategy, a scripted workload must produce identical
 // admit/reject decisions, identical rejection messages, an identical
-// last_violations() sequence (order included), and byte-identical
-// usage-log contents after Flush().
+// last_violations() sequence (order included), byte-identical
+// usage-log contents after Flush(), and identical admitted answers, each
+// free of lineage and equal to a direct Engine run.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "admitted_answer.h"
 #include "common/task_scheduler.h"
 #include "common/trace.h"
 #include "core/datalawyer.h"
@@ -48,6 +50,7 @@ struct Trace {
   std::vector<std::string> decisions;  // one entry per step
   std::string log_dump;                // all persisted log rows after Flush
   std::string decision_dump;           // decision store, timing-free fields
+  std::vector<AdmittedAnswer> answers;  // one per admitted step
   uint64_t incremental_hits = 0;       // verdicts served from state
   uint64_t morsels = 0;                // plan morsels dispatched
 };
@@ -100,6 +103,9 @@ Trace RunScenario(DataLawyerOptions options, const std::vector<Step>& steps) {
     ctx.uid = step.uid;
     auto result = dl.Execute(step.sql, ctx);
     std::string decision = result.ok() ? "admit" : result.status().ToString();
+    if (result.ok()) {
+      trace.answers.push_back(CheckAdmittedAnswer(&db, step.sql, *result));
+    }
     for (const ViolationReport& report : dl.last_violations()) {
       decision += "|" + report.policy_name;
       for (const std::string& m : report.messages) decision += ";" + m;
@@ -153,6 +159,8 @@ TEST(ParallelDeterminismTest, ThreadCountIsInvisible) {
       }
       EXPECT_EQ(parallel.log_dump, serial.log_dump)
           << "strategy " << int(strategy) << " threads " << threads;
+      EXPECT_EQ(parallel.answers, serial.answers)
+          << "strategy " << int(strategy) << " threads " << threads;
       // Decision records (witness rows included) are assembled in serial
       // sections, so they too must be invisible to the thread count.
       EXPECT_EQ(parallel.decision_dump, serial.decision_dump)
@@ -187,6 +195,7 @@ TEST(ParallelDeterminismTest, IncrementalStateIsThreadInvisible) {
     Trace parallel = RunScenario(options, steps);
     EXPECT_EQ(parallel.decisions, serial.decisions) << "threads " << threads;
     EXPECT_EQ(parallel.log_dump, serial.log_dump) << "threads " << threads;
+    EXPECT_EQ(parallel.answers, serial.answers) << "threads " << threads;
     EXPECT_EQ(parallel.decision_dump, serial.decision_dump)
         << "threads " << threads;
     EXPECT_EQ(parallel.incremental_hits, serial.incremental_hits)
@@ -199,6 +208,7 @@ TEST(ParallelDeterminismTest, IncrementalStateIsThreadInvisible) {
   EXPECT_EQ(full.incremental_hits, 0u);
   EXPECT_EQ(full.decisions, serial.decisions);
   EXPECT_EQ(full.log_dump, serial.log_dump);
+  EXPECT_EQ(full.answers, serial.answers);
   EXPECT_EQ(full.decision_dump, serial.decision_dump);
 }
 
@@ -230,6 +240,8 @@ TEST(ParallelDeterminismTest, MorselExecutionIsInvisible) {
           << "exec_threads " << threads << " morsel_size " << morsel_size;
       EXPECT_EQ(morsel.log_dump, serial.log_dump)
           << "exec_threads " << threads << " morsel_size " << morsel_size;
+      EXPECT_EQ(morsel.answers, serial.answers)
+          << "exec_threads " << threads << " morsel_size " << morsel_size;
       EXPECT_EQ(morsel.decision_dump, serial.decision_dump)
           << "exec_threads " << threads << " morsel_size " << morsel_size;
       // Single-row morsels force even the tiny workload tables to split,
@@ -249,6 +261,7 @@ TEST(ParallelDeterminismTest, MorselExecutionIsInvisible) {
   Trace composed = RunScenario(both, steps);
   EXPECT_EQ(composed.decisions, serial.decisions);
   EXPECT_EQ(composed.log_dump, serial.log_dump);
+  EXPECT_EQ(composed.answers, serial.answers);
   EXPECT_EQ(composed.decision_dump, serial.decision_dump);
 }
 
@@ -281,6 +294,9 @@ TEST(ParallelDeterminismTest, AdaptiveMorselSizingIsInvisible) {
             << "threads " << threads << " morsel_size " << morsel_size
             << " adaptive " << adaptive;
         EXPECT_EQ(run.log_dump, serial.log_dump)
+            << "threads " << threads << " morsel_size " << morsel_size
+            << " adaptive " << adaptive;
+        EXPECT_EQ(run.answers, serial.answers)
             << "threads " << threads << " morsel_size " << morsel_size
             << " adaptive " << adaptive;
         EXPECT_EQ(run.decision_dump, serial.decision_dump)
@@ -374,6 +390,7 @@ TEST(ParallelDeterminismTest, ParallelAndAsyncCompactionAgree) {
 
   EXPECT_EQ(parallel.decisions, serial.decisions);
   EXPECT_EQ(parallel.log_dump, serial.log_dump);
+  EXPECT_EQ(parallel.answers, serial.answers);
   EXPECT_EQ(parallel.decision_dump, serial.decision_dump);
 }
 

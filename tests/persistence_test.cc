@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 
 #include "core/datalawyer.h"
@@ -132,6 +133,48 @@ TEST_F(PersistenceTest, LoadErrors) {
   EXPECT_EQ(loaded.RowAt(0)[0].AsDouble(), inf);
   EXPECT_EQ(loaded.RowAt(1)[0].AsDouble(), -inf);
   EXPECT_TRUE(std::isnan(loaded.RowAt(2)[0].AsDouble()));
+}
+
+// SaveTable ends every line with '\n', so a file cut at any byte either
+// ends on a line boundary — a shorter, valid table — or holds a torn line,
+// which must fail the load: "S:world" cut to "S:wor" would otherwise load
+// the value 'wor'.
+TEST_F(PersistenceTest, TornFileRejectedAtEveryOffset) {
+  Table table(TableSchema()
+                  .AddColumn("i", ValueType::kInt64)
+                  .AddColumn("s", ValueType::kString)
+                  .AddColumn("d", ValueType::kDouble));
+  ASSERT_TRUE(
+      table.Append(Row{Value(int64_t{12345}), Value("hello"), Value(0.25)})
+          .ok());
+  ASSERT_TRUE(
+      table.Append(Row{Value(int64_t{67890}), Value("world"), Value::Null()})
+          .ok());
+  std::string path = (dir_ / "torn.dltab").string();
+  ASSERT_TRUE(SaveTable(table, path).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string full((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_EQ(full.back(), '\n');
+
+  size_t complete = 0;  // cuts that ended on a line boundary
+  for (size_t cut = 0; cut <= full.size(); ++cut) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << full.substr(0, cut);
+    Table loaded(table.schema());
+    Status st = LoadTableInto(&loaded, path);
+    if (cut > 0 && full[cut - 1] == '\n') {
+      ++complete;
+      ASSERT_TRUE(st.ok()) << "cut " << cut << ": " << st.ToString();
+      ASSERT_EQ(loaded.NumRows(), complete - 1) << "cut " << cut;
+      for (size_t r = 0; r < loaded.NumRows(); ++r) {
+        EXPECT_EQ(loaded.RowAt(r), table.RowAt(r)) << "cut " << cut;
+      }
+    } else {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << "cut " << cut;
+    }
+  }
+  EXPECT_EQ(complete, 3u);  // header, then each row
 }
 
 TEST_F(PersistenceTest, EnforcementSurvivesRestart) {
