@@ -507,10 +507,41 @@ uint64_t DataLawyer::CacheStamp() const {
          (log_->stats_enabled() ? 1 : 0);
 }
 
-const PlanCache::Entry* DataLawyer::CachedPlan(const SelectStmt& stmt) const {
-  return options_.enable_plan_cache && plan_cache_.stamp() == CacheStamp()
-             ? plan_cache_.Lookup(stmt)
-             : nullptr;
+Result<const PlanCache::Entry*> DataLawyer::CachedPlan(
+    const SelectStmt& stmt) const {
+  const PlanCache::Entry* entry = plan_cache_.Lookup(stmt);
+  if (entry == nullptr) {
+    return Status::Internal("policy statement missing from the plan cache");
+  }
+  DL_RETURN_NOT_OK(entry->status);
+  return entry;
+}
+
+double DataLawyer::RevalidatePlanCache() {
+  // Stats drift: costed plans embed cardinality-derived access-path and
+  // join-order choices, so once a log main table has grown or shrunk 2x
+  // past a 256-row floor since the plans were costed, bump the schema
+  // version — the stamp check below then rewarms against fresh statistics.
+  // The floor keeps tiny tables (whose plans are all equivalent anyway)
+  // from churning the cache.
+  if (log_->stats_enabled()) {
+    for (const auto& [rel, ref] : stats_warm_rows_) {
+      const Table* main = log_->main_table(rel);
+      if (main == nullptr) continue;
+      size_t cur = main->NumRows();
+      if (std::max(cur, ref) < 256) continue;
+      if (cur >= 2 * ref || 2 * cur <= ref) {
+        db_->BumpVersion();
+        break;
+      }
+    }
+  }
+  // DDL between queries (it bypasses the policy gate) or an index flag
+  // flip invalidates every cached plan.
+  if (plan_cache_.stamp() == CacheStamp()) return 0;
+  auto start = Now();
+  WarmPlanCache();
+  return UsSince(start);
 }
 
 void DataLawyer::WarmPlanCache() {
@@ -520,19 +551,17 @@ void DataLawyer::WarmPlanCache() {
   // state flipped. Count it once on the global miss counter so invalidation
   // churn is observable even though steady-state per-query stats stay at
   // zero misses. The first population is not an invalidation.
-  if (options_.enable_metrics && options_.enable_plan_cache &&
-      plan_cache_warmed_ && plan_cache_.stamp() != stamp) {
+  if (options_.enable_metrics && plan_cache_warmed_ &&
+      plan_cache_.stamp() != stamp) {
     MetricsRegistry::Global()
         .GetCounter("dl_plan_cache_misses_total",
-                    "policy statements that needed a one-shot bind and plan")
+                    "plan-cache invalidations after the first warm")
         ->Increment();
   }
   plan_cache_.Clear();
   plan_cache_.set_stamp(stamp);
   plan_cache_warmed_ = true;
   incremental_class_.clear();
-  for (WitnessBody& body : witness_bodies_.bodies) body.plan = nullptr;
-  if (!options_.enable_plan_cache) return;
   DL_TRACE_SPAN("plan.warm", "plan");
   // The warming catalog dies with this scope; cached plans never
   // dereference the relation pointers bound here (see PlanCache).
@@ -548,20 +577,19 @@ void DataLawyer::WarmPlanCache() {
   }
   for (size_t i = 0; i < active_.size(); ++i) {
     const Policy& policy = active_[i];
-    plan_cache_.Warm(policy.effective(), catalog.view(), planner);
+    PlanCache::Entry& entry =
+        plan_cache_.Warm(policy.effective(), catalog.view(), planner);
     // Classify the full policy statement and attach maintenance state to
     // incrementalizable entries. Clear() above already destroyed any prior
     // state, which is exactly the invalidation contract: DDL, index-flag,
     // and stats-drift stamp changes force a rebuild from scratch.
-    if (incremental_enabled()) {
-      PlanCache::Entry* entry = plan_cache_.MutableLookup(policy.effective());
-      if (entry != nullptr && entry->bound != nullptr) {
-        entry->incremental = IncrementalState::Build(
-            policy.effective(), *entry->bound, *log_, policy_base_catalog());
+    if (options_.enable_incremental_eval) {
+      if (entry.status.ok()) {
+        entry.incremental = IncrementalState::Build(
+            policy.effective(), *entry.bound, *log_, policy_base_catalog());
       }
       incremental_class_[policy.name] =
-          entry != nullptr && entry->incremental != nullptr ? "incremental"
-                                                            : "full-only";
+          entry.incremental != nullptr ? "incremental" : "full-only";
     }
     if (policy.guard != nullptr) {
       plan_cache_.Warm(*policy.guard, catalog.view(), planner);
@@ -577,12 +605,13 @@ void DataLawyer::WarmPlanCache() {
   }
   // Witness bodies reference dl_now besides the policy catalog. The stamp
   // and the stats-drift rewarm cover them like the policy plans; Mark runs
-  // them directly from these entries.
+  // them directly from these entries, or returns their warm error.
   AddNowRelation(&catalog, clock_->Now());
   for (WitnessBody& body : witness_bodies_.bodies) {
-    plan_cache_.Warm(*body.query, catalog.view(), planner);
-    const PlanCache::Entry* entry = plan_cache_.Lookup(*body.query);
-    body.plan = entry != nullptr ? &entry->plan : nullptr;
+    const PlanCache::Entry& entry =
+        plan_cache_.Warm(*body.query, catalog.view(), planner);
+    body.plan = entry.status.ok() ? Result<const PhysicalPlan*>(&entry.plan)
+                                  : entry.status;
   }
 }
 
@@ -608,7 +637,10 @@ Result<QueryResult> DataLawyer::Execute(const std::string& sql,
     // DDL/DML bypasses policy checking (policies govern reads, §3);
     // EXPLAIN is a diagnostic and bypasses it the same way — but it runs
     // with the same execution options a checked query would use, so
-    // EXPLAIN ANALYZE profiles production splits (and morsel timing).
+    // EXPLAIN ANALYZE profiles production splits (and morsel timing). A
+    // pending background compaction reads the tables the witness bodies
+    // join; a write or a DROP must not overlap it.
+    DL_RETURN_NOT_OK(Flush());
     if (morsel_enabled() && stmt.kind == StatementKind::kExplain) {
       EnsureScheduler(1);
     }
@@ -637,6 +669,7 @@ Result<QueryResult> DataLawyer::RunChecked(const std::string& sql,
     return ExecuteChecked(stmt, context, ts);
   }();
   probe_mode_ = false;
+  stats_.plan_cache_misses = plan_cache_misses_.exchange(0);
   // A probe never commits its increment, and neither does a failed query:
   // a staged increment (with its generation flags) left behind would be
   // read by every later query instead of its own. A pending async
@@ -737,17 +770,15 @@ Result<std::string> DataLawyer::ExplainPolicyPlan(const std::string& name,
   DL_RETURN_NOT_OK(Flush());
   for (const Policy& policy : active_) {
     if (policy.name != name) continue;
+    // The plan the next query would run: rewarmed if stale, never bypassed.
+    RevalidatePlanCache();
+    DL_ASSIGN_OR_RETURN(const PlanCache::Entry* cached,
+                        CachedPlan(policy.effective()));
     UsageLog::PolicyCatalog catalog =
         log_->MakeCatalog(policy_base_catalog(), clock_->Now());
     // Same options a real evaluation would use, so the profiled
     // morsel/partition counts match production execution.
     if (analyze && morsel_enabled()) EnsureScheduler(1);
-    const PlanCache::Entry* cached = CachedPlan(policy.effective());
-    if (cached == nullptr) {
-      Executor executor(catalog.view(), PlanExecOptions());
-      return analyze ? executor.ExplainAnalyze(policy.effective())
-                     : executor.Explain(policy.effective());
-    }
     return analyze ? ExplainAnalyzePlan(cached->plan, catalog.view(),
                                         PlanExecOptions())
                    : RenderPhysicalPlan(cached->plan, catalog.view());
@@ -783,40 +814,34 @@ Result<DataLawyer::PolicyEvalOutput> DataLawyer::EvalPolicyStatement(
   exec_options.capture_lineage = check_increment_dependence;
   exec_options.enable_stats_costing = options_.enable_stats_costing;
   PolicyEvalOutput out;
-  QueryResult result;
-  // A registered statement runs from its cached physical plan — zero
-  // bind/plan work per evaluation; anything else (or a stale stamp) takes
-  // the one-shot bind-and-plan path.
-  const PlanCache::Entry* cached = CachedPlan(stmt);
+  // Every registered statement runs from its cached physical plan — zero
+  // bind/plan work per evaluation — or returns its warm error.
+  Result<const PlanCache::Entry*> lookup = CachedPlan(stmt);
+  if (!lookup.ok()) {
+    plan_cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    return lookup.status();
+  }
+  const PlanCache::Entry* cached = *lookup;
   // Incremental fast path: answer from maintained state + the staged
   // increment, skipping the plan execution entirely. Only full policy
   // statements carry state (guards/partials/union never do), and a decline
   // falls through to the identical-verdict full evaluation below.
-  if (incremental_enabled() && cached != nullptr &&
-      cached->incremental != nullptr && !check_increment_dependence) {
+  if (cached->incremental != nullptr && !check_increment_dependence) {
     IncrementalState::Verdict verdict =
         cached->incremental->Evaluate(stats_.ts);
     if (verdict.supported) {
       if (verdict.violated) {
         out.messages.push_back(cached->incremental->message());
       }
-      out.plan_cache_hit = true;
       out.incremental_hit = true;
       out.eval_us = UsSince(t0);
       return out;
     }
     out.incremental_fallback = true;
   }
-  if (cached != nullptr) {
-    PlanExecutor plan_exec(catalog, exec_options);
-    DL_ASSIGN_OR_RETURN(result, plan_exec.Run(cached->plan));
-    out.plan_cache_hit = true;
-    out.scan = plan_exec.scan_stats();
-  } else {
-    Executor executor(catalog, exec_options);
-    DL_ASSIGN_OR_RETURN(result, executor.Execute(stmt));
-    out.scan = executor.scan_stats();
-  }
+  PlanExecutor plan_exec(catalog, exec_options);
+  DL_ASSIGN_OR_RETURN(QueryResult result, plan_exec.Run(cached->plan));
+  out.scan = plan_exec.scan_stats();
 
   if (check_increment_dependence) {
     for (const LineageSet& lineage : result.lineage) {
@@ -857,10 +882,7 @@ DataLawyer::QueryAttribution& DataLawyer::AttributionFor(const Policy* policy) {
 void DataLawyer::RecordEvalCounters(const PolicyEvalOutput& out,
                                     const Policy* attribute_to) {
   ++stats_.policies_evaluated;
-  if (options_.enable_plan_cache) {
-    ++(out.plan_cache_hit ? stats_.plan_cache_hits
-                          : stats_.plan_cache_misses);
-  }
+  ++stats_.plan_cache_hits;
   stats_.policy_cpu_us += out.eval_us;
   stats_.index_probes += out.scan.index_probes;
   stats_.index_hits += out.scan.index_hits;
@@ -1031,41 +1053,17 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
     last_witnesses_truncated_ = 0;
   }
 
-  // Stats drift: costed plans embed cardinality-derived access-path and
-  // join-order choices, so once a log main table has grown or shrunk 2x
-  // past a 256-row floor since the plans were costed, bump the schema
-  // version — the stamp check below then rewarms against fresh statistics.
-  // The floor keeps tiny tables (whose plans are all equivalent anyway)
-  // from churning the cache.
-  if (options_.enable_plan_cache && log_->stats_enabled()) {
-    for (const auto& [rel, ref] : stats_warm_rows_) {
-      const Table* main = log_->main_table(rel);
-      if (main == nullptr) continue;
-      size_t cur = main->NumRows();
-      if (std::max(cur, ref) < 256) continue;
-      if (cur >= 2 * ref || 2 * cur <= ref) {
-        db_->BumpVersion();
-        break;
-      }
-    }
-  }
-
-  // Revalidate the plan cache against the schema/index epoch: DDL between
-  // queries (CreateTable/DropTable bypasses the policy gate) invalidates
-  // every cached plan. Rebuilding here — in the serial head, before the
-  // evaluation fan-out — keeps Lookup read-only for the pool workers.
-  if (options_.enable_plan_cache && plan_cache_.stamp() != CacheStamp()) {
-    auto plan_start = Now();
-    WarmPlanCache();
-    stats_.plan_us = UsSince(plan_start);
-  }
+  // Revalidate the plan cache against stats drift and the schema/index
+  // epoch. Rebuilding here — in the serial head, before the evaluation
+  // fan-out — keeps Lookup read-only for the pool workers.
+  stats_.plan_us = RevalidatePlanCache();
 
   // Incremental maintenance, still in the serial head: fold the committed
   // log growth into every policy's materialized state and roll the window
   // edges to `ts`, before the evaluation fan-out reads the states
   // concurrently. Timed into plan_us (it is plan-shaped warm work), so the
   // phase identity total_ms == sum-of-profile-phases is preserved.
-  if (incremental_enabled()) {
+  if (options_.enable_incremental_eval) {
     auto advance_start = Now();
     AdvanceIncrementalStates(ts);
     stats_.plan_us += UsSince(advance_start);
@@ -1445,10 +1443,11 @@ std::vector<PolicyStats> DataLawyer::PolicyReport() const {
       report.push_back(zero);
     }
     auto cls = incremental_class_.find(policy.name);
-    report.back().incremental_class =
-        cls != incremental_class_.end()
-            ? cls->second
-            : (incremental_enabled() ? std::string() : std::string("off"));
+    if (cls != incremental_class_.end()) {
+      report.back().incremental_class = cls->second;
+    } else if (!options_.enable_incremental_eval) {
+      report.back().incremental_class = "off";
+    }
     emitted.insert(policy.name);
   }
   // Then whatever else accumulated: "(union)", removed/renamed policies.
@@ -1604,7 +1603,6 @@ void DataLawyer::RecordDecision(const std::string& sql,
       Counter* steals;
       Counter* sched_tasks;
       Counter* plan_hits;
-      Counter* plan_misses;
       Counter* incr_hits;
       Counter* incr_fallbacks;
       Counter* incr_rebuilds;
@@ -1657,9 +1655,6 @@ void DataLawyer::RecordDecision(const std::string& sql,
       handles.plan_hits = r.GetCounter(
           "dl_plan_cache_hits_total",
           "policy statements evaluated from a cached physical plan");
-      handles.plan_misses = r.GetCounter(
-          "dl_plan_cache_misses_total",
-          "policy statements that needed a one-shot bind and plan");
       handles.incr_hits = r.GetCounter(
           "dl_incremental_hits_total",
           "policy verdicts served from incremental state");
@@ -1708,7 +1703,6 @@ void DataLawyer::RecordDecision(const std::string& sql,
     h.steals->Increment(stats_.steals);
     h.sched_tasks->Increment(stats_.sched_tasks);
     h.plan_hits->Increment(stats_.plan_cache_hits);
-    h.plan_misses->Increment(stats_.plan_cache_misses);
     h.incr_hits->Increment(stats_.incremental_hits);
     h.incr_fallbacks->Increment(stats_.incremental_fallbacks);
     h.incr_rebuilds->Increment(stats_.incremental_rebuilds);

@@ -1,6 +1,7 @@
 #ifndef DATALAWYER_CORE_DATALAWYER_H_
 #define DATALAWYER_CORE_DATALAWYER_H_
 
+#include <atomic>
 #include <functional>
 #include <future>
 #include <memory>
@@ -114,15 +115,16 @@ class DataLawyer {
   Result<std::string> ExplainLogQuery(const std::string& sql);
 
   /// Renders policy <name>'s physical plan — the cached plan that every
-  /// query's enforcement fan-out re-executes, when the plan cache holds
-  /// one, else a freshly planned equivalent. Shell `\policies plan`.
+  /// query's enforcement fan-out re-executes, rewarmed first if stale. A
+  /// policy that no longer binds (e.g. a table it reads was dropped)
+  /// returns that error. Shell `\policies plan`.
   Result<std::string> ExplainPolicy(const std::string& name);
 
   /// EXPLAIN ANALYZE for a registered policy: runs one profiled evaluation
-  /// of the cached policy plan (or a freshly planned equivalent) over the
-  /// live policy catalog and renders each operator annotated with observed
-  /// row counts, wall time, hash-table peaks, and index probes. Does not
-  /// tick the clock, generate logs, or touch stats. Shell
+  /// of the cached policy plan (rewarmed first if stale) over the live
+  /// policy catalog and renders each operator annotated with observed row
+  /// counts, wall time, hash-table peaks, and index probes. Does not tick
+  /// the clock, generate logs, or touch stats. Shell
   /// `\policies analyze <name>`.
   Result<std::string> ExplainAnalyzePolicy(const std::string& name);
 
@@ -203,7 +205,6 @@ class DataLawyer {
   struct PolicyEvalOutput {
     std::vector<std::string> messages;  ///< violation messages (empty = ok)
     bool depends_on_increment = false;
-    bool plan_cache_hit = false;  ///< ran from a cached physical plan
     bool incremental_hit = false;  ///< verdict served from incremental state
     bool incremental_fallback = false;  ///< state declined; full eval ran
     ScanStats scan;  ///< access-path counters of the statement's plan run
@@ -232,9 +233,10 @@ class DataLawyer {
   Result<QueryResult> ExecuteChecked(const SelectStmt& stmt,
                                      const QueryContext& context, int64_t ts);
 
-  /// Thread-safe evaluation core: runs one policy statement over `catalog`
-  /// (a fresh Executor per call), applying the simulated per-call
-  /// overhead. Const all the way down — shared state (tables, catalog,
+  /// Thread-safe evaluation core: runs one policy statement's cached plan
+  /// (or its incremental state) over `catalog`, applying the simulated
+  /// per-call overhead; a statement whose plan failed to warm returns that
+  /// error. Const all the way down — shared state (tables, catalog,
   /// prepared statements) is read-only during checking, which is what makes
   /// concurrent policy evaluation sound. See DESIGN.md "Concurrency model".
   /// `span_label` names the tracing span ("policy.eval:<name>"); pass an
@@ -308,8 +310,13 @@ class DataLawyer {
   /// schema version plus whether log indexes are on. A cached plan built
   /// under a different stamp is not trusted.
   uint64_t CacheStamp() const;
-  /// `stmt`'s cached entry, or null when the cache is off or stale.
-  const PlanCache::Entry* CachedPlan(const SelectStmt& stmt) const;
+  /// `stmt`'s plan-cache entry, or the error it failed to warm with.
+  /// A plain lookup: callers revalidate the cache first.
+  Result<const PlanCache::Entry*> CachedPlan(const SelectStmt& stmt) const;
+  /// Serial sections only (the head of ExecuteChecked, ExplainPolicyPlan):
+  /// bumps the schema version on stats drift, then rewarms the cache when
+  /// its stamp is stale. Returns the rewarm's µs (0 when current).
+  double RevalidatePlanCache();
   /// ExplainPolicy (`analyze` false) and ExplainAnalyzePolicy (true).
   Result<std::string> ExplainPolicyPlan(const std::string& name, bool analyze);
 
@@ -356,10 +363,10 @@ class DataLawyer {
   /// False until the first WarmPlanCache — the initial population does not
   /// count as an invalidation on dl_plan_cache_misses_total.
   bool plan_cache_warmed_ = false;
-  /// Incremental state lives in plan-cache entries, so it needs both.
-  bool incremental_enabled() const {
-    return options_.enable_incremental_eval && options_.enable_plan_cache;
-  }
+  /// Policy statements run this query whose entry held a warm error;
+  /// folded into stats_.plan_cache_misses after the checked pipeline
+  /// (atomic: EvalPolicyStatement is const and runs concurrently).
+  mutable std::atomic<size_t> plan_cache_misses_{0};
   /// Gates handing the scheduler to plan executors.
   bool morsel_enabled() const { return options_.exec_threads > 0; }
   /// Adaptive morsel-sizing feedback: executors Record() into it from any

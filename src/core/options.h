@@ -120,14 +120,6 @@ struct DataLawyerOptions {
         "]: " + adjusted);
   }
 
-  /// Bind and plan every registered policy statement once at Prepare time
-  /// and re-execute the cached physical plan per user query, instead of
-  /// re-binding and re-planning on every evaluation. Cached plans are
-  /// revalidated against the database schema version and the log-index
-  /// state, and rebuilt on mismatch. Pure planning-cost optimization:
-  /// verdicts and results are identical.
-  bool enable_plan_cache = true;
-
   /// Maintain equality hash indexes on every usage-log main relation and
   /// let policy scans probe them for conjunctive equality predicates
   /// (`uid = $user`, `ts = $now` — the shape of nearly every paper policy).
@@ -150,8 +142,8 @@ struct DataLawyerOptions {
   /// each query from state + the staged increment in O(delta), instead of
   /// re-running the full statement over the whole log. Verdicts, messages,
   /// and witnesses are byte-identical: any shape or value the maintenance
-  /// cannot mirror exactly falls back to the full evaluation. Requires
-  /// enable_plan_cache (the state lives in cache entries).
+  /// cannot mirror exactly falls back to the full evaluation. The state
+  /// lives in plan-cache entries and is rebuilt whenever they rewarm.
   bool enable_incremental_eval = true;
 
   /// Keep per-table/per-column statistics (row counts, NDVs, min/max) on

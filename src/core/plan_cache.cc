@@ -8,17 +8,21 @@ namespace datalawyer {
 PlanCache::Entry::Entry() = default;
 PlanCache::Entry::~Entry() = default;
 
-void PlanCache::Warm(const SelectStmt& stmt, const CatalogView* catalog,
-                     const Planner& planner) {
+PlanCache::Entry& PlanCache::Warm(const SelectStmt& stmt,
+                                  const CatalogView* catalog,
+                                  const Planner& planner) {
+  auto entry = std::make_unique<Entry>();
   Binder binder(catalog);
   Result<std::unique_ptr<BoundQuery>> bound = binder.Bind(stmt);
-  if (!bound.ok()) return;
-  Result<PhysicalPlan> plan = planner.Plan(**bound);
-  if (!plan.ok()) return;
-  auto entry = std::make_unique<Entry>();
-  entry->bound = std::move(*bound);
-  entry->plan = std::move(*plan);
-  entries_[&stmt] = std::move(entry);
+  Result<PhysicalPlan> plan =
+      bound.ok() ? planner.Plan(**bound) : Result<PhysicalPlan>(bound.status());
+  if (plan.ok()) {
+    entry->bound = std::move(*bound);
+    entry->plan = std::move(*plan);
+  } else {
+    entry->status = plan.status();
+  }
+  return *(entries_[&stmt] = std::move(entry));
 }
 
 }  // namespace datalawyer

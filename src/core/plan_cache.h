@@ -16,9 +16,10 @@ namespace datalawyer {
 class IncrementalState;
 
 /// Per-policy physical-plan cache: every registered policy statement
-/// (full, guard, partial, and the unified UNION statement) is bound and
-/// planned once at Prepare time, then re-executed directly per user query,
-/// eliminating the per-evaluation parse/bind/plan work entirely.
+/// (full, guard, partial, the unified UNION statement, and the witness
+/// bodies) is bound and planned once at Prepare time, then re-executed
+/// directly per user query. It is the only way these statements run, so
+/// steady-state evaluation does no parse/bind/plan work at all.
 ///
 /// Keys are SelectStmt pointers: the policy engine owns its statements for
 /// the lifetime of a prepared set, so pointer identity is exact and free.
@@ -28,8 +29,9 @@ class IncrementalState;
 /// they are never dereferenced.
 ///
 /// Thread safety by phasing: Warm/Clear only run in the serial sections
-/// (Prepare, or the head of ExecuteChecked on revalidation), Lookup is a
-/// const read and safe from the policy-evaluation thread pool.
+/// (Prepare, or a revalidation at the head of ExecuteChecked or of a policy
+/// EXPLAIN), Lookup is a const read and safe from the policy-evaluation
+/// thread pool.
 ///
 /// Invalidation: the cache carries a stamp (database schema version +
 /// whether log indexes are enabled); the owner compares it against the
@@ -42,6 +44,9 @@ class PlanCache {
     Entry(Entry&&) = default;
     Entry& operator=(Entry&&) = default;
 
+    /// The bind or plan error of a statement that failed to warm; running
+    /// the entry returns it. `bound` and `plan` are empty then.
+    Status status;
     std::unique_ptr<BoundQuery> bound;
     PhysicalPlan plan;
     /// Incremental-evaluation state for this plan, or nullptr when the
@@ -53,23 +58,17 @@ class PlanCache {
   };
 
   /// Binds and plans `stmt` against `catalog`, storing the entry under
-  /// &stmt. A statement that fails to bind or plan is skipped (not an
-  /// error): the evaluation fallback path will surface the failure with
-  /// its usual context.
-  void Warm(const SelectStmt& stmt, const CatalogView* catalog,
-            const Planner& planner);
+  /// &stmt. A statement that fails to bind or plan still gets an entry,
+  /// holding the failure as its `status`: every later run of it returns
+  /// that error until the next warm (e.g. a DROP TABLE the statement reads
+  /// yields "no such table" on every query, not a stale plan). Returns the
+  /// entry, for the serial warm to attach IncrementalState to.
+  Entry& Warm(const SelectStmt& stmt, const CatalogView* catalog,
+              const Planner& planner);
 
   /// The cached entry for `stmt`, or nullptr. Read-only; thread-safe
   /// against concurrent Lookups.
   const Entry* Lookup(const SelectStmt& stmt) const {
-    auto it = entries_.find(&stmt);
-    return it == entries_.end() ? nullptr : it->second.get();
-  }
-
-  /// Mutable entry access for the serial sections (warm-time classification
-  /// attaches IncrementalState to a just-warmed entry). Never call from the
-  /// evaluation fan-out.
-  Entry* MutableLookup(const SelectStmt& stmt) {
     auto it = entries_.find(&stmt);
     return it == entries_.end() ? nullptr : it->second.get();
   }
@@ -82,7 +81,6 @@ class PlanCache {
   }
 
   void Clear() { entries_.clear(); }
-  size_t size() const { return entries_.size(); }
 
   uint64_t stamp() const { return stamp_; }
   void set_stamp(uint64_t stamp) { stamp_ = stamp; }

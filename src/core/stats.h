@@ -87,8 +87,10 @@ struct ExecutionStats {
   size_t policies_pruned_early = 0;
 
   /// Plan-cache effectiveness: statements evaluated from a cached physical
-  /// plan (zero parse/bind/plan work) vs. the one-shot bind-and-plan
-  /// fallback. In steady state, misses stay at 0.
+  /// plan (zero parse/bind/plan work; every successful evaluation) vs.
+  /// statements whose entry holds the error they failed to warm with, which
+  /// the query then returns. Misses are 0 on every admitted or rejected
+  /// query.
   size_t plan_cache_hits = 0;
   size_t plan_cache_misses = 0;
 

@@ -4,8 +4,8 @@
 #include <chrono>
 #include <unordered_set>
 
-#include "exec/executor.h"
 #include "common/trace.h"
+#include "exec/plan_executor.h"
 
 namespace datalawyer {
 
@@ -35,20 +35,12 @@ Result<std::map<std::string, std::set<int64_t>>> LogCompactor::Mark(
   ExecOptions options;
   options.capture_lineage = true;
   for (const WitnessBody& body : witnesses.bodies) {
-    QueryResult result;
-    ScanStats body_scans;
-    if (body.plan != nullptr) {
-      PlanExecutor exec(catalog.view(), options);
-      DL_ASSIGN_OR_RETURN(result, exec.Run(*body.plan));
-      body_scans = exec.scan_stats();
-    } else {
-      Executor executor(catalog.view(), options);
-      DL_ASSIGN_OR_RETURN(result, executor.Execute(*body.query));
-      body_scans = executor.scan_stats();
-    }
+    DL_ASSIGN_OR_RETURN(const PhysicalPlan* plan, body.plan);
+    PlanExecutor exec(catalog.view(), options);
+    DL_ASSIGN_OR_RETURN(QueryResult result, exec.Run(*plan));
     if (scans != nullptr) {
-      scans->index_probes += body_scans.index_probes;
-      scans->index_hits += body_scans.index_hits;
+      scans->index_probes += exec.scan_stats().index_probes;
+      scans->index_hits += exec.scan_stats().index_hits;
     }
     // Lineage relation index -> the keep set it feeds, for every relation
     // this body marks.

@@ -13,7 +13,7 @@
 
 namespace datalawyer {
 
-struct ScanStats;  // exec/executor.h
+struct ScanStats;  // exec/plan_executor.h
 
 /// Per-query timings and volumes of the three compaction phases (§5.2:
 /// "marking: the log compaction queries are executed ... delete: the
@@ -52,10 +52,11 @@ class LogCompactor {
                                           const CatalogView* base,
                                           int64_t now);
 
-  /// Mark phase only: runs each body once — from its cached plan when it
-  /// has one — and computes, per log relation, the ids to retain. Exposed
-  /// for tests. `keep_all` receives the relations under full fallback;
-  /// `scans` (optional) accumulates the bodies' access-path counters.
+  /// Mark phase only: runs each body's plan once and computes, per log
+  /// relation, the ids to retain; a body whose plan failed to warm returns
+  /// that error. Exposed for tests. `keep_all` receives the relations under
+  /// full fallback; `scans` (optional) accumulates the bodies' access-path
+  /// counters.
   Result<std::map<std::string, std::set<int64_t>>> Mark(
       const WitnessBodies& witnesses, const CatalogView* base, int64_t now,
       std::set<std::string>* keep_all, ScanStats* scans = nullptr);

@@ -40,9 +40,10 @@ struct WitnessSet {
 struct WitnessBody {
   std::unique_ptr<SelectStmt> query;
   std::vector<std::string> relations;  ///< harvested log relations, sorted
-  /// The query's cached physical plan, owned by the caller's plan cache and
-  /// set when it warms; nullptr binds and plans the query on every run.
-  const PhysicalPlan* plan = nullptr;
+  /// The query's cached physical plan, owned by the caller's plan cache
+  /// and set when it warms, or the error warming it produced.
+  Result<const PhysicalPlan*> plan =
+      Status::Internal("witness body was never planned");
 };
 
 /// The mark work of a prepared policy set, folded once (FoldWitnesses).

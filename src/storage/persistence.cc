@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 
 #include "common/strings.h"
@@ -11,50 +12,6 @@
 namespace datalawyer {
 
 namespace {
-
-std::string EscapeString(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-std::string UnescapeString(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '\\' && i + 1 < s.size()) {
-      ++i;
-      switch (s[i]) {
-        case 't':
-          out += '\t';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        default:
-          out += s[i];
-      }
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
 
 std::string EncodeCell(const Value& v) {
   switch (v.type()) {
@@ -69,7 +26,7 @@ std::string EncodeCell(const Value& v) {
       return "D:" + os.str();
     }
     case ValueType::kString:
-      return "S:" + EscapeString(v.AsString());
+      return "S:" + TsvEscape(v.AsString());
     case ValueType::kBool:
       return std::string("B:") + (v.AsBool() ? "1" : "0");
   }
@@ -110,7 +67,7 @@ Result<Value> DecodeCell(const std::string& cell) {
       break;
     }
     case 'S':
-      return Value(UnescapeString(body));
+      return Value(TsvUnescape(body));
     case 'B':
       if (body == "0" || body == "1") return Value(body == "1");
       break;
@@ -120,22 +77,6 @@ Result<Value> DecodeCell(const std::string& cell) {
   return Status::InvalidArgument("malformed cell: " + cell);
 }
 
-/// Splits on unescaped tabs (escapes never contain raw tabs).
-std::vector<std::string> SplitCells(const std::string& line) {
-  std::vector<std::string> out;
-  std::string current;
-  for (char c : line) {
-    if (c == '\t') {
-      out.push_back(std::move(current));
-      current.clear();
-    } else {
-      current += c;
-    }
-  }
-  out.push_back(std::move(current));
-  return out;
-}
-
 Result<ValueType> TypeFromName(const std::string& name) {
   for (ValueType type : {ValueType::kNull, ValueType::kInt64,
                          ValueType::kDouble, ValueType::kString,
@@ -143,6 +84,59 @@ Result<ValueType> TypeFromName(const std::string& name) {
     if (EqualsIgnoreCase(name, ValueTypeToString(type))) return type;
   }
   return Status::InvalidArgument("unknown type name: " + name);
+}
+
+/// A snapshot file, parsed and checked whole: its schema and its rows.
+struct TableFile {
+  TableSchema schema;
+  std::vector<Row> rows;
+};
+
+/// Reads `path` completely before anything is loaded from it, so a corrupt
+/// file fails without side effects: every line whole, every cell well-formed
+/// and of its column's type (or NULL).
+Result<TableFile> ReadTableFile(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return Status::NotFound("cannot read " + path);
+  std::string line;
+  if (!std::getline(in, line)) {
+    return Status::InvalidArgument("empty table file: " + path);
+  }
+  if (in.eof()) return Status::InvalidArgument("truncated header in " + path);
+  TableFile file;
+  for (const std::string& cell : SplitEscaped(line, '\t')) {
+    size_t space = cell.find(' ');
+    if (space == std::string::npos) {
+      return Status::InvalidArgument("malformed schema header in " + path);
+    }
+    DL_ASSIGN_OR_RETURN(ValueType type, TypeFromName(cell.substr(space + 1)));
+    file.schema.AddColumn(cell.substr(0, space), type);
+  }
+  for (size_t line_no = 2; std::getline(in, line); ++line_no) {
+    auto bad = [&](const std::string& why) {
+      return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
+                                     ": " + why);
+    };
+    // SaveTable ends every line with '\n'; a line cut short by a torn
+    // write ends at EOF instead.
+    if (in.eof()) return bad("truncated line");
+    if (line.empty()) continue;
+    std::vector<std::string> cells = SplitEscaped(line, '\t');
+    if (cells.size() != file.schema.NumColumns()) return bad("wrong arity");
+    Row row;
+    row.reserve(cells.size());
+    for (size_t c = 0; c < cells.size(); ++c) {
+      DL_ASSIGN_OR_RETURN(Value v, DecodeCell(cells[c]));
+      const ColumnDef& column = file.schema.column(c);
+      if (!v.is_null() && v.type() != column.type) {
+        return bad("cell " + cells[c] + " does not fit column " +
+                   column.name + " of type " + ValueTypeToString(column.type));
+      }
+      row.push_back(std::move(v));
+    }
+    file.rows.push_back(std::move(row));
+  }
+  return file;
 }
 
 }  // namespace
@@ -172,57 +166,19 @@ Status SaveTable(const Table& table, const std::string& path) {
 }
 
 Result<TableSchema> LoadSchema(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot read " + path);
-  std::string header;
-  if (!std::getline(in, header)) {
-    return Status::InvalidArgument("empty table file: " + path);
-  }
-  if (in.eof()) return Status::InvalidArgument("truncated header in " + path);
-  TableSchema schema;
-  for (const std::string& cell : SplitCells(header)) {
-    size_t space = cell.find(' ');
-    if (space == std::string::npos) {
-      return Status::InvalidArgument("malformed schema header in " + path);
-    }
-    DL_ASSIGN_OR_RETURN(ValueType type, TypeFromName(cell.substr(space + 1)));
-    schema.AddColumn(cell.substr(0, space), type);
-  }
-  return schema;
+  DL_ASSIGN_OR_RETURN(TableFile file, ReadTableFile(path));
+  return std::move(file.schema);
 }
 
 Status LoadTableInto(Table* table, const std::string& path) {
-  DL_ASSIGN_OR_RETURN(TableSchema schema, LoadSchema(path));
-  if (schema.NumColumns() != table->schema().NumColumns()) {
-    return Status::InvalidArgument("schema mismatch loading " + path);
+  DL_ASSIGN_OR_RETURN(TableFile file, ReadTableFile(path));
+  const TableSchema& schema = table->schema();
+  bool match = file.schema.NumColumns() == schema.NumColumns();
+  for (size_t c = 0; match && c < schema.NumColumns(); ++c) {
+    match = file.schema.column(c).type == schema.column(c).type;
   }
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);  // skip header
-  size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    // SaveTable ends every line with '\n'; a line cut short by a torn
-    // write ends at EOF instead.
-    if (in.eof()) {
-      return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
-                                     ": truncated line");
-    }
-    if (line.empty()) continue;
-    std::vector<std::string> cells = SplitCells(line);
-    if (cells.size() != schema.NumColumns()) {
-      return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
-                                     ": wrong arity");
-    }
-    Row row;
-    row.reserve(cells.size());
-    for (const std::string& cell : cells) {
-      DL_ASSIGN_OR_RETURN(Value v, DecodeCell(cell));
-      row.push_back(std::move(v));
-    }
-    DL_RETURN_NOT_OK(table->Append(std::move(row)).status());
-  }
-  return Status::OK();
+  if (!match) return Status::InvalidArgument("schema mismatch loading " + path);
+  return table->AppendAll(std::move(file.rows));
 }
 
 Status SaveDatabase(const Database& db, const std::string& dir) {
@@ -242,13 +198,20 @@ Status LoadDatabase(Database* db, const std::string& dir) {
   std::error_code ec;
   auto iter = std::filesystem::directory_iterator(dir, ec);
   if (ec) return Status::NotFound("cannot open directory " + dir);
+  // Every file is read and every name checked before `db` changes.
+  std::map<std::string, TableFile> files;
   for (const auto& entry : iter) {
     if (entry.path().extension() != ".dltab") continue;
     std::string name = entry.path().stem().string();
-    DL_ASSIGN_OR_RETURN(TableSchema schema, LoadSchema(entry.path().string()));
+    if (db->GetTable(name).ok()) {
+      return Status::AlreadyExists("table already exists: " + name);
+    }
+    DL_ASSIGN_OR_RETURN(files[name], ReadTableFile(entry.path().string()));
+  }
+  for (auto& [name, file] : files) {
     DL_ASSIGN_OR_RETURN(Table * table,
-                        db->CreateTable(name, std::move(schema)));
-    DL_RETURN_NOT_OK(LoadTableInto(table, entry.path().string()));
+                        db->CreateTable(name, std::move(file.schema)));
+    DL_RETURN_NOT_OK(table->AppendAll(std::move(file.rows)));
   }
   return Status::OK();
 }

@@ -21,16 +21,18 @@ namespace datalawyer {
 /// Writes one table to `path`, replacing any existing file.
 Status SaveTable(const Table& table, const std::string& path);
 
-/// Appends the rows of `path` into `table` (schemas must match).
+/// Appends the rows of `path` into `table` (column types must match). The
+/// whole file is checked first: a load that fails leaves `table` unchanged.
 Status LoadTableInto(Table* table, const std::string& path);
 
-/// Reads the schema header of `path` and creates an empty table shape.
+/// Reads and checks `path` and returns its schema (an empty table shape).
 Result<TableSchema> LoadSchema(const std::string& path);
 
 /// Saves every table of `db` into `dir` (created if missing).
 Status SaveDatabase(const Database& db, const std::string& dir);
 
-/// Loads every `*.dltab` under `dir` into `db` as new tables.
+/// Loads every `*.dltab` under `dir` into `db` as new tables; on error,
+/// `db` is unchanged.
 Status LoadDatabase(Database* db, const std::string& dir);
 
 }  // namespace datalawyer

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/datalawyer.h"
+#include "exec/engine.h"
 #include "workload/mimic.h"
 #include "workload/paper_policies.h"
 #include "workload/paper_queries.h"
@@ -402,6 +403,110 @@ TEST_F(ExtensionsTest, QueryUsageLogSeesHistoryAndClock) {
   ASSERT_TRUE(joined.ok());
   // Writes are rejected.
   EXPECT_FALSE(dl->QueryUsageLog("DELETE FROM users").ok());
+}
+
+// ---- database writes under a pending background compaction ----
+
+/// A window policy whose witness body joins the database table `banned`:
+/// a banned user may read once per 100 ticks.
+constexpr const char* kBannedWindow =
+    "SELECT DISTINCT 'banned user read twice in 100' "
+    "FROM users u, banned b, clock c "
+    "WHERE u.uid = b.uid AND u.ts > c.ts - 100 "
+    "GROUP BY u.uid HAVING COUNT(DISTINCT u.ts) > 1";
+
+/// A time-independent policy (no witness) whose full statement reads
+/// `banned`: uid 99 may never read while banned.
+constexpr const char* kBannedNow =
+    "SELECT DISTINCT 'uid 99 is banned' FROM users u, banned b, clock c "
+    "WHERE u.ts = c.ts AND u.uid = b.uid AND b.uid = 99";
+
+/// Fills `db` with a table `t` for the user queries and `banned` = {1},
+/// and returns a DataLawyer enforcing kBannedWindow on it.
+std::unique_ptr<DataLawyer> MakeBanned(Database* db, bool async) {
+  Engine engine(db);
+  EXPECT_TRUE(engine
+                  .ExecuteScript("CREATE TABLE t (a INT);"
+                                 "INSERT INTO t VALUES (1);"
+                                 "CREATE TABLE banned (uid INT);"
+                                 "INSERT INTO banned VALUES (1);")
+                  .ok());
+  DataLawyerOptions options;
+  options.async_compaction = async;
+  auto dl = std::make_unique<DataLawyer>(
+      db, UsageLog::WithStandardGenerators(),
+      std::make_unique<ManualClock>(0, 10), options);
+  EXPECT_TRUE(dl->AddPolicy("window", kBannedWindow).ok());
+  return dl;
+}
+
+// INSERTs into a table the witness bodies join wait for the pending
+// background mark, so async compaction keeps the log and every verdict of
+// sync compaction. Without the wait the INSERT's append races the mark's
+// scan of `banned` (ThreadSanitizer reports it).
+TEST(BannedTableTest, InsertsWaitForAsyncMark) {
+  auto run = [](bool async) {
+    Database db;
+    auto dl = MakeBanned(&db, async);
+    std::string trace;
+    for (int i = 0; i < 12; ++i) {
+      QueryContext ctx;
+      ctx.uid = i % 3;
+      trace += dl->Execute("SELECT * FROM t", ctx).status().ToString() + "\n";
+      // Bans a user who never reads, while this read's mark may still run;
+      // midway, bans uid 2 as well.
+      std::string banned = std::to_string(i == 5 ? 2 : 100 + i);
+      auto insert =
+          dl->Execute("INSERT INTO banned VALUES (" + banned + ")", ctx);
+      EXPECT_TRUE(insert.ok()) << insert.status().ToString();
+    }
+    EXPECT_TRUE(dl->Flush().ok());
+    const Table* users = dl->usage_log()->main_table("users");
+    for (size_t i = 0; i < users->NumRows(); ++i) {
+      for (const Value& v : users->RowAt(i)) trace += v.ToString() + ",";
+      trace += "\n";
+    }
+    return trace;
+  };
+  std::string sync = run(false);
+  // Both verdicts occur: uid 1 is banned from the start, uid 2 from step 5
+  // (after step 5's mark, which therefore drops that read).
+  EXPECT_NE(sync.find("OK"), std::string::npos) << sync;
+  EXPECT_NE(sync.find("banned user read twice"), std::string::npos) << sync;
+  EXPECT_EQ(run(true), sync);
+}
+
+// A DROP TABLE leaves every policy statement and witness body that reads
+// the table without a plan. Every later checked query, probe and policy
+// EXPLAIN returns the binder's error, under sync and async compaction.
+TEST(BannedTableTest, DroppedTableFailsEveryLaterCheck) {
+  for (bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async compaction" : "sync compaction");
+    Database db;
+    auto dl = MakeBanned(&db, async);
+    ASSERT_TRUE(dl->AddPolicy("now", kBannedNow).ok());
+    QueryContext ctx;
+    ctx.uid = 0;
+    for (int i = 0; i < 3; ++i) {
+      auto admitted = dl->Execute("SELECT * FROM t", ctx);
+      ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
+    }
+    // The last read's compaction may still be marking with `banned`.
+    ASSERT_TRUE(dl->Execute("DROP TABLE banned", ctx).ok());
+    const std::string kGone = "NotFound: no such table: banned";
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(dl->Execute("SELECT * FROM t", ctx).status().ToString(), kGone)
+          << "query " << i;
+      EXPECT_GT(dl->last_stats().plan_cache_misses, 0u);
+      EXPECT_EQ(dl->WouldAllow("SELECT * FROM t", ctx).ToString(), kGone);
+    }
+    for (const char* name : {"window", "now"}) {
+      EXPECT_EQ(dl->ExplainPolicy(name).status().ToString(), kGone) << name;
+      EXPECT_EQ(dl->ExplainAnalyzePolicy(name).status().ToString(), kGone)
+          << name;
+    }
+    EXPECT_TRUE(dl->Flush().ok());
+  }
 }
 
 }  // namespace

@@ -9,10 +9,10 @@
 //    every step. Steps after a compaction check that it preserved every
 //    future verdict (Lemmas 4.1–4.3).
 //  * Physical: incremental evaluation, stats costing, hash and ordered log
-//    indexes, the plan cache, morsel execution (fixed and adaptive) and
-//    policy fan-out, over two bases (the defaults and NoOpt()). Every row
-//    must be byte-equal to its base run serially with every physical knob
-//    off: statuses, decision records with witness rows, the final usage
+//    indexes, morsel execution (fixed and adaptive) and policy fan-out,
+//    over two bases (the defaults and NoOpt()). Every row must be
+//    byte-equal to its base run serially with every physical knob off:
+//    statuses, decision records with witness rows, the final usage
 //    log, and every admitted answer.
 //
 // Every admitted answer must also carry no lineage and equal a direct
@@ -105,7 +105,6 @@ struct PhysicalKnobs {
   bool stats_costing;
   bool log_indexes;
   bool ordered_log_indexes;
-  bool plan_cache;
   enum Exec { kSerialExec, kFixedMorsels, kAdaptiveMorsels } exec;
   int policy_threads;
 
@@ -115,7 +114,6 @@ struct PhysicalKnobs {
     s += stats_costing ? "S" : "-";
     s += log_indexes ? "H" : "-";
     s += ordered_log_indexes ? "O" : "-";
-    s += plan_cache ? "K" : "-";
     s += exec == kSerialExec ? "e0" : exec == kFixedMorsels ? "e4f" : "e4a";
     s += "p" + std::to_string(policy_threads);
     return s;
@@ -126,7 +124,6 @@ struct PhysicalKnobs {
     options->enable_stats_costing = stats_costing;
     options->enable_log_indexes = log_indexes;
     options->enable_ordered_log_indexes = ordered_log_indexes;
-    options->enable_plan_cache = plan_cache;
     options->exec_threads = exec == kSerialExec ? 0 : 4;
     options->adaptive_morsel_size = exec == kAdaptiveMorsels;
     // Small enough that even the tiny tables split into morsels.
@@ -135,41 +132,39 @@ struct PhysicalKnobs {
   }
 };
 
-const PhysicalKnobs kAllPhysicalOff{false, false, false, false, false,
+const PhysicalKnobs kAllPhysicalOff{false, false, false, false,
                                     PhysicalKnobs::kSerialExec, 0};
 
 /// A fixed all-pairs covering array over the physical knobs: every value
 /// of every knob meets every value of every other knob in some row (the
 /// test checks this). It opens with the all-on row and the four rows that
 /// each turn off exactly one of incremental evaluation, stats costing,
-/// morsel execution and adaptive sizing. The full product (192 rows per
-/// base) takes about 16 s in RelWithDebInfo on a 4-core x86-64 machine;
-/// these 12 rows take under 2 s.
+/// morsel execution and adaptive sizing. The full product has 96 rows per
+/// base; these 11 rows take under 2 s in RelWithDebInfo on a 4-core x86-64
+/// machine.
 std::vector<PhysicalKnobs> PhysicalRows() {
   constexpr auto kSerial = PhysicalKnobs::kSerialExec;
   constexpr auto kFixed = PhysicalKnobs::kFixedMorsels;
   constexpr auto kAdaptive = PhysicalKnobs::kAdaptiveMorsels;
   return {
-      {true, true, true, true, true, kAdaptive, 4},  // all on
-      {false, true, true, true, true, kAdaptive, 4},
-      {true, false, true, true, true, kAdaptive, 4},
-      {true, true, true, true, true, kSerial, 4},
-      {true, true, true, true, true, kFixed, 4},
-      {false, false, false, false, false, kSerial, 0},
-      {true, true, false, false, false, kFixed, 0},
-      {false, false, false, false, false, kAdaptive, 4},
-      {false, false, false, true, true, kFixed, 0},
-      {false, false, true, false, false, kAdaptive, 0},
-      {false, false, false, false, true, kSerial, 0},
-      {false, false, false, true, false, kSerial, 0},
+      {true, true, true, true, kAdaptive, 4},  // all on
+      {false, true, true, true, kAdaptive, 4},
+      {true, false, true, true, kAdaptive, 4},
+      {true, true, true, true, kSerial, 4},
+      {true, true, true, true, kFixed, 4},
+      {false, false, false, false, kSerial, 0},
+      {true, true, false, false, kFixed, 0},
+      {false, false, false, false, kAdaptive, 4},
+      {false, false, false, true, kFixed, 0},
+      {false, false, true, false, kAdaptive, 0},
+      {false, false, false, true, kSerial, 0},
   };
 }
 
 /// The knob values of `row`, one small integer per knob.
 std::vector<int> KnobValues(const PhysicalKnobs& row) {
   return {row.incremental,         row.stats_costing, row.log_indexes,
-          row.ordered_log_indexes, row.plan_cache,    int(row.exec),
-          row.policy_threads};
+          row.ordered_log_indexes, int(row.exec),     row.policy_threads};
 }
 
 /// One scripted scenario exercising accepts and rejects across every
@@ -350,7 +345,7 @@ TEST_F(DataLawyerOptionsMatrixTest, PhysicalKnobsAreInvisible) {
   std::vector<PhysicalKnobs> rows = PhysicalRows();
   // Every pair of knob values occurs in some row.
   const std::vector<std::vector<int>> domains = {
-      {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1, 2}, {0, 4}};
+      {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1, 2}, {0, 4}};
   for (size_t i = 0; i < domains.size(); ++i) {
     for (size_t j = i + 1; j < domains.size(); ++j) {
       for (int a : domains[i]) {
@@ -374,7 +369,7 @@ TEST_F(DataLawyerOptionsMatrixTest, PhysicalKnobsAreInvisible) {
   one_off[1].stats_costing = false;
   one_off[2].exec = PhysicalKnobs::kSerialExec;
   one_off[3].exec = PhysicalKnobs::kFixedMorsels;
-  EXPECT_EQ(all_on.Label(), "NSHOKe4ap4");
+  EXPECT_EQ(all_on.Label(), "NSHOe4ap4");
   for (size_t i = 0; i < one_off.size(); ++i) {
     EXPECT_EQ(rows[i + 1].Label(), one_off[i].Label());
   }

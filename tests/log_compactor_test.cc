@@ -85,19 +85,43 @@ class LogCompactorTest : public ::testing::Test {
     return keep;
   }
 
-  /// Folds `sets`, marks with the bodies both bound and planned per call
-  /// and from plans built once ahead of time, and checks both against
-  /// PerQueryMark. Returns the folded keep map.
+  /// Folds `sets` and binds and plans every body once, against a catalog
+  /// that is gone by the time the plans run, as the plan cache does. The
+  /// fixture owns the bound queries and plans.
+  WitnessBodies Planned(const std::vector<const WitnessSet*>& sets,
+                        const std::set<std::string>& skip_retention = {}) {
+    WitnessBodies bodies = FoldWitnesses(sets, skip_retention);
+    UsageLog::PolicyCatalog catalog =
+        log_->MakeCatalog(engine_->db_catalog(), 0);
+    AddNowRelation(&catalog, 0);
+    Binder binder(catalog.view());
+    Planner planner;
+    for (WitnessBody& body : bodies.bodies) {
+      auto bound = binder.Bind(*body.query);
+      EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+      if (!bound.ok()) continue;
+      bound_.push_back(std::move(bound).value());
+      auto plan = planner.Plan(*bound_.back());
+      EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+      if (!plan.ok()) continue;
+      plans_.push_back(std::move(plan).value());
+      body.plan = &plans_.back();
+    }
+    return bodies;
+  }
+
+  /// Marks with the folded, planned bodies of `sets` and checks the result
+  /// against PerQueryMark. Returns the folded keep map.
   std::map<std::string, std::set<int64_t>> ExpectFoldedMarkEqualsPerQuery(
       const std::vector<const WitnessSet*>& sets, int64_t now) {
     std::set<std::string> ref_all;
     std::map<std::string, std::set<int64_t>> ref =
         PerQueryMark(sets, now, &ref_all);
 
-    WitnessBodies bodies = FoldWitnesses(sets);
     LogCompactor compactor(log_.get());
     std::set<std::string> keep_all;
-    auto keep = compactor.Mark(bodies, engine_->db_catalog(), now, &keep_all);
+    auto keep =
+        compactor.Mark(Planned(sets), engine_->db_catalog(), now, &keep_all);
     EXPECT_TRUE(keep.ok()) << keep.status().ToString();
     if (!keep.ok()) return {};
     EXPECT_EQ(keep_all, ref_all);
@@ -105,35 +129,6 @@ class LogCompactorTest : public ::testing::Test {
       // Fallback relations are kept whole; their ids are never read.
       if (!keep_all.count(rel)) EXPECT_EQ(keep->at(rel), ids) << rel;
     }
-
-    // Plans built once against a catalog that is gone by the time they
-    // run, as the plan cache builds them.
-    std::deque<std::unique_ptr<BoundQuery>> bound;
-    std::deque<PhysicalPlan> plans;
-    {
-      UsageLog::PolicyCatalog catalog =
-          log_->MakeCatalog(engine_->db_catalog(), now);
-      AddNowRelation(&catalog, now);
-      Binder binder(catalog.view());
-      Planner planner;
-      for (WitnessBody& body : bodies.bodies) {
-        auto b = binder.Bind(*body.query);
-        EXPECT_TRUE(b.ok());
-        if (!b.ok()) return {};
-        bound.push_back(std::move(b).value());
-        auto plan = planner.Plan(*bound.back());
-        EXPECT_TRUE(plan.ok());
-        if (!plan.ok()) return {};
-        plans.push_back(std::move(plan).value());
-        body.plan = &plans.back();
-      }
-    }
-    std::set<std::string> planned_all;
-    auto planned =
-        compactor.Mark(bodies, engine_->db_catalog(), now, &planned_all);
-    EXPECT_TRUE(planned.ok()) << planned.status().ToString();
-    if (planned.ok()) EXPECT_EQ(*planned, *keep);
-    EXPECT_EQ(planned_all, keep_all);
     return *keep;
   }
 
@@ -141,6 +136,8 @@ class LogCompactorTest : public ::testing::Test {
   std::unique_ptr<Engine> engine_;
   std::unique_ptr<UsageLog> log_;
   std::vector<std::unique_ptr<SelectStmt>> stmts_;
+  std::deque<std::unique_ptr<BoundQuery>> bound_;
+  std::deque<PhysicalPlan> plans_;
 };
 
 TEST_F(LogCompactorTest, WindowedPolicyPrunesExpiredRows) {
@@ -156,7 +153,7 @@ TEST_F(LogCompactorTest, WindowedPolicyPrunesExpiredRows) {
   StageUsersDelta(200, 2);
 
   LogCompactor compactor(log_.get());
-  auto stats = compactor.CompactAndFlush(FoldWitnesses({&witness}),
+  auto stats = compactor.CompactAndFlush(Planned({&witness}),
                                          engine_->db_catalog(), /*now=*/200);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->rows_deleted, 2u);   // expired + non-X
@@ -177,7 +174,7 @@ TEST_F(LogCompactorTest, FullFallbackKeepsEverything) {
   SeedUsersMain(2, 9);
   StageUsersDelta(3, 9);
   LogCompactor compactor(log_.get());
-  auto stats = compactor.CompactAndFlush(FoldWitnesses({&witness}),
+  auto stats = compactor.CompactAndFlush(Planned({&witness}),
                                          engine_->db_catalog(), 3);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->rows_deleted, 0u);
@@ -195,10 +192,9 @@ TEST_F(LogCompactorTest, UnreferencedRelationIsWiped) {
                   .ok());
   SeedUsersMain(1, 1);
   LogCompactor compactor(log_.get());
-  ASSERT_TRUE(compactor
-                  .CompactAndFlush(FoldWitnesses({&witness}),
-                                   engine_->db_catalog(), 5)
-                  .ok());
+  ASSERT_TRUE(
+      compactor.CompactAndFlush(Planned({&witness}), engine_->db_catalog(), 5)
+          .ok());
   EXPECT_EQ(log_->main_table("provenance")->NumRows(), 0u);
   EXPECT_EQ(log_->main_table("users")->NumRows(), 1u);  // uid=1 retained
 }
@@ -211,8 +207,8 @@ TEST_F(LogCompactorTest, SkipRetentionBypassesWitnessQueries) {
   SeedUsersMain(1, 1);
   StageUsersDelta(2, 1);
   LogCompactor compactor(log_.get());
-  auto stats = compactor.CompactAndFlush(
-      FoldWitnesses({&witness}, {"users"}), engine_->db_catalog(), 2);
+  auto stats = compactor.CompactAndFlush(Planned({&witness}, {"users"}),
+                                         engine_->db_catalog(), 2);
   ASSERT_TRUE(stats.ok());
   // Delta dropped (not persisted), main wiped (skip_retention: no policy
   // needs history).
@@ -230,7 +226,7 @@ TEST_F(LogCompactorTest, UnionOfWitnessesAcrossPolicies) {
   SeedUsersMain(2, 2);
   SeedUsersMain(3, 3);
   LogCompactor compactor(log_.get());
-  auto stats = compactor.CompactAndFlush(FoldWitnesses({&a, &b}),
+  auto stats = compactor.CompactAndFlush(Planned({&a, &b}),
                                          engine_->db_catalog(), 10);
   ASSERT_TRUE(stats.ok());
   const Table* main = log_->main_table("users");
@@ -247,10 +243,9 @@ TEST_F(LogCompactorTest, DistinctOnWitnessKeepsOneRepresentative) {
   for (int i = 0; i < 5; ++i) SeedUsersMain(i, 1);  // five uid=1 rows
   SeedUsersMain(10, 3);
   LogCompactor compactor(log_.get());
-  ASSERT_TRUE(compactor
-                  .CompactAndFlush(FoldWitnesses({&witness}),
-                                   engine_->db_catalog(), 20)
-                  .ok());
+  ASSERT_TRUE(
+      compactor.CompactAndFlush(Planned({&witness}), engine_->db_catalog(), 20)
+          .ok());
   const Table* main = log_->main_table("users");
   // One representative for uid=1 plus the uid=3 row.
   EXPECT_EQ(main->NumRows(), 2u);
@@ -264,13 +259,33 @@ TEST_F(LogCompactorTest, MarkPhaseExposesKeepSets) {
   SeedUsersMain(2, 3);  // Y, retained
   LogCompactor compactor(log_.get());
   std::set<std::string> keep_all;
-  auto keep = compactor.Mark(FoldWitnesses({&witness}),
-                             engine_->db_catalog(), 5, &keep_all);
+  auto keep = compactor.Mark(Planned({&witness}), engine_->db_catalog(), 5,
+                             &keep_all);
   ASSERT_TRUE(keep.ok());
   EXPECT_TRUE(keep_all.empty());
   ASSERT_EQ(keep->at("users").size(), 1u);
   EXPECT_EQ(*keep->at("users").begin(), 1);  // row id of the uid=3 row
   EXPECT_TRUE(keep->at("provenance").empty());
+}
+
+TEST_F(LogCompactorTest, MarkReturnsABodysWarmError) {
+  WitnessSet witness = BuildWitness(
+      "SELECT DISTINCT 'e' FROM users u, groups g "
+      "WHERE u.uid = g.uid AND g.gid = 'Y'");
+  SeedUsersMain(1, 3);
+  LogCompactor compactor(log_.get());
+  std::set<std::string> keep_all;
+  WitnessBodies bodies = FoldWitnesses({&witness});
+  ASSERT_EQ(bodies.bodies.size(), 1u);
+  // Never planned.
+  auto keep = compactor.Mark(bodies, engine_->db_catalog(), 5, &keep_all);
+  EXPECT_EQ(keep.status().code(), StatusCode::kInternal);
+  // Planning failed: the body carries that error, code and message.
+  bodies.bodies[0].plan = Status::NotFound("no such table: groups");
+  keep = compactor.Mark(bodies, engine_->db_catalog(), 5, &keep_all);
+  EXPECT_EQ(keep.status().ToString(), "NotFound: no such table: groups");
+  // Neither run touched the log.
+  EXPECT_EQ(log_->main_table("users")->NumRows(), 1u);
 }
 
 TEST_F(LogCompactorTest, FoldedMarkEqualsPerQueryMark) {

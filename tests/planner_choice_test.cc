@@ -27,6 +27,10 @@ class PlannerChoiceTest : public ::testing::Test {
     // asserts on; pin it off so the planner's choices stay observable.
     DataLawyerOptions options;
     options.enable_incremental_eval = false;
+    // Compaction would cut a grown log back to the window right after the
+    // query that rewarmed for it, and the next revalidation (a policy
+    // EXPLAIN included) would replan for the small log; keep logs as grown.
+    options.enable_log_compaction = false;
     dl_ = std::make_unique<DataLawyer>(&db_,
                                        UsageLog::WithStandardGenerators(),
                                        std::make_unique<ManualClock>(0, 10),
