@@ -204,19 +204,21 @@ int main(int argc, char** argv) {
           }
           std::printf("}\n");
         }
-        std::printf("%-24s %10s %8s %8s %12s %10s %12s %10s\n", "attribution",
-                    "evals", "prunes", "rejects", "eval-us", "avg-us",
-                    "incremental", "hits/fb");
+        std::printf("%-24s %10s %8s %8s %12s %10s %12s %10s %14s\n",
+                    "attribution", "evals", "prunes", "rejects", "eval-us",
+                    "avg-us", "incremental", "hits/fb", "partials/pruned");
         for (const PolicyStats& ps : dl.PolicyReport()) {
           std::string hits_fb = std::to_string(ps.incremental_hits) + "/" +
                                 std::to_string(ps.incremental_fallbacks);
-          std::printf("%-24s %10llu %8llu %8llu %12.0f %10.1f %12s %10s\n",
-                      ps.name.c_str(), (unsigned long long)ps.evaluations,
-                      (unsigned long long)ps.prunes,
-                      (unsigned long long)ps.rejections, ps.eval_us,
-                      ps.evaluations ? ps.eval_us / double(ps.evaluations)
-                                     : 0.0,
-                      ps.incremental_class.c_str(), hits_fb.c_str());
+          std::string partials = std::to_string(ps.partials_run) + "/" +
+                                 std::to_string(ps.partials_pruned);
+          std::printf(
+              "%-24s %10llu %8llu %8llu %12.0f %10.1f %12s %10s %14s\n",
+              ps.name.c_str(), (unsigned long long)ps.evaluations,
+              (unsigned long long)ps.prunes, (unsigned long long)ps.rejections,
+              ps.eval_us,
+              ps.evaluations ? ps.eval_us / double(ps.evaluations) : 0.0,
+              ps.incremental_class.c_str(), hits_fb.c_str(), partials.c_str());
         }
       } else if (cmd == "trace") {
         if (rest == "on") {

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <thread>
 #include <unordered_set>
 
@@ -145,8 +146,12 @@ struct DataLawyer::PreparedPolicy {
   /// Can interleaved evaluation dismiss this policy from a partial result?
   bool prunable = false;
 
+  /// Every pair of the policy's log aliases equi-joins on ts: a tuple that
+  /// uses one staged row uses staged rows only.
+  bool ts_joined = false;
+
   /// §4.3 improved partial policies are sound for this policy: monotone and
-  /// every pair of its log relations equi-joins on ts.
+  /// ts_joined.
   bool improved_ok = false;
 
   /// prefix_touches_log[k]: the k-relation partial references at least one
@@ -159,6 +164,10 @@ struct DataLawyer::PreparedPolicy {
   std::vector<std::unique_ptr<SelectStmt>> partials;
   /// True when the first k relations cover the policy's footprint.
   std::vector<bool> covered;
+  /// state_check[k]: with a ready IncrementalState, round k runs the
+  /// increment check — the round generated one of the policy's relations
+  /// without covering it, and the policy is ts_joined.
+  std::vector<bool> state_check;
 
   /// Approximate guard support: the guard's log footprint, and per-prefix
   /// coverage (guard_covered[k] — the guard can run after k generations).
@@ -166,6 +175,12 @@ struct DataLawyer::PreparedPolicy {
   std::vector<bool> guard_covered;
 
   WitnessSet witnesses;
+  /// witness_partials[rel][k]: the witness queries of `rel` as partials
+  /// over the first k relations of generation_order_, for every k up to
+  /// rel's position — preemptive compaction's dispensability test, planned
+  /// into the cache. Absent for relations under full fallback.
+  std::map<std::string, std::vector<std::vector<std::unique_ptr<SelectStmt>>>>
+      witness_partials;
 };
 
 DataLawyer::DataLawyer(Database* db, std::unique_ptr<UsageLog> log,
@@ -382,10 +397,11 @@ Status DataLawyer::Prepare() {
   }
 
   // ---- per-policy witness sets and partial-policy caches ----
-  std::vector<std::string> order;
+  generation_order_.clear();
   for (const std::string& rel : log_->RelationNamesInOrder()) {
-    if (mentioned_logs_.count(rel)) order.push_back(rel);
+    if (mentioned_logs_.count(rel)) generation_order_.push_back(rel);
   }
+  const std::vector<std::string>& order = generation_order_;
 
   WitnessBuilder witness_builder(log_.get());
   for (size_t i = 0; i < active_.size(); ++i) {
@@ -393,8 +409,8 @@ Status DataLawyer::Prepare() {
     PreparedPolicy prep;
     prep.policy_index = i;
     prep.prunable = policy.monotone || AllMembersGrouped(*policy.stmt);
-    prep.improved_ok =
-        policy.monotone && TimestampsAllJoined(policy.effective(), *log_);
+    prep.ts_joined = TimestampsAllJoined(policy.effective(), *log_);
+    prep.improved_ok = policy.monotone && prep.ts_joined;
     if (policy.guard != nullptr) {
       prep.guard_relations = CollectLogRelations(*policy.guard, *log_);
     }
@@ -407,6 +423,22 @@ Status DataLawyer::Prepare() {
       DL_ASSIGN_OR_RETURN(prep.witnesses,
                           witness_builder.Build(policy.effective()));
     }
+    if (options_.enable_preemptive_compaction) {
+      for (const auto& [rel, witness] : prep.witnesses.per_relation) {
+        if (witness.full_fallback) continue;
+        auto& prefixes = prep.witness_partials[rel];
+        std::set<std::string> available;
+        for (const std::string& next : order) {
+          prefixes.emplace_back();
+          for (const auto& query : witness.queries) {
+            prefixes.back().push_back(
+                BuildPartialPolicy(*query, *log_, available));
+          }
+          if (next == rel) break;
+          available.insert(next);
+        }
+      }
+    }
 
     if (options_.strategy == EvalStrategy::kInterleaved && prep.prunable) {
       std::set<std::string> available;
@@ -417,6 +449,10 @@ Status DataLawyer::Prepare() {
           if (!available.count(rel)) covered = false;
         }
         prep.covered.push_back(covered);
+        prep.state_check.push_back(
+            k > 0 && !covered && prep.ts_joined &&
+            std::count(policy.log_relations.begin(),
+                       policy.log_relations.end(), order[k - 1]) > 0);
         // Every UNION member that reads the log must read a generated
         // relation: a member that reads none carries no lineage, so its
         // partial never depends on the increment even when its full
@@ -493,6 +529,10 @@ Status DataLawyer::Prepare() {
 
   // ---- per-policy plan cache ----
   WarmPlanCache();
+
+  // The policy fan-out's workers start here, not inside the first timed
+  // evaluation wave.
+  if (options_.policy_threads > 0) EnsureScheduler(1);
 
   prepared_valid_ = true;
   return Status::OK();
@@ -613,6 +653,15 @@ void DataLawyer::WarmPlanCache() {
     body.plan = entry.status.ok() ? Result<const PhysicalPlan*>(&entry.plan)
                                   : entry.status;
   }
+  for (const PreparedPolicy& prep : prepared_) {
+    for (const auto& [rel, prefixes] : prep.witness_partials) {
+      for (const auto& partials : prefixes) {
+        for (const std::unique_ptr<SelectStmt>& partial : partials) {
+          plan_cache_.Warm(*partial, catalog.view(), planner);
+        }
+      }
+    }
+  }
 }
 
 void DataLawyer::AdvanceIncrementalStates(int64_t ts) {
@@ -686,7 +735,10 @@ Result<QueryResult> DataLawyer::RunChecked(const std::string& sql,
   static const std::string kUnionSlot = "(union)";
   for (size_t i = 0; i < attribution_.size(); ++i) {
     const QueryAttribution& a = attribution_[i];
-    if (a.evaluations == 0 && a.prunes == 0 && a.rejections == 0) continue;
+    if (a.evaluations == 0 && a.prunes == 0 && a.rejections == 0 &&
+        a.eval_us == 0) {
+      continue;
+    }
     const std::string& name = i < active_.size() ? active_[i].name : kUnionSlot;
     PolicyStats& s = policy_stats_[name];
     if (s.name.empty()) s.name = name;
@@ -696,6 +748,8 @@ Result<QueryResult> DataLawyer::RunChecked(const std::string& sql,
     s.eval_us += a.eval_us;
     s.incremental_hits += a.incremental_hits;
     s.incremental_fallbacks += a.incremental_fallbacks;
+    s.partials_run += a.partials_run;
+    s.partials_pruned += a.partials_pruned;
   }
   RecordDecision(sql, context, result.status(), probe);
   return result;
@@ -972,25 +1026,29 @@ Status DataLawyer::GenerateLog(const std::string& relation, int64_t ts,
 Result<bool> DataLawyer::IncrementProvablyDispensable(const std::string& name,
                                                       int64_t ts) {
   ScopedSpan span(SpanLabel("compact.preemptive:", name), "policy");
-  // Available = everything generated so far.
-  std::set<std::string> available;
-  for (const std::string& rel : log_->RelationNamesInOrder()) {
-    if (log_->IsGenerated(rel)) available.insert(rel);
+  // The largest generated prefix: when the generated set is not a prefix,
+  // a partial over fewer relations only enlarges its result.
+  size_t k = 0;
+  while (k < generation_order_.size() &&
+         log_->IsGenerated(generation_order_[k])) {
+    ++k;
   }
 
-  UsageLog::PolicyCatalog catalog =
-      log_->MakeCatalog(policy_base_catalog(), ts);
-  AddNowRelation(&catalog, ts);
-
+  // Built on first use: a relation no witness reads is dispensable as is.
+  std::optional<UsageLog::PolicyCatalog> catalog;
   for (const PreparedPolicy& prep : prepared_) {
     auto it = prep.witnesses.per_relation.find(name);
     if (it == prep.witnesses.per_relation.end()) continue;
     if (it->second.full_fallback) return false;
-    for (const auto& query : it->second.queries) {
-      std::unique_ptr<SelectStmt> partial =
-          BuildPartialPolicy(*query, *log_, available);
-      Executor executor(catalog.view());
-      DL_ASSIGN_OR_RETURN(QueryResult result, executor.Execute(*partial));
+    if (!catalog.has_value()) {
+      catalog = log_->MakeCatalog(policy_base_catalog(), ts);
+      AddNowRelation(&*catalog, ts);
+    }
+    const auto& prefixes = prep.witness_partials.at(name);
+    for (const auto& partial : prefixes[std::min(k, prefixes.size() - 1)]) {
+      DL_ASSIGN_OR_RETURN(const PlanCache::Entry* cached, CachedPlan(*partial));
+      PlanExecutor exec(catalog->view(), PlanExecOptions());
+      DL_ASSIGN_OR_RETURN(QueryResult result, exec.Run(cached->plan));
       if (!result.empty()) return false;
     }
   }
@@ -1138,19 +1196,22 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
     return Status::PolicyViolation(message);
   };
 
-  // Generation order restricted to mentioned logs (Algorithm 1, opt. 1).
-  std::vector<std::string> order;
-  for (const std::string& rel : log_->RelationNamesInOrder()) {
-    if (mentioned_logs_.count(rel)) order.push_back(rel);
-  }
+  const std::vector<std::string>& order = generation_order_;
 
+  // What a wave slot ran after its guard: nothing (the policy stays open),
+  // a partial π_S, the full statement of a covered policy, or the full
+  // statement early, after an increment check.
+  enum class Ran { kNothing, kPartial, kFull, kEarly };
   // One policy's outcomes in an evaluation wave: an optional guard run,
-  // then the policy's statement. Filled by RunPolicyWave, read only by the
-  // serial merge.
+  // an optional increment check, then the policy's statement. Filled by
+  // RunPolicyWave, read only by the serial merge.
   struct WaveSlot {
     Status status = Status::OK();
     bool guard_ran = false;  // guard_out holds a successful guard run
     bool check_dep = false;  // the partial asked for increment dependence
+    bool checked = false;    // an increment check ran, taking check_us
+    double check_us = 0;
+    Ran ran = Ran::kFull;
     PolicyEvalOutput guard_out;
     PolicyEvalOutput out;
   };
@@ -1171,10 +1232,15 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
   };
   // The serial merge of one slot, called in registration order: folds the
   // slot's counters, prune and attribution, and returns its error or its
-  // rejection. `covered` = the statement was the full policy. True when a
-  // partial statement left the policy open for the next round.
-  auto merge = [&](const Policy& policy, WaveSlot& s,
-                   bool covered) -> Result<bool> {
+  // rejection. True when the policy stays open for the next round.
+  auto merge = [&](const Policy& policy, WaveSlot& s) -> Result<bool> {
+    QueryAttribution& slot = AttributionFor(&policy);
+    if (s.checked) {
+      // Not a statement: its own counter, its time charged like one.
+      ++stats_.increment_checks;
+      stats_.policy_cpu_us += s.check_us;
+      slot.eval_us += s.check_us;
+    }
     if (s.guard_ran) {
       RecordEvalCounters(s.guard_out, &policy);
       if (s.guard_out.messages.empty()) {
@@ -1183,18 +1249,24 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
       }
     }
     DL_RETURN_NOT_OK(s.status);
+    if (s.ran == Ran::kNothing) return true;
     RecordEvalCounters(s.out, &policy);
-    if (covered) {
-      if (s.out.messages.empty()) return false;  // fully satisfied
-      attribute(policy, s.out.messages);
-      violations = std::move(s.out.messages);
-      return reject();
+    if (s.ran != Ran::kPartial) {
+      if (!s.out.messages.empty()) {
+        attribute(policy, s.out.messages);
+        violations = std::move(s.out.messages);
+        return reject();
+      }
+      if (s.ran == Ran::kEarly) prune(policy);  // answered before covered
+      return false;
     }
     // An empty partial proves satisfaction; so does one that held in the
     // past with nothing from the current increment contributing (§4.3
     // improved partial policies).
+    ++slot.partials_run;
     if (s.out.messages.empty() ||
         (s.check_dep && !s.out.depends_on_increment)) {
+      ++slot.partials_pruned;
       prune(policy);
       return false;
     }
@@ -1247,7 +1319,7 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
     });
     for (size_t i = 0; i < batch.size(); ++i) {
       DL_RETURN_NOT_OK(
-          merge(active_[batch[i]->policy_index], slots[i], true).status());
+          merge(active_[batch[i]->policy_index], slots[i]).status());
     }
     return Status::OK();
   };
@@ -1259,17 +1331,37 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
     for (const PreparedPolicy& prep : prepared_) {
       (prep.prunable ? remaining : full_only).push_back(&prep);
     }
+    // A policy whose state Advance brought to `ts` never runs a partial:
+    // its state answers it at the round that covers it, or earlier, at the
+    // first round whose increment check proves the staged rows generated
+    // so far cannot join into it. Then no new tuple can (prep.ts_joined),
+    // and the answer over L ∪ Δ is the answer over L: from state, or from
+    // the full plan over the relations generated so far if the state
+    // declines. Fixed for the whole query.
+    std::vector<const IncrementalState*> ready_state(prepared_.size(),
+                                                     nullptr);
+    for (const PreparedPolicy* prep : remaining) {
+      const PlanCache::Entry* entry =
+          plan_cache_.Lookup(active_[prep->policy_index].effective());
+      if (entry != nullptr && entry->incremental != nullptr &&
+          entry->incremental->Ready(ts)) {
+        ready_state[prep->policy_index] = entry->incremental.get();
+      }
+    }
     // Guarded policies whose guard already flagged them as suspicious.
     std::set<const PreparedPolicy*> guard_cleared;
+    std::set<std::string> generated;
 
     for (size_t k = 0; k <= order.size() && !remaining.empty(); ++k) {
       if (k > 0) {
         DL_RETURN_NOT_OK(GenerateLog(order[k - 1], ts, input));
+        generated.insert(order[k - 1]);
       }
       // One slot per surviving policy: its approximate guard (§6) once the
       // guard's logs exist — an empty answer dismisses the policy without
-      // the precise check — then its partial or full statement. The wave
-      // only reads `guard_cleared`; the merge below updates it.
+      // the precise check — then its state step, or its partial or full
+      // statement. The wave only reads `guard_cleared`; the merge below
+      // updates it.
       std::vector<WaveSlot> slots(remaining.size());
       RunPolicyWave(remaining.size(), [&](size_t i) {
         const PreparedPolicy* prep = remaining[i];
@@ -1283,13 +1375,30 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
           if (s.guard_out.messages.empty()) return false;
         }
         const bool covered = prep->covered[k];
-        s.check_dep = options_.enable_improved_partial && !covered &&
-                      prep->improved_ok && prep->prefix_touches_log[k];
-        return !eval_into(covered ? policy.effective() : *prep->partials[k],
-                          s.check_dep,
-                          covered ? "policy.eval:" : "policy.partial:", policy,
+        const IncrementalState* state = ready_state[prep->policy_index];
+        if (state != nullptr && !covered) {
+          s.ran = Ran::kNothing;
+          if (!prep->state_check[k]) return false;
+          {
+            ScopedSpan span(SpanLabel("policy.increment_check:", policy.name),
+                            "policy");
+            auto t0 = Now();
+            bool joins = state->IncrementMayJoin(generated, ts);
+            s.checked = true;
+            s.check_us = UsSince(t0);
+            if (joins) return false;
+          }
+          s.ran = Ran::kEarly;
+        } else if (!covered) {
+          s.ran = Ran::kPartial;
+          s.check_dep = options_.enable_improved_partial &&
+                        prep->improved_ok && prep->prefix_touches_log[k];
+          return !eval_into(*prep->partials[k], s.check_dep,
+                            "policy.partial:", policy, &s.out, &s.status);
+        }
+        return !eval_into(policy.effective(), false, "policy.eval:", policy,
                           &s.out, &s.status) ||
-               (covered && !s.out.messages.empty());
+               !s.out.messages.empty();
       });
       std::vector<const PreparedPolicy*> next;
       for (size_t i = 0; i < remaining.size(); ++i) {
@@ -1298,8 +1407,7 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
         if (slots[i].guard_ran && !slots[i].guard_out.messages.empty()) {
           guard_cleared.insert(prep);  // suspicious: precise check required
         }
-        DL_ASSIGN_OR_RETURN(bool open,
-                            merge(policy, slots[i], prep->covered[k]));
+        DL_ASSIGN_OR_RETURN(bool open, merge(policy, slots[i]));
         if (open) next.push_back(prep);
       }
       remaining = std::move(next);
@@ -1375,36 +1483,40 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
     return QueryResult{};
   }
 
-  // ---- §4.4 step 3: log compaction (+ preemptive generation skipping) ----
-  if (options_.enable_log_compaction) {
-    for (const std::string& rel : order) {
-      if (log_->IsGenerated(rel)) continue;
-      if (options_.enable_preemptive_compaction) {
-        DL_ASSIGN_OR_RETURN(bool dispensable,
-                            IncrementProvablyDispensable(rel, ts));
-        if (dispensable) {
-          ++stats_.logs_skipped_preemptively;
-          continue;
-        }
-      }
-      DL_RETURN_NOT_OK(GenerateLog(rel, ts, input));
-    }
-
-    // §5.2: eager pruning after every query is not necessary; with a
-    // compaction period > 1 the increment is flushed unpruned and the
-    // witness queries run every period-th query.
-    ++queries_since_compaction_;
-    if (queries_since_compaction_ < options_.compaction_period) {
-      DL_TRACE_SPAN("log.commit", "log");
+  // ---- §4.4 step 3: the increments the checks left ungenerated ----
+  // Eq. 1 logs every admitted query's usage. A relation the checks did not
+  // need is generated now, unless compaction proves its increment
+  // dispensable (§4.3 preemptive compaction) or it is never persisted.
+  for (const std::string& rel : order) {
+    if (log_->IsGenerated(rel)) continue;
+    if (!options_.enable_log_compaction) {
+      if (!log_->IsPersisted(rel)) continue;
+    } else if (options_.enable_preemptive_compaction) {
+      // Deciding to skip a generation is usage-tracking work too.
       auto t0 = Now();
-      stats_.log_rows_flushed = log_->CommitStaged();
-      stats_.compact_insert_ms = MsSince(t0);
-    } else {
-      queries_since_compaction_ = 0;
-      DL_RETURN_NOT_OK(CompactLog(ts));
+      Result<bool> dispensable = IncrementProvablyDispensable(rel, ts);
+      stats_.log_gen_ms += MsSince(t0);
+      DL_RETURN_NOT_OK(dispensable.status());
+      if (*dispensable) {
+        ++stats_.logs_skipped_preemptively;
+        continue;
+      }
     }
+    DL_RETURN_NOT_OK(GenerateLog(rel, ts, input));
+  }
+
+  // ---- §4.4 step 4: compact, or flush the full increment ----
+  // §5.2: eager pruning after every query is not necessary; with a
+  // compaction period > 1 the increment is flushed unpruned and the
+  // witness queries run every period-th query.
+  bool compact = false;
+  if (options_.enable_log_compaction) {
+    compact = ++queries_since_compaction_ >= options_.compaction_period;
+    if (compact) queries_since_compaction_ = 0;
+  }
+  if (compact) {
+    DL_RETURN_NOT_OK(CompactLog(ts));
   } else {
-    // ---- §4.4 step 4 without compaction: flush the full increment ----
     DL_TRACE_SPAN("log.commit", "log");
     auto t0 = Now();
     stats_.log_rows_flushed = log_->CommitStaged();
@@ -1483,7 +1595,9 @@ void DataLawyer::RegisterSystemRelations() {
         .AddColumn("eval_us", ValueType::kDouble)
         .AddColumn("incremental", ValueType::kString)
         .AddColumn("incremental_hits", ValueType::kInt64)
-        .AddColumn("incremental_fallbacks", ValueType::kInt64);
+        .AddColumn("incremental_fallbacks", ValueType::kInt64)
+        .AddColumn("partials_run", ValueType::kInt64)
+        .AddColumn("partials_pruned", ValueType::kInt64);
     std::vector<Row> rows;
     for (const PolicyStats& s : PolicyReport()) {
       Row row;
@@ -1496,6 +1610,8 @@ void DataLawyer::RegisterSystemRelations() {
                                                 : Value(s.incremental_class));
       row.push_back(Value(int64_t(s.incremental_hits)));
       row.push_back(Value(int64_t(s.incremental_fallbacks)));
+      row.push_back(Value(int64_t(s.partials_run)));
+      row.push_back(Value(int64_t(s.partials_pruned)));
       rows.push_back(std::move(row));
     }
     return std::make_unique<OwnedRelation>(std::move(schema),

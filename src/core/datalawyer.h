@@ -219,6 +219,8 @@ class DataLawyer {
     double eval_us = 0;
     uint64_t incremental_hits = 0;
     uint64_t incremental_fallbacks = 0;
+    uint64_t partials_run = 0;
+    uint64_t partials_pruned = 0;
   };
 
   /// The checked path shared by Execute and WouldAllow (`probe`): runs
@@ -295,7 +297,9 @@ class DataLawyer {
   Status GenerateLog(const std::string& relation, int64_t ts,
                      const GenerationInput& input);
   /// §4.3 preemptive compaction: true if relation `name`'s increment can be
-  /// proven dispensable without generating it.
+  /// proven dispensable without generating it. Runs the cached partial
+  /// witness statements of the largest generated prefix of
+  /// generation_order_.
   Result<bool> IncrementProvablyDispensable(const std::string& name,
                                             int64_t ts);
 
@@ -391,6 +395,10 @@ class DataLawyer {
 
   /// Union of active policies' log footprints.
   std::set<std::string> mentioned_logs_;
+  /// The mentioned logs in generation order (Algorithm 1, opt. 1), fixed
+  /// at Prepare: round k of interleaved evaluation has generated the first
+  /// k, and every per-round fact of PreparedPolicy is indexed by k.
+  std::vector<std::string> generation_order_;
   /// The active policies' witnesses, folded once per Prepare; WarmPlanCache
   /// points each body at its cached plan.
   WitnessBodies witness_bodies_;

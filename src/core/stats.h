@@ -85,6 +85,10 @@ struct ExecutionStats {
 
   size_t policies_evaluated = 0;  ///< policy/partial-policy statements run
   size_t policies_pruned_early = 0;
+  /// §4.4 increment checks of state-backed policies (not statements):
+  /// O(increment) tests of whether the staged rows generated so far can
+  /// join into a policy, ahead of an early answer from its state.
+  size_t increment_checks = 0;
 
   /// Plan-cache effectiveness: statements evaluated from a cached physical
   /// plan (zero parse/bind/plan work; every successful evaluation) vs.
@@ -150,6 +154,8 @@ struct PolicyStats {
                              ///< (sums across policies to policy_cpu_us)
   uint64_t incremental_hits = 0;       ///< verdicts served from state
   uint64_t incremental_fallbacks = 0;  ///< state declined, full eval ran
+  uint64_t partials_run = 0;     ///< §4.4 partial statements π_S run
+  uint64_t partials_pruned = 0;  ///< of those, the ones that dismissed it
   /// Plan classification at the last warm: "incremental", "full-only", or
   /// "off" when the feature is disabled. Filled by PolicyReport.
   std::string incremental_class;

@@ -45,6 +45,7 @@ struct RefScan {
   bool clock = false;     ///< references the synthesized clock
   bool nonclock = false;  ///< references a foldable relation
   int max_level = -1;     ///< deepest referenced fold level
+  std::vector<size_t> levels;  ///< every referenced fold level (repeats)
 };
 
 RefScan ScanRefs(const Expr& expr, const BoundQuery& bq,
@@ -70,6 +71,7 @@ RefScan ScanRefs(const Expr& expr, const BoundQuery& bq,
     }
     out.nonclock = true;
     out.max_level = std::max(out.max_level, level);
+    out.levels.push_back(size_t(level));
   });
   return out;
 }
@@ -159,7 +161,8 @@ std::unique_ptr<IncrementalState> IncrementalState::Build(
     if (!refs.clock) {
       if (refs.nonclock) {
         st->level_conjuncts_[refs.max_level].push_back(c);
-        st->overlay_conjuncts_[refs.max_level].push_back(c);
+        st->overlay_conjuncts_[refs.max_level].push_back(
+            LevelConjunct{c, refs.levels});
         // Hash-probe candidate: `col = other` where `col` lives at this
         // level and `other` is fully bound by outer levels or constants.
         if (c->kind() == ExprKind::kBinary) {
@@ -250,7 +253,8 @@ std::unique_ptr<IncrementalState> IncrementalState::Build(
     st->windows_.push_back(w);
     int level = slot_level[w.slot];
     if (level < 0) return nullptr;
-    st->overlay_conjuncts_[level].push_back(c);
+    st->overlay_conjuncts_[level].push_back(
+        LevelConjunct{c, {size_t(level)}});
     WindowBound wb;
     wb.col = w.slot - st->rels_[level].slot_offset;
     wb.base = w.base;
@@ -927,8 +931,8 @@ bool IncrementalState::OverlayTerm(
       (*scratch)[r.slot_offset + c] = row[c];
     }
     bool pass = true;
-    for (const Expr* e : overlay_conjuncts_[level]) {
-      Result<bool> pr = EvalPredicate(*e, ctx);
+    for (const LevelConjunct& c : overlay_conjuncts_[level]) {
+      Result<bool> pr = EvalPredicate(*c.expr, ctx);
       if (!pr.ok()) {
         Poison();
         return false;
@@ -974,6 +978,49 @@ bool IncrementalState::OverlayTerm(
   if (level == term) return scan_delta();
   if (!scan_main()) return false;
   return scan_delta();
+}
+
+bool IncrementalState::IncrementMayJoin(const std::set<std::string>& generated,
+                                        int64_t now) const {
+  if (constant_false_) return false;
+  std::vector<bool> live(rels_.size(), false);
+  for (size_t j = 0; j < rels_.size(); ++j) {
+    live[j] = rels_[j].is_log && generated.count(rels_[j].name) > 0;
+  }
+  Row scratch(total_slots_, Value::Null());
+  for (size_t s : clock_slots_) scratch[s] = Value(now);
+  size_t steps = 0;
+  return DeltaTerm(0, live, &scratch, &steps);
+}
+
+bool IncrementalState::DeltaTerm(size_t level, const std::vector<bool>& live,
+                                 Row* scratch, size_t* steps) const {
+  if (level == rels_.size()) return true;
+  if (!live[level]) return DeltaTerm(level + 1, live, scratch, steps);
+  const RelationState& r = rels_[level];
+  EvalContext ctx{bq_, scratch, nullptr};
+  for (size_t i = 0; i < r.delta->NumRows(); ++i) {
+    if (++*steps > kEvalStepCap) return true;
+    const Row& row = r.delta->RowAt(i);
+    size_t arity = std::min(r.arity, row.size());
+    for (size_t c = 0; c < arity; ++c) {
+      (*scratch)[r.slot_offset + c] = row[c];
+    }
+    bool pass = true;
+    for (const LevelConjunct& c : overlay_conjuncts_[level]) {
+      bool applies = true;
+      for (size_t l : c.levels) applies = applies && live[l];
+      if (!applies) continue;
+      Result<bool> pr = EvalPredicate(*c.expr, ctx);
+      if (!pr.ok()) return true;
+      if (!*pr) {
+        pass = false;
+        break;
+      }
+    }
+    if (pass && DeltaTerm(level + 1, live, scratch, steps)) return true;
+  }
+  return false;
 }
 
 bool IncrementalState::AccumulateOverlay(

@@ -90,6 +90,26 @@ class IncrementalState {
   /// exceed its cap.
   Verdict Evaluate(int64_t now) const;
 
+  /// True when Advance brought the state to `now` and it is not poisoned:
+  /// Evaluate(now) answers unless its overlay exceeds the work cap.
+  bool Ready(int64_t now) const {
+    return ready_ && now == current_now_ && !poisoned();
+  }
+
+  /// §4.4 early-answer test, O(staged increment): can a tuple built only
+  /// from the staged rows of the log relations in `generated` pass the
+  /// policy's conjuncts? Joins those delta tables alone; static relations,
+  /// log relations outside `generated`, and every conjunct referencing one
+  /// are dropped, which only enlarges the join. False proves no such tuple
+  /// exists. When every log alias's ts is joined and the clock strictly
+  /// increases, a new tuple of the full join consists of staged rows only
+  /// (committed rows carry older timestamps), so false means the increment
+  /// adds nothing: the policy's answer over L ∪ Δ equals its answer over L,
+  /// which Evaluate(now) computes. True on the work cap or an expression
+  /// error (conservative).
+  bool IncrementMayJoin(const std::set<std::string>& generated,
+                        int64_t now) const;
+
   /// The (single, deduplicated) violation message — the first select item's
   /// literal rendered exactly as the full path renders it.
   const std::string& message() const { return message_; }
@@ -137,6 +157,14 @@ class IncrementalState {
   struct EqProbe {
     size_t col = 0;               ///< column within the relation
     const Expr* other = nullptr;  ///< side bound by outer levels / constants
+  };
+
+  /// A WHERE conjunct filed under the deepest fold level it references,
+  /// with every level it references (IncrementMayJoin skips the conjunct
+  /// when one of them is dropped).
+  struct LevelConjunct {
+    const Expr* expr = nullptr;
+    std::vector<size_t> levels;
   };
 
   enum class WindowOp { kGt, kGe, kLt, kLe, kEq };
@@ -245,6 +273,9 @@ class IncrementalState {
   bool OverlayTerm(size_t level, size_t term, int64_t now, Row* scratch,
                    std::unordered_map<Row, OverlayGroup, RowHash>* groups,
                    bool* any_tuple, size_t* steps) const;
+  /// IncrementMayJoin's join over the delta tables of the `live` levels.
+  bool DeltaTerm(size_t level, const std::vector<bool>& live, Row* scratch,
+                 size_t* steps) const;
   bool AccumulateOverlay(const Row& scratch,
                          std::unordered_map<Row, OverlayGroup, RowHash>* g,
                          bool* any_tuple) const;
@@ -272,7 +303,7 @@ class IncrementalState {
   std::vector<std::vector<const Expr*>> level_conjuncts_;
   /// All conjuncts (windows included) by level, for overlay evaluation
   /// where the clock slots are prefilled with `now`.
-  std::vector<std::vector<const Expr*>> overlay_conjuncts_;
+  std::vector<std::vector<LevelConjunct>> overlay_conjuncts_;
   /// Index-probe candidates by fold level (see EqProbe / WindowBound).
   std::vector<std::vector<EqProbe>> eq_probes_;
   std::vector<std::vector<WindowBound>> window_bounds_;
