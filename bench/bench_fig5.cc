@@ -8,6 +8,11 @@
 //
 // A simulated per-policy-statement dispatch cost (the paper's JDBC calls)
 // makes the serial-vs-union gap visible, as in the paper.
+//
+// Exits non-zero when uni;interleaved exceeds kMaxUnifiedInterleavedRatio
+// times uni;serial at 1000 policies: the unified policy's round-0 partial
+// reads only Constants and the clock, so interleaving must not run it. The
+// ratio of two cells of one run does not depend on the machine.
 
 #include <cstdio>
 
@@ -19,6 +24,7 @@ namespace {
 
 constexpr int kTotalQueries = 200;
 constexpr int kPerCallOverheadUs = 50;
+constexpr double kMaxUnifiedInterleavedRatio = 1.5;
 
 double RunConfig(int n_policies, bool unified, EvalStrategy strategy) {
   DataLawyerOptions options = DataLawyerOptions::AllOptimizations();
@@ -64,6 +70,7 @@ int main() {
               "uni;interleaved", "no-uni;union", "no-uni;serial",
               "no-uni;interleaved");
 
+  double ratio = 0;
   for (int n : {10, 100, 1000}) {
     double u_serial = RunConfig(n, true, EvalStrategy::kSerial);
     double u_inter = RunConfig(n, true, EvalStrategy::kInterleaved);
@@ -73,11 +80,20 @@ int main() {
     std::printf("%-10d %16.3f %16.3f %16.3f %16.3f %16.3f\n", n, u_serial,
                 u_inter, n_union, n_serial, n_inter);
     std::fflush(stdout);
+    ratio = u_inter / u_serial;
   }
 
   std::printf(
       "\nExpected shape: the non-unified strategies grow roughly linearly "
       "in the policy count (union cheapest, interleaved costliest); the "
       "unified ones stay flat.\n");
+  std::printf(
+      "uni;interleaved / uni;serial at 1000 policies: %.2f (max %.2f)\n",
+      ratio, kMaxUnifiedInterleavedRatio);
+  if (ratio > kMaxUnifiedInterleavedRatio) {
+    std::fprintf(stderr, "FAIL: unified interleaving costs %.2fx serial\n",
+                 ratio);
+    return 1;
+  }
   return 0;
 }

@@ -26,6 +26,9 @@ namespace {
 
 using SteadyTime = std::chrono::steady_clock::time_point;
 
+/// The attribution slot and span name of the kUnion statement.
+const char kUnionName[] = "(union)";
+
 SteadyTime Now() { return std::chrono::steady_clock::now(); }
 
 double MsSince(SteadyTime start) {
@@ -60,6 +63,42 @@ void StripHaving(SelectStmt* stmt) {
        member = member->union_next.get()) {
     member->having = nullptr;
   }
+}
+
+/// Calls `fn` on every base table `stmt` reads, in every UNION member and
+/// FROM subquery.
+void ForEachTable(const SelectStmt& stmt,
+                  const std::function<void(const std::string&)>& fn) {
+  for (const SelectStmt* member = &stmt; member != nullptr;
+       member = member->union_next.get()) {
+    for (const TableRef& ref : member->from) {
+      if (ref.IsSubquery()) {
+        ForEachTable(*ref.subquery, fn);
+      } else {
+        fn(ref.table_name);
+      }
+    }
+  }
+}
+
+/// True when the partial of `stmt` over `available` reads a generated
+/// relation, and does so in every UNION member that reads the log: a
+/// member that reads none carries no lineage, so its partial never depends
+/// on the increment even when its full statement does.
+bool EveryLogMemberTouches(const SelectStmt& stmt, const UsageLog& log,
+                           const std::set<std::string>& available) {
+  bool touches = false;
+  for (const SelectStmt* member = &stmt; member != nullptr;
+       member = member->union_next.get()) {
+    auto aliases = LogAliasesOf(*member, log);
+    bool member_touches = false;
+    for (const auto& [alias, rel] : aliases) {
+      member_touches = member_touches || available.count(rel) > 0;
+    }
+    if (!aliases.empty() && !member_touches) return false;
+    touches = touches || member_touches;
+  }
+  return touches;
 }
 
 /// One column of a decision-backed system relation: its name, type, and
@@ -139,41 +178,8 @@ std::unique_ptr<RelationData> DecisionRelation(
 
 }  // namespace
 
-/// Per-policy precomputation from the offline phase.
+/// Per-policy precomputation for compaction, from the offline phase.
 struct DataLawyer::PreparedPolicy {
-  size_t policy_index = 0;  ///< into active_
-
-  /// Can interleaved evaluation dismiss this policy from a partial result?
-  bool prunable = false;
-
-  /// Every pair of the policy's log aliases equi-joins on ts: a tuple that
-  /// uses one staged row uses staged rows only.
-  bool ts_joined = false;
-
-  /// §4.3 improved partial policies are sound for this policy: monotone and
-  /// ts_joined.
-  bool improved_ok = false;
-
-  /// prefix_touches_log[k]: the k-relation partial references at least one
-  /// generated log relation, in every UNION member that reads the log (a
-  /// prerequisite for the increment-dependence reasoning).
-  std::vector<bool> prefix_touches_log;
-
-  /// partials[k] is π_S for S = the first k generated log relations;
-  /// nullptr when S covers the policy (evaluate the full statement).
-  std::vector<std::unique_ptr<SelectStmt>> partials;
-  /// True when the first k relations cover the policy's footprint.
-  std::vector<bool> covered;
-  /// state_check[k]: with a ready IncrementalState, round k runs the
-  /// increment check — the round generated one of the policy's relations
-  /// without covering it, and the policy is ts_joined.
-  std::vector<bool> state_check;
-
-  /// Approximate guard support: the guard's log footprint, and per-prefix
-  /// coverage (guard_covered[k] — the guard can run after k generations).
-  std::vector<std::string> guard_relations;
-  std::vector<bool> guard_covered;
-
   WitnessSet witnesses;
   /// witness_partials[rel][k]: the witness queries of `rel` as partials
   /// over the first k relations of generation_order_, for every k up to
@@ -181,6 +187,61 @@ struct DataLawyer::PreparedPolicy {
   /// into the cache. Absent for relations under full fallback.
   std::map<std::string, std::vector<std::vector<std::unique_ptr<SelectStmt>>>>
       witness_partials;
+};
+
+/// What one program does in one round of the check loop (Algorithm 3,
+/// §4.4), compiled at Prepare. Round k <= |generation_order_| is an
+/// interleaved round, whose steps need the first k relations; the closing
+/// round |generation_order_| + 1 runs after every interleaved round.
+struct DataLawyer::CheckStep {
+  enum class Kind : uint8_t {
+    kNothing,  ///< stay open
+    kCheck,    ///< increment check, then kFull early if nothing joins
+    kPartial,  ///< π_S over `needs`: an empty answer proves satisfaction
+    kFull,     ///< the full statement decides
+  };
+  size_t round = 0;
+  std::set<std::string> needs;  ///< generated before the round's waves
+  /// §6: run the guard first, unless it fired in an earlier round; an
+  /// empty answer prunes the policy. With `defer`, a fired guard's precise
+  /// step runs in the round's second wave, after the policy's relations
+  /// are generated, instead of in the guard's slot.
+  bool guard = false;
+  bool defer = false;
+  Kind kind = Kind::kNothing;   ///< without a ready IncrementalState
+  Kind ready = Kind::kNothing;  ///< with one
+  /// kPartial's statement, and whether it is a §4.3 improved partial (an
+  /// answer that uses no staged row prunes too).
+  std::unique_ptr<SelectStmt> partial;
+  bool improved = false;
+};
+
+/// One active policy's steps — or the kUnion statement's, with a null
+/// policy — in ascending round order.
+struct DataLawyer::CheckProgram {
+  const Policy* policy = nullptr;
+  const SelectStmt* full = nullptr;    ///< the statement kFull runs
+  std::vector<const Policy*> members;  ///< the kUnion statement's policies
+  std::string name;                    ///< attribution and span name
+  /// Algorithm 1 line 1's π_1 ∪ ... ∪ π_k over `members`, built once.
+  std::unique_ptr<SelectStmt> owned;
+  std::vector<CheckStep> steps;
+};
+
+/// One program's outcomes in one round: an optional guard run, an
+/// optional increment check, then what its step ran. Filled by a wave,
+/// read only by the serial merge.
+struct DataLawyer::WaveSlot {
+  Status status = Status::OK();
+  bool guard_ran = false;  ///< guard_out holds a successful guard run
+  bool checked = false;    ///< an increment check ran, taking check_us
+  double check_us = 0;
+  CheckStep::Kind ran = CheckStep::Kind::kNothing;
+  PolicyEvalOutput guard_out;
+  PolicyEvalOutput out;
+
+  /// The guard ran and found the policy suspicious.
+  bool fired() const { return guard_ran && !guard_out.messages.empty(); }
 };
 
 DataLawyer::DataLawyer(Database* db, std::unique_ptr<UsageLog> log,
@@ -295,13 +356,11 @@ Status DataLawyer::Prepare() {
   // reconfiguring any of them.
   DL_RETURN_NOT_OK(Flush());
   active_.clear();
+  programs_.clear();
   prepared_.clear();
   constants_.clear();
   constants_catalog_.reset();
-  mentioned_logs_.clear();
   witness_bodies_ = WitnessBodies{};
-  union_combined_.reset();
-  union_member_.clear();
   plan_cache_.Clear();
 
   // Footnote 7: restrict each policy's history to its registration time.
@@ -332,6 +391,7 @@ Status DataLawyer::Prepare() {
   }
 
   // ---- analysis and π_ind rewrites (§4.1.1) ----
+  std::set<std::string> mentioned;  // the union of the log footprints
   PolicyAnalyzer analyzer(log_.get());
   for (Policy& policy : active_) {
     DL_RETURN_NOT_OK(analyzer.Analyze(&policy));
@@ -341,33 +401,26 @@ Status DataLawyer::Prepare() {
     }
     if (policy.guard != nullptr) {
       // The precise policy may only run after its guard's logs exist too.
+      std::vector<std::string>& rels = policy.log_relations;
       for (const std::string& rel : CollectLogRelations(*policy.guard, *log_)) {
-        bool present = false;
-        for (const std::string& have : policy.log_relations) {
-          if (have == rel) present = true;
-        }
-        if (!present) policy.log_relations.push_back(rel);
+        if (!std::count(rels.begin(), rels.end(), rel)) rels.push_back(rel);
       }
     }
-    for (const std::string& rel : policy.log_relations) {
-      mentioned_logs_.insert(rel);
-    }
+    mentioned.insert(policy.log_relations.begin(), policy.log_relations.end());
   }
 
   // Relations needed only by time-independent policies never persist
   // (the implementation note in §5.3).
   std::set<std::string> skip_retention;
   for (const std::string& rel : log_->RelationNamesInOrder()) {
-    bool mentioned = mentioned_logs_.count(rel) > 0;
-    bool only_time_independent = mentioned;
+    bool only_time_independent = mentioned.count(rel) > 0;
     for (const Policy& policy : active_) {
       for (const std::string& r : policy.log_relations) {
         if (r == rel && !policy.time_independent) only_time_independent = false;
       }
     }
-    bool skip = mentioned && only_time_independent;
-    log_->SetPersisted(rel, !skip);
-    if (skip) skip_retention.insert(rel);
+    log_->SetPersisted(rel, !only_time_independent);
+    if (only_time_independent) skip_retention.insert(rel);
   }
 
   // Equality hash indexes over the persisted log: policy predicates are
@@ -375,46 +428,25 @@ Status DataLawyer::Prepare() {
   // turns into index probes instead of full scans. Turning the option off
   // after indexes were built drops them, so the cache stamp (and the access
   // paths policies actually use) track the option.
-  if (options_.enable_log_indexes) {
-    log_->EnableIndexes();
-  } else {
-    log_->DisableIndexes();
-  }
+  log_->SetIndexes(options_.enable_log_indexes);
 
   // Ordered timestamp indexes serve the sliding-window range predicates
   // (`p.ts > $now - 30`) every windowed policy carries; statistics feed the
   // planner's cost model. Both share the hash indexes' maintenance
   // discipline and, like them, are reflected in the cache stamp.
-  if (options_.enable_ordered_log_indexes) {
-    log_->EnableOrderedIndexes();
-  } else {
-    log_->DisableOrderedIndexes();
-  }
-  if (options_.enable_stats_costing) {
-    log_->EnableStats();
-  } else {
-    log_->DisableStats();
-  }
+  log_->SetOrderedIndexes(options_.enable_ordered_log_indexes);
+  log_->SetStats(options_.enable_stats_costing);
 
   // ---- per-policy witness sets and partial-policy caches ----
   generation_order_.clear();
   for (const std::string& rel : log_->RelationNamesInOrder()) {
-    if (mentioned_logs_.count(rel)) generation_order_.push_back(rel);
+    if (mentioned.count(rel)) generation_order_.push_back(rel);
   }
   const std::vector<std::string>& order = generation_order_;
 
   WitnessBuilder witness_builder(log_.get());
-  for (size_t i = 0; i < active_.size(); ++i) {
-    Policy& policy = active_[i];
+  for (Policy& policy : active_) {
     PreparedPolicy prep;
-    prep.policy_index = i;
-    prep.prunable = policy.monotone || AllMembersGrouped(*policy.stmt);
-    prep.ts_joined = TimestampsAllJoined(policy.effective(), *log_);
-    prep.improved_ok = policy.monotone && prep.ts_joined;
-    if (policy.guard != nullptr) {
-      prep.guard_relations = CollectLogRelations(*policy.guard, *log_);
-    }
-
     // A time-independent policy needs no history: π_ind pins every log
     // alias's ts to the clock, so each of its witness queries carries
     // `dl_now.ts + 1 <= a.ts` and is empty under Clock::Tick's strictly
@@ -439,55 +471,6 @@ Status DataLawyer::Prepare() {
         }
       }
     }
-
-    if (options_.strategy == EvalStrategy::kInterleaved && prep.prunable) {
-      std::set<std::string> available;
-      for (size_t k = 0; k <= order.size(); ++k) {
-        if (k > 0) available.insert(order[k - 1]);
-        bool covered = true;
-        for (const std::string& rel : policy.log_relations) {
-          if (!available.count(rel)) covered = false;
-        }
-        prep.covered.push_back(covered);
-        prep.state_check.push_back(
-            k > 0 && !covered && prep.ts_joined &&
-            std::count(policy.log_relations.begin(),
-                       policy.log_relations.end(), order[k - 1]) > 0);
-        // Every UNION member that reads the log must read a generated
-        // relation: a member that reads none carries no lineage, so its
-        // partial never depends on the increment even when its full
-        // statement does.
-        bool touches = false;
-        bool every_member_touches = true;
-        for (const SelectStmt* member = &policy.effective(); member != nullptr;
-             member = member->union_next.get()) {
-          bool reads = false;
-          bool member_touches = false;
-          for (const auto& [alias, rel] : LogAliasesOf(*member, *log_)) {
-            reads = true;
-            if (available.count(rel)) member_touches = true;
-          }
-          touches = touches || member_touches;
-          if (reads && !member_touches) every_member_touches = false;
-        }
-        prep.prefix_touches_log.push_back(touches && every_member_touches);
-        if (policy.guard != nullptr) {
-          bool guard_ok = true;
-          for (const std::string& rel : prep.guard_relations) {
-            if (!available.count(rel)) guard_ok = false;
-          }
-          prep.guard_covered.push_back(guard_ok);
-        }
-        if (covered) {
-          prep.partials.push_back(nullptr);  // evaluate the full policy
-        } else {
-          auto partial =
-              BuildPartialPolicy(policy.effective(), *log_, available);
-          if (!policy.monotone) StripHaving(partial.get());
-          prep.partials.push_back(std::move(partial));
-        }
-      }
-    }
     prepared_.push_back(std::move(prep));
   }
   if (options_.enable_log_compaction) {
@@ -497,35 +480,18 @@ Status DataLawyer::Prepare() {
     }
     witness_bodies_ = FoldWitnesses(sets, skip_retention);
   }
-
-  // ---- the kUnion strategy's combined statement (Algorithm 1 line 1) ----
-  // Built once here — not per query — so it can be planned into the cache.
-  union_member_.assign(active_.size(), false);
-  if (options_.strategy == EvalStrategy::kUnion) {
-    std::vector<size_t> members;
-    for (size_t i = 0; i < active_.size(); ++i) {
-      const Policy& policy = active_[i];
-      bool fits = policy.guard == nullptr &&
-                  policy.effective().items.size() == 1 &&
-                  policy.effective().items[0].expr->kind() != ExprKind::kStar;
-      if (fits) members.push_back(i);
+  witness_system_relations_.clear();
+  for (const std::string& name : system_catalog_->Names()) {
+    bool read = false;
+    for (const WitnessBody& body : witness_bodies_.bodies) {
+      ForEachTable(*body.query, [&](const std::string& table) {
+        read = read || EqualsIgnoreCase(table, name);
+      });
     }
-    if (members.size() > 1) {
-      SelectStmt* tail = nullptr;
-      for (size_t i : members) {
-        union_member_[i] = true;
-        std::unique_ptr<SelectStmt> clone = active_[i].effective().Clone();
-        if (union_combined_ == nullptr) {
-          union_combined_ = std::move(clone);
-          tail = union_combined_.get();
-        } else {
-          tail->union_all = true;  // dedup is unnecessary for a violation test
-          tail->union_next = std::move(clone);
-        }
-        while (tail->union_next != nullptr) tail = tail->union_next.get();
-      }
-    }
+    if (read) witness_system_relations_.push_back(name);
   }
+
+  CompileCheckPrograms();
 
   // ---- per-policy plan cache ----
   WarmPlanCache();
@@ -536,6 +502,162 @@ Status DataLawyer::Prepare() {
 
   prepared_valid_ = true;
   return Status::OK();
+}
+
+void DataLawyer::CompileCheckPrograms() {
+  using Kind = CheckStep::Kind;
+  const std::vector<std::string>& order = generation_order_;
+  // Reads only the clock and the Constants tables: nothing a query adds,
+  // so the partial cannot depend on the log. Such a partial can only
+  // prune, and the policy's later steps decide it the same way.
+  auto inert = [&](const SelectStmt& partial) {
+    bool inert = true;
+    ForEachTable(partial, [&](const std::string& table) {
+      bool fixed = EqualsIgnoreCase(table, UsageLog::ClockRelationName());
+      for (const auto& [name, rel] : constants_) {
+        fixed = fixed || EqualsIgnoreCase(table, name);
+      }
+      inert = inert && fixed;
+    });
+    return inert;
+  };
+  // Adds `program` with one step at the closing round, after every
+  // interleaved round: the full statement, behind the guard (whose precise
+  // step follows in the round's next wave) when there is one.
+  auto add_closing = [&](CheckProgram program,
+                         const std::vector<std::string>& needs) {
+    CheckStep step;
+    step.round = order.size() + 1;
+    step.needs.insert(needs.begin(), needs.end());
+    step.kind = step.ready = Kind::kFull;
+    step.guard = step.defer =
+        program.policy != nullptr && program.policy->guard != nullptr;
+    program.steps.push_back(std::move(step));
+    programs_.push_back(std::move(program));
+  };
+
+  // kUnion (Algorithm 1 line 1): π_1 ∪ ... ∪ π_k over the guardless
+  // single-message policies, built once here so it is planned into the
+  // cache. Its one shared full step merges first.
+  auto in_union = [&](const Policy& policy) {
+    const SelectStmt& stmt = policy.effective();
+    return options_.strategy == EvalStrategy::kUnion &&
+           policy.guard == nullptr && stmt.items.size() == 1 &&
+           stmt.items[0].expr->kind() != ExprKind::kStar;
+  };
+  CheckProgram unioned;
+  unioned.name = kUnionName;
+  std::vector<std::string> union_needs;
+  for (const Policy& policy : active_) {
+    if (!in_union(policy)) continue;
+    unioned.members.push_back(&policy);
+    union_needs.insert(union_needs.end(), policy.log_relations.begin(),
+                       policy.log_relations.end());
+  }
+  const bool unioning = unioned.members.size() > 1;
+  if (unioning) {
+    std::unique_ptr<SelectStmt>* link = &unioned.owned;
+    SelectStmt* tail = nullptr;
+    for (const Policy* member : unioned.members) {
+      // UNION ALL: a violation test needs no dedup.
+      if (tail != nullptr) tail->union_all = true;
+      *link = member->effective().Clone();
+      tail = link->get();
+      while (tail->union_next != nullptr) tail = tail->union_next.get();
+      link = &tail->union_next;
+    }
+    unioned.full = unioned.owned.get();
+    add_closing(std::move(unioned), union_needs);
+  }
+
+  for (const Policy& policy : active_) {
+    if (unioning && in_union(policy)) continue;
+    CheckProgram program;
+    program.policy = &policy;
+    program.name = policy.name;
+    program.full = &policy.effective();
+    // Interleaving (§4.4) can dismiss a policy from a partial result when
+    // it is monotone, or when every member groups: no joined rows, no
+    // groups, no output. The others run at the closing round.
+    if (options_.strategy != EvalStrategy::kInterleaved ||
+        !(policy.monotone || AllMembersGrouped(*policy.stmt))) {
+      add_closing(std::move(program),
+                  policy.guard != nullptr
+                      ? CollectLogRelations(*policy.guard, *log_)
+                      : policy.log_relations);
+      continue;
+    }
+    // Every pair of log aliases equi-joins on ts: a tuple that uses one
+    // staged row uses staged rows only.
+    bool ts_joined = TimestampsAllJoined(policy.effective(), *log_);
+    std::vector<std::string> guard_relations;
+    if (policy.guard != nullptr) {
+      guard_relations = CollectLogRelations(*policy.guard, *log_);
+    }
+    // One step per round up to the covering one, whose full step decides.
+    std::set<std::string> available;
+    auto within = [&](const std::vector<std::string>& rels) {
+      return std::all_of(rels.begin(), rels.end(), [&](const std::string& r) {
+        return available.count(r) > 0;
+      });
+    };
+    bool covered = false;
+    for (size_t k = 0; !covered; ++k) {
+      if (k > 0) available.insert(order[k - 1]);
+      CheckStep step;
+      step.round = k;
+      step.needs = available;
+      step.guard = policy.guard != nullptr && within(guard_relations);
+      covered = within(policy.log_relations);
+      if (covered) {
+        step.kind = step.ready = Kind::kFull;
+      } else {
+        // A ready state answers at the covering round, or earlier, once an
+        // increment check proves this round's staged rows cannot join in.
+        bool new_relation =
+            k > 0 && std::count(policy.log_relations.begin(),
+                                policy.log_relations.end(), order[k - 1]);
+        step.ready = ts_joined && new_relation ? Kind::kCheck : Kind::kNothing;
+        auto partial = BuildPartialPolicy(policy.effective(), *log_, available);
+        if (!policy.monotone) StripHaving(partial.get());
+        if (!inert(*partial)) {
+          step.kind = Kind::kPartial;
+          step.partial = std::move(partial);
+          step.improved = options_.enable_improved_partial && policy.monotone &&
+                          ts_joined &&
+                          EveryLogMemberTouches(policy.effective(), *log_,
+                                                available);
+        }
+      }
+      program.steps.push_back(std::move(step));
+    }
+    programs_.push_back(std::move(program));
+  }
+}
+
+std::string DataLawyer::DescribeCheckPrograms() const {
+  auto kind = [](CheckStep::Kind k) {
+    static const char* const kNames[] = {"nothing", "check", "partial", "full"};
+    return std::string(kNames[size_t(k)]);
+  };
+  std::string out;
+  for (const CheckProgram& program : programs_) {
+    out += program.name + ":";
+    for (const CheckStep& step : program.steps) {
+      std::vector<std::string> needs;
+      for (const std::string& rel : generation_order_) {
+        if (step.needs.count(rel)) needs.push_back(rel);
+      }
+      out += " " + std::to_string(step.round) + "[" + Join(needs, ",") + "] ";
+      if (step.guard) out += step.defer ? "guard>>" : "guard>";
+      out += kind(step.kind);
+      if (step.improved) out += "+improved";
+      if (step.ready != step.kind) out += "|" + kind(step.ready);
+      out += ";";
+    }
+    out += "\n";
+  }
+  return out;
 }
 
 uint64_t DataLawyer::CacheStamp() const {
@@ -634,14 +756,16 @@ void DataLawyer::WarmPlanCache() {
     if (policy.guard != nullptr) {
       plan_cache_.Warm(*policy.guard, catalog.view(), planner);
     }
-    for (const std::unique_ptr<SelectStmt>& partial : prepared_[i].partials) {
-      if (partial != nullptr) {
-        plan_cache_.Warm(*partial, catalog.view(), planner);
+  }
+  for (const CheckProgram& program : programs_) {
+    if (program.policy == nullptr) {
+      plan_cache_.Warm(*program.full, catalog.view(), planner);
+    }
+    for (const CheckStep& step : program.steps) {
+      if (step.partial != nullptr) {
+        plan_cache_.Warm(*step.partial, catalog.view(), planner);
       }
     }
-  }
-  if (union_combined_ != nullptr) {
-    plan_cache_.Warm(*union_combined_, catalog.view(), planner);
   }
   // Witness bodies reference dl_now besides the policy catalog. The stamp
   // and the stats-drift rewarm cover them like the policy plans; Mark runs
@@ -675,9 +799,7 @@ void DataLawyer::AdvanceIncrementalStates(int64_t ts) {
 Result<QueryResult> DataLawyer::Execute(const std::string& sql,
                                         const QueryContext& context) {
   DL_TRACE_SPAN("dl.execute", "core");
-  if (!prepared_valid_) {
-    DL_RETURN_NOT_OK(Prepare());
-  }
+  if (!prepared_valid_) DL_RETURN_NOT_OK(Prepare());
   stats_ = ExecutionStats{};
   auto parse_start = Now();
   DL_ASSIGN_OR_RETURN(Statement stmt, Parser::Parse(sql));
@@ -695,9 +817,8 @@ Result<QueryResult> DataLawyer::Execute(const std::string& sql,
     }
     return engine_.ExecuteStatement(stmt, PlanExecOptions());
   }
-  int64_t ts = clock_->Tick();
-  stats_.ts = ts;
-  return RunChecked(sql, *stmt.select, context, ts, /*probe=*/false);
+  return RunChecked(sql, *stmt.select, context, clock_->Tick(),
+                    /*probe=*/false);
 }
 
 Result<QueryResult> DataLawyer::RunChecked(const std::string& sql,
@@ -708,8 +829,9 @@ Result<QueryResult> DataLawyer::RunChecked(const std::string& sql,
   // this thread (and, transitively, its worker tasks) submits is charged
   // to query_group_, so the counts are exact per-query — a concurrent
   // background compaction runs detached and never leaks in.
+  stats_.ts = ts;
   query_group_.Reset();
-  attribution_.assign(active_.size() + 1, QueryAttribution{});
+  attribution_.assign(active_.size() + 1, PolicyStats{});
   // A probe reuses the checked path with compaction, commit and execution
   // suppressed; its staged increments are discarded afterwards.
   probe_mode_ = probe;
@@ -732,24 +854,17 @@ Result<QueryResult> DataLawyer::RunChecked(const std::string& sql,
   stats_.queue_wait_us =
       query_group_.queue_wait_us.load(std::memory_order_relaxed);
 
-  static const std::string kUnionSlot = "(union)";
+  static const std::string kUnion = kUnionName;
   for (size_t i = 0; i < attribution_.size(); ++i) {
-    const QueryAttribution& a = attribution_[i];
+    const PolicyStats& a = attribution_[i];
     if (a.evaluations == 0 && a.prunes == 0 && a.rejections == 0 &&
         a.eval_us == 0) {
       continue;
     }
-    const std::string& name = i < active_.size() ? active_[i].name : kUnionSlot;
+    const std::string& name = i < active_.size() ? active_[i].name : kUnion;
     PolicyStats& s = policy_stats_[name];
-    if (s.name.empty()) s.name = name;
-    s.evaluations += a.evaluations;
-    s.prunes += a.prunes;
-    s.rejections += a.rejections;
-    s.eval_us += a.eval_us;
-    s.incremental_hits += a.incremental_hits;
-    s.incremental_fallbacks += a.incremental_fallbacks;
-    s.partials_run += a.partials_run;
-    s.partials_pruned += a.partials_pruned;
+    s.name = name;
+    s += a;
   }
   RecordDecision(sql, context, result.status(), probe);
   return result;
@@ -766,9 +881,7 @@ Status DataLawyer::Flush() {
 
 Status DataLawyer::WouldAllow(const std::string& sql,
                               const QueryContext& context) {
-  if (!prepared_valid_) {
-    DL_RETURN_NOT_OK(Prepare());
-  }
+  if (!prepared_valid_) DL_RETURN_NOT_OK(Prepare());
   DL_RETURN_NOT_OK(Flush());
   stats_ = ExecutionStats{};
   auto parse_start = Now();
@@ -778,9 +891,9 @@ Status DataLawyer::WouldAllow(const std::string& sql,
     return Status::OK();  // DDL/DML bypasses policies
   }
   // Probe at the next timestamp without consuming it.
-  int64_t ts = clock_->Now() + 1;
-  stats_.ts = ts;
-  return RunChecked(sql, *stmt.select, context, ts, /*probe=*/true).status();
+  return RunChecked(sql, *stmt.select, context, clock_->Now() + 1,
+                    /*probe=*/true)
+      .status();
 }
 
 Result<QueryResult> DataLawyer::QueryUsageLog(const std::string& sql) {
@@ -912,11 +1025,10 @@ Result<DataLawyer::PolicyEvalOutput> DataLawyer::EvalPolicyStatement(
     if (row.empty()) continue;
     std::string msg = row[0].is_string() ? row[0].AsString()
                                          : row[0].ToString();
-    bool seen = false;
-    for (const std::string& m : out.messages) {
-      if (m == msg) seen = true;
+    if (std::find(out.messages.begin(), out.messages.end(), msg) ==
+        out.messages.end()) {
+      out.messages.push_back(std::move(msg));
     }
-    if (!seen) out.messages.push_back(std::move(msg));
     if (out.messages.size() >= 8) break;  // cap the report
   }
   if (out.messages.empty() && !result.rows.empty()) {
@@ -926,7 +1038,7 @@ Result<DataLawyer::PolicyEvalOutput> DataLawyer::EvalPolicyStatement(
   return out;
 }
 
-DataLawyer::QueryAttribution& DataLawyer::AttributionFor(const Policy* policy) {
+PolicyStats& DataLawyer::AttributionFor(const Policy* policy) {
   // Every attributed policy is an element of active_, so its position in
   // active_ is its slot.
   return attribution_[policy != nullptr ? size_t(policy - active_.data())
@@ -943,7 +1055,7 @@ void DataLawyer::RecordEvalCounters(const PolicyEvalOutput& out,
   stats_.range_probes += out.scan.range_probes;
   stats_.range_hits += out.scan.range_hits;
   stats_.morsels += out.scan.morsels;
-  QueryAttribution& slot = AttributionFor(attribute_to);
+  PolicyStats& slot = AttributionFor(attribute_to);
   ++slot.evaluations;
   slot.eval_us += out.eval_us;
   if (out.incremental_hit) {
@@ -1067,6 +1179,14 @@ Status DataLawyer::CompactLog(int64_t ts) {
     // until the next Flush waits on it. Detached from the query's
     // attribution group: compaction outlives the query, and its tasks must
     // not inflate the query's scheduler footprint.
+    //
+    // The dl_* relations the bodies read are resolved here, serially: the
+    // worker then marks against the snapshot sync compaction would see,
+    // instead of building one while this query's decision is appended and
+    // its attribution folded.
+    for (const std::string& name : witness_system_relations_) {
+      system_catalog_->Find(name);
+    }
     ScopedTaskGroup detach(nullptr);
     pending_compaction_ = EnsureScheduler(1)->Submit([compact] {
       DL_TRACE_SPAN("compact.async", "policy");
@@ -1086,6 +1206,27 @@ Status DataLawyer::CompactLog(int64_t ts) {
 Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
                                                const QueryContext& context,
                                                int64_t ts) {
+  DL_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bound, CheckHead(stmt, ts));
+  // f_Provenance's lineage run, if any, is the query's only run.
+  QueryResult answer;
+  GenerationInput input;
+  input.query = &stmt;
+  input.bound = bound.get();
+  input.db_catalog = system_catalog_.get();
+  input.context = &context;
+  input.exec = PlanExecOptions();
+  input.answer = &answer;
+  input.morsels = &stats_.morsels;
+  DL_RETURN_NOT_OK(GenerateAndCheck(ts, input));
+  // Dry run (WouldAllow): all policies passed; do not touch the log or run
+  // the query.
+  if (probe_mode_) return QueryResult{};
+  DL_RETURN_NOT_OK(GenerateRestAndCompact(ts, input));
+  return ExecuteUserQuery(*bound, &answer);
+}
+
+Result<std::unique_ptr<BoundQuery>> DataLawyer::CheckHead(
+    const SelectStmt& stmt, int64_t ts) {
   // A pending background compaction owns the log tables; wait it out.
   DL_RETURN_NOT_OK(Flush());
 
@@ -1134,360 +1275,237 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
   Binder binder(system_catalog_.get());
   DL_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bound, binder.Bind(stmt));
   stats_.bind_us = UsSince(bind_start);
+  return bound;
+}
 
-  // f_Provenance's lineage run, if any, is the query's only run.
-  QueryResult answer;
-  GenerationInput input;
-  input.query = &stmt;
-  input.bound = bound.get();
-  input.db_catalog = system_catalog_.get();
-  input.context = &context;
-  input.exec = PlanExecOptions();
-  input.answer = &answer;
-  input.morsels = &stats_.morsels;
-
+Status DataLawyer::GenerateAndCheck(int64_t ts, const GenerationInput& input) {
   UsageLog::PolicyCatalog catalog =
       log_->MakeCatalog(policy_base_catalog(), ts);
-
-  std::vector<std::string> violations;
   last_violations_.clear();
-  auto attribute = [&](const Policy& policy,
-                       const std::vector<std::string>& messages) {
-    last_violations_.push_back(
-        ViolationReport{policy.name, policy.sql, messages});
-    ++AttributionFor(&policy).rejections;
+  // Per program: its next step, and whether its guard fired (the policy is
+  // suspicious: the precise check is required).
+  const size_t n = programs_.size();
+  std::vector<size_t> next(n, 0);
+  std::vector<bool> fired(n, false);
+  // Log generation stays serial, ahead of each wave, since it mutates the
+  // staging deltas.
+  std::set<std::string> needs;
+  auto generate_needs = [&]() -> Status {
+    for (const std::string& rel : generation_order_) {
+      if (needs.count(rel)) DL_RETURN_NOT_OK(GenerateLog(rel, ts, input));
+    }
+    needs.clear();
+    return Status::OK();
   };
-  // A guard, partial, or increment check dismissed `policy` early.
-  auto prune = [&](const Policy& policy) {
-    ++stats_.policies_pruned_early;
-    ++AttributionFor(&policy).prunes;
-  };
-  auto reject = [&]() -> Status {
-    // Capture the violating log rows while the staged increment still
-    // exists — the witness tuples behind this rejection. Best-effort: a
-    // capture error degrades the explanation, never the verdict.
-    if (decisions_.enabled() && !last_violations_.empty()) {
-      for (const Policy& policy : active_) {
-        if (policy.name != last_violations_.front().policy_name) continue;
-        Result<WitnessCaptureResult> captured = CaptureViolationWitnesses(
-            policy.effective(), catalog.view(), *log_,
-            options_.decision_witness_limit, options_.decision_witness_naive,
-            options_.enable_stats_costing);
-        if (captured.ok()) {
-          last_witnesses_.clear();
-          for (CapturedWitness& c : captured->rows) {
-            last_witnesses_.push_back(DecisionWitness{
-                std::move(c.relation), c.row_id, c.from_increment, c.ts,
-                std::move(c.values)});
-          }
-          last_witnesses_truncated_ = captured->truncated;
-        }
-        break;
+
+  std::vector<size_t> due;  // programs with a step this round, merge order
+  std::vector<WaveSlot> slots;
+  for (size_t round = 0; round <= generation_order_.size() + 1; ++round) {
+    due.clear();
+    for (size_t p = 0; p < n; ++p) {
+      if (next[p] < programs_[p].steps.size() &&
+          programs_[p].steps[next[p]].round == round) {
+        due.push_back(p);
       }
     }
-    log_->DiscardStaged();
-    stats_.rejected = true;
-    stats_.violations = violations;
-    std::string message;
-    for (const std::string& v : violations) {
-      if (!message.empty()) message += "; ";
-      message += v;
+    if (due.empty()) continue;
+    auto step = [&](size_t i) -> const CheckStep& {
+      return programs_[due[i]].steps[next[due[i]]];
+    };
+    for (size_t i = 0; i < due.size(); ++i) {
+      needs.insert(step(i).needs.begin(), step(i).needs.end());
     }
-    return Status::PolicyViolation(message);
-  };
+    DL_RETURN_NOT_OK(generate_needs());
+    slots.assign(due.size(), WaveSlot{});
+    size_t decisive = RunPolicyWave(due.size(), [&](size_t i) {
+      size_t p = due[i];
+      return RunStep(programs_[p], step(i), fired[p], catalog.view(), ts,
+                     &slots[i]);
+    });
+    // The precise steps behind the fired guards the merge reaches, once
+    // their policies' relations exist.
+    std::vector<size_t> deferred;
+    for (size_t i = 0; i < decisive; ++i) {
+      if (!step(i).defer || !slots[i].fired()) continue;
+      deferred.push_back(i);
+      const std::vector<std::string>& rels =
+          programs_[due[i]].policy->log_relations;
+      needs.insert(rels.begin(), rels.end());
+    }
+    DL_RETURN_NOT_OK(generate_needs());
+    RunPolicyWave(deferred.size(), [&](size_t j) {
+      size_t i = deferred[j];
+      return RunStep(programs_[due[i]], step(i), /*guard_fired=*/true,
+                     catalog.view(), ts, &slots[i]);
+    });
+    for (size_t i = 0; i < due.size(); ++i) {
+      size_t p = due[i];
+      fired[p] = fired[p] || slots[i].fired();
+      DL_ASSIGN_OR_RETURN(bool open, MergeSlot(programs_[p], step(i),
+                                               &slots[i], catalog.view()));
+      next[p] = open ? next[p] + 1 : programs_[p].steps.size();
+    }
+  }
+  return Status::OK();
+}
 
-  const std::vector<std::string>& order = generation_order_;
-
-  // What a wave slot ran after its guard: nothing (the policy stays open),
-  // a partial π_S, the full statement of a covered policy, or the full
-  // statement early, after an increment check.
-  enum class Ran { kNothing, kPartial, kFull, kEarly };
-  // One policy's outcomes in an evaluation wave: an optional guard run,
-  // an optional increment check, then the policy's statement. Filled by
-  // RunPolicyWave, read only by the serial merge.
-  struct WaveSlot {
-    Status status = Status::OK();
-    bool guard_ran = false;  // guard_out holds a successful guard run
-    bool check_dep = false;  // the partial asked for increment dependence
-    bool checked = false;    // an increment check ran, taking check_us
-    double check_us = 0;
-    Ran ran = Ran::kFull;
-    PolicyEvalOutput guard_out;
-    PolicyEvalOutput out;
-  };
-  // Evaluates one statement of `policy` into `*out`, or its error into
-  // `*status`; false on error. Only the const core runs, so waves may call
-  // it concurrently.
-  auto eval_into = [&](const SelectStmt& to_eval, bool check_dep,
-                       const char* label, const Policy& policy,
-                       PolicyEvalOutput* out, Status* status) {
+bool DataLawyer::RunStep(const CheckProgram& program, const CheckStep& step,
+                         bool guard_fired, const CatalogView* catalog,
+                         int64_t ts, WaveSlot* s) const {
+  using Kind = CheckStep::Kind;
+  // Evaluates one statement into `*out`, or its error into s->status;
+  // false on error. Only the const core runs.
+  auto eval = [&](const SelectStmt& stmt, bool check_dep, const char* label,
+                  PolicyEvalOutput* out) {
     Result<PolicyEvalOutput> result = EvalPolicyStatement(
-        to_eval, catalog.view(), check_dep, SpanLabel(label, policy.name));
-    if (!result.ok()) {
-      *status = result.status();
-      return false;
-    }
-    *out = std::move(*result);
-    return true;
+        stmt, catalog, check_dep, SpanLabel(label, program.name));
+    s->status = result.status();
+    if (result.ok()) *out = std::move(*result);
+    return result.ok();
   };
-  // The serial merge of one slot, called in registration order: folds the
-  // slot's counters, prune and attribution, and returns its error or its
-  // rejection. True when the policy stays open for the next round.
-  auto merge = [&](const Policy& policy, WaveSlot& s) -> Result<bool> {
-    QueryAttribution& slot = AttributionFor(&policy);
-    if (s.checked) {
-      // Not a statement: its own counter, its time charged like one.
-      ++stats_.increment_checks;
-      stats_.policy_cpu_us += s.check_us;
-      slot.eval_us += s.check_us;
+  if (step.guard && !guard_fired) {
+    s->guard_ran = eval(*program.policy->guard, false, "policy.guard:",
+                        &s->guard_out);
+    if (!s->guard_ran) return true;
+    if (s->guard_out.messages.empty() || step.defer) return false;
+  }
+  // The ready variant, when Advance brought the policy's state to `ts`.
+  // Only the policy's own deciding step evaluates (and may poison) it.
+  Kind kind = step.kind;
+  const IncrementalState* state = nullptr;
+  if (step.ready != step.kind) {
+    const PlanCache::Entry* entry = plan_cache_.Lookup(*program.full);
+    if (entry != nullptr && entry->incremental != nullptr &&
+        entry->incremental->Ready(ts)) {
+      state = entry->incremental.get();
+      kind = step.ready;
     }
-    if (s.guard_ran) {
-      RecordEvalCounters(s.guard_out, &policy);
-      if (s.guard_out.messages.empty()) {
-        prune(policy);  // guard proves satisfaction
-        return false;
-      }
-    }
-    DL_RETURN_NOT_OK(s.status);
-    if (s.ran == Ran::kNothing) return true;
-    RecordEvalCounters(s.out, &policy);
-    if (s.ran != Ran::kPartial) {
-      if (!s.out.messages.empty()) {
-        attribute(policy, s.out.messages);
-        violations = std::move(s.out.messages);
-        return reject();
-      }
-      if (s.ran == Ran::kEarly) prune(policy);  // answered before covered
+  }
+  if (kind == Kind::kCheck) {
+    // No staged row generated so far joins in, so none can (the policy is
+    // ts-joined): the answer over L ∪ Δ is the answer over L, from state,
+    // or from the full plan if the state declines.
+    ScopedSpan span(SpanLabel("policy.increment_check:", program.name),
+                    "policy");
+    auto t0 = Now();
+    bool joins = state->IncrementMayJoin(step.needs, ts);
+    s->checked = true;
+    s->check_us = UsSince(t0);
+    kind = joins ? Kind::kNothing : Kind::kFull;
+  }
+  s->ran = kind;
+  switch (kind) {
+    case Kind::kNothing:
+    case Kind::kCheck:
       return false;
-    }
+    case Kind::kPartial:
+      return !eval(*step.partial, step.improved, "policy.partial:", &s->out);
+    case Kind::kFull:
+      break;
+  }
+  return !eval(*program.full, false, "policy.eval:", &s->out) ||
+         !s->out.messages.empty();
+}
+
+Result<bool> DataLawyer::MergeSlot(const CheckProgram& program,
+                                   const CheckStep& step, WaveSlot* s,
+                                   const CatalogView* catalog) {
+  using Kind = CheckStep::Kind;
+  const Policy* policy = program.policy;
+  PolicyStats& slot = AttributionFor(policy);
+  // A guard, partial, or increment check dismissed the policy early.
+  auto prune = [&] {
+    ++stats_.policies_pruned_early;
+    ++slot.prunes;
+    return false;
+  };
+  if (s->checked) {
+    // Not a statement: its own counter, its time charged like one.
+    ++stats_.increment_checks;
+    stats_.policy_cpu_us += s->check_us;
+    slot.eval_us += s->check_us;
+  }
+  if (s->guard_ran) {
+    RecordEvalCounters(s->guard_out, policy);
+    if (s->guard_out.messages.empty()) return prune();
+  }
+  DL_RETURN_NOT_OK(s->status);
+  if (s->ran == Kind::kNothing) return true;
+  RecordEvalCounters(s->out, policy);
+  if (s->ran == Kind::kPartial) {
     // An empty partial proves satisfaction; so does one that held in the
     // past with nothing from the current increment contributing (§4.3
     // improved partial policies).
     ++slot.partials_run;
-    if (s.out.messages.empty() ||
-        (s.check_dep && !s.out.depends_on_increment)) {
-      ++slot.partials_pruned;
-      prune(policy);
-      return false;
+    if (!s->out.messages.empty() &&
+        !(step.improved && !s->out.depends_on_increment)) {
+      return true;
     }
-    return true;
-  };
-
-  // Fully checks a batch of independent policies in two waves: guards (or
-  // the full statements of guardless policies) first, then the precise
-  // statements behind fired guards. Log generation stays serial, ahead of
-  // each wave, since it mutates the staging deltas. OK = every policy holds.
-  auto check_batch =
-      [&](const std::vector<const PreparedPolicy*>& batch) -> Status {
-    for (const PreparedPolicy* prep : batch) {
-      const Policy& policy = active_[prep->policy_index];
-      for (const std::string& rel : policy.guard != nullptr
-                                        ? prep->guard_relations
-                                        : policy.log_relations) {
-        DL_RETURN_NOT_OK(GenerateLog(rel, ts, input));
-      }
-    }
-    std::vector<WaveSlot> slots(batch.size());
-    size_t decisive = RunPolicyWave(batch.size(), [&](size_t i) {
-      const Policy& policy = active_[batch[i]->policy_index];
-      WaveSlot& s = slots[i];
-      if (policy.guard != nullptr) {
-        s.guard_ran = eval_into(*policy.guard, false, "policy.guard:", policy,
-                                &s.guard_out, &s.status);
-        return !s.guard_ran;
-      }
-      return !eval_into(policy.effective(), false, "policy.eval:", policy,
-                        &s.out, &s.status) ||
-             !s.out.messages.empty();
-    });
-    // Materialize the remaining logs of the fired guards the merge reaches.
-    std::vector<size_t> fired;
-    for (size_t i = 0; i < decisive; ++i) {
-      if (!slots[i].guard_ran || slots[i].guard_out.messages.empty()) continue;
-      fired.push_back(i);
-      for (const std::string& rel :
-           active_[batch[i]->policy_index].log_relations) {
-        DL_RETURN_NOT_OK(GenerateLog(rel, ts, input));
-      }
-    }
-    RunPolicyWave(fired.size(), [&](size_t j) {
-      const Policy& policy = active_[batch[fired[j]]->policy_index];
-      WaveSlot& s = slots[fired[j]];
-      return !eval_into(policy.effective(), false, "policy.eval:", policy,
-                        &s.out, &s.status) ||
-             !s.out.messages.empty();
-    });
-    for (size_t i = 0; i < batch.size(); ++i) {
-      DL_RETURN_NOT_OK(
-          merge(active_[batch[i]->policy_index], slots[i]).status());
-    }
-    return Status::OK();
-  };
-
-  if (options_.strategy == EvalStrategy::kInterleaved) {
-    // ---- §4.4 step 1: interleaved evaluation of prunable policies ----
-    std::vector<const PreparedPolicy*> remaining;
-    std::vector<const PreparedPolicy*> full_only;
-    for (const PreparedPolicy& prep : prepared_) {
-      (prep.prunable ? remaining : full_only).push_back(&prep);
-    }
-    // A policy whose state Advance brought to `ts` never runs a partial:
-    // its state answers it at the round that covers it, or earlier, at the
-    // first round whose increment check proves the staged rows generated
-    // so far cannot join into it. Then no new tuple can (prep.ts_joined),
-    // and the answer over L ∪ Δ is the answer over L: from state, or from
-    // the full plan over the relations generated so far if the state
-    // declines. Fixed for the whole query.
-    std::vector<const IncrementalState*> ready_state(prepared_.size(),
-                                                     nullptr);
-    for (const PreparedPolicy* prep : remaining) {
-      const PlanCache::Entry* entry =
-          plan_cache_.Lookup(active_[prep->policy_index].effective());
-      if (entry != nullptr && entry->incremental != nullptr &&
-          entry->incremental->Ready(ts)) {
-        ready_state[prep->policy_index] = entry->incremental.get();
-      }
-    }
-    // Guarded policies whose guard already flagged them as suspicious.
-    std::set<const PreparedPolicy*> guard_cleared;
-    std::set<std::string> generated;
-
-    for (size_t k = 0; k <= order.size() && !remaining.empty(); ++k) {
-      if (k > 0) {
-        DL_RETURN_NOT_OK(GenerateLog(order[k - 1], ts, input));
-        generated.insert(order[k - 1]);
-      }
-      // One slot per surviving policy: its approximate guard (§6) once the
-      // guard's logs exist — an empty answer dismisses the policy without
-      // the precise check — then its state step, or its partial or full
-      // statement. The wave only reads `guard_cleared`; the merge below
-      // updates it.
-      std::vector<WaveSlot> slots(remaining.size());
-      RunPolicyWave(remaining.size(), [&](size_t i) {
-        const PreparedPolicy* prep = remaining[i];
-        const Policy& policy = active_[prep->policy_index];
-        WaveSlot& s = slots[i];
-        if (policy.guard != nullptr && !guard_cleared.count(prep) &&
-            prep->guard_covered[k]) {
-          s.guard_ran = eval_into(*policy.guard, false, "policy.guard:", policy,
-                                  &s.guard_out, &s.status);
-          if (!s.guard_ran) return true;
-          if (s.guard_out.messages.empty()) return false;
-        }
-        const bool covered = prep->covered[k];
-        const IncrementalState* state = ready_state[prep->policy_index];
-        if (state != nullptr && !covered) {
-          s.ran = Ran::kNothing;
-          if (!prep->state_check[k]) return false;
-          {
-            ScopedSpan span(SpanLabel("policy.increment_check:", policy.name),
-                            "policy");
-            auto t0 = Now();
-            bool joins = state->IncrementMayJoin(generated, ts);
-            s.checked = true;
-            s.check_us = UsSince(t0);
-            if (joins) return false;
-          }
-          s.ran = Ran::kEarly;
-        } else if (!covered) {
-          s.ran = Ran::kPartial;
-          s.check_dep = options_.enable_improved_partial &&
-                        prep->improved_ok && prep->prefix_touches_log[k];
-          return !eval_into(*prep->partials[k], s.check_dep,
-                            "policy.partial:", policy, &s.out, &s.status);
-        }
-        return !eval_into(policy.effective(), false, "policy.eval:", policy,
-                          &s.out, &s.status) ||
-               !s.out.messages.empty();
-      });
-      std::vector<const PreparedPolicy*> next;
-      for (size_t i = 0; i < remaining.size(); ++i) {
-        const PreparedPolicy* prep = remaining[i];
-        const Policy& policy = active_[prep->policy_index];
-        if (slots[i].guard_ran && !slots[i].guard_out.messages.empty()) {
-          guard_cleared.insert(prep);  // suspicious: precise check required
-        }
-        DL_ASSIGN_OR_RETURN(bool open, merge(policy, slots[i]));
-        if (open) next.push_back(prep);
-      }
-      remaining = std::move(next);
-    }
-
-    // ---- §4.4 step 2: the non-prunable (non-monotone) policies ----
-    DL_RETURN_NOT_OK(check_batch(full_only));
-  } else {
-    // ---- serial / union strategies ----
-    // Generate the logs needed upfront — except those needed only by the
-    // precise halves of guarded policies, which are deferred until their
-    // guard fires.
-    {
-      std::set<std::string> upfront;
-      for (size_t i = 0; i < active_.size(); ++i) {
-        const Policy& policy = active_[i];
-        if (policy.guard == nullptr) {
-          for (const std::string& rel : policy.log_relations) {
-            upfront.insert(rel);
-          }
-        } else {
-          for (const std::string& rel : prepared_[i].guard_relations) {
-            upfront.insert(rel);
-          }
-        }
-      }
-      for (const std::string& rel : order) {
-        if (upfront.count(rel)) {
-          DL_RETURN_NOT_OK(GenerateLog(rel, ts, input));
-        }
-      }
-    }
-    // Every policy outside the union statement is checked on its own.
-    std::vector<const PreparedPolicy*> separate;
-    for (size_t i = 0; i < active_.size(); ++i) {
-      if (union_combined_ == nullptr || !union_member_[i]) {
-        separate.push_back(&prepared_[i]);
-      }
-    }
-    if (union_combined_ != nullptr) {
-      // Algorithm 1 line 1: π_union = π_1 ∪ ... ∪ π_k, built (and planned)
-      // once at Prepare time.
-      DL_ASSIGN_OR_RETURN(
-          PolicyEvalOutput out,
-          EvalPolicyStatement(*union_combined_, catalog.view(), false,
-                              SpanLabel("policy.eval:", "(union)")));
-      RecordEvalCounters(out, nullptr);
-      stats_.policy_wall_us += out.eval_us;
-      if (!out.messages.empty()) {
-        // Re-evaluate individually to attribute the violation (§6
-        // debugging); the extra cost is paid only on rejection.
-        for (size_t i = 0; i < active_.size(); ++i) {
-          if (!union_member_[i]) continue;
-          const Policy& policy = active_[i];
-          Result<PolicyEvalOutput> re =
-              EvalPolicyStatement(policy.effective(), catalog.view(), false,
-                                  SpanLabel("policy.eval:", policy.name));
-          if (!re.ok()) continue;
-          RecordEvalCounters(*re, &policy);
-          stats_.policy_wall_us += re->eval_us;
-          if (!re->messages.empty()) attribute(policy, re->messages);
-        }
-        violations = std::move(out.messages);
-        return reject();
-      }
-    }
-    DL_RETURN_NOT_OK(check_batch(separate));
+    ++slot.partials_pruned;
+    return prune();
   }
-
-  // Dry run (WouldAllow): all policies passed; do not touch the log or run
-  // the query.
-  if (probe_mode_) {
-    return QueryResult{};
+  if (s->out.messages.empty()) {
+    return s->checked ? prune() : false;  // answered before covered
   }
+  if (policy != nullptr) {
+    last_violations_.push_back(
+        ViolationReport{policy->name, policy->sql, s->out.messages});
+    ++slot.rejections;
+    return Reject(policy, std::move(s->out.messages), catalog);
+  }
+  // The kUnion statement: re-evaluate its members individually to
+  // attribute the violation (§6 debugging); the extra cost is paid only on
+  // rejection.
+  for (const Policy* member : program.members) {
+    Result<PolicyEvalOutput> re =
+        EvalPolicyStatement(member->effective(), catalog, false,
+                            SpanLabel("policy.eval:", member->name));
+    if (!re.ok()) continue;
+    RecordEvalCounters(*re, member);
+    stats_.policy_wall_us += re->eval_us;
+    if (re->messages.empty()) continue;
+    if (last_violations_.empty()) policy = member;
+    last_violations_.push_back(
+        ViolationReport{member->name, member->sql, re->messages});
+    ++AttributionFor(member).rejections;
+  }
+  return Reject(policy, std::move(s->out.messages), catalog);
+}
 
+Status DataLawyer::Reject(const Policy* violated,
+                          std::vector<std::string> violations,
+                          const CatalogView* catalog) {
+  // Capture the violating log rows while the staged increment still
+  // exists — the witness tuples behind this rejection. Best-effort: a
+  // capture error degrades the explanation, never the verdict.
+  if (decisions_.enabled() && violated != nullptr) {
+    Result<WitnessCaptureResult> captured = CaptureViolationWitnesses(
+        violated->effective(), catalog, *log_, options_.decision_witness_limit,
+        options_.decision_witness_naive, options_.enable_stats_costing);
+    if (captured.ok()) {
+      last_witnesses_.clear();
+      for (CapturedWitness& c : captured->rows) {
+        last_witnesses_.push_back(DecisionWitness{std::move(c.relation),
+                                                  c.row_id, c.from_increment,
+                                                  c.ts, std::move(c.values)});
+      }
+      last_witnesses_truncated_ = captured->truncated;
+    }
+  }
+  log_->DiscardStaged();
+  stats_.rejected = true;
+  std::string message = Join(violations, "; ");
+  stats_.violations = std::move(violations);
+  return Status::PolicyViolation(message);
+}
+
+Status DataLawyer::GenerateRestAndCompact(int64_t ts,
+                                          const GenerationInput& input) {
   // ---- §4.4 step 3: the increments the checks left ungenerated ----
   // Eq. 1 logs every admitted query's usage. A relation the checks did not
   // need is generated now, unless compaction proves its increment
   // dispensable (§4.3 preemptive compaction) or it is never persisted.
-  for (const std::string& rel : order) {
+  for (const std::string& rel : generation_order_) {
     if (log_->IsGenerated(rel)) continue;
     if (!options_.enable_log_compaction) {
       if (!log_->IsPersisted(rel)) continue;
@@ -1514,16 +1532,16 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
     compact = ++queries_since_compaction_ >= options_.compaction_period;
     if (compact) queries_since_compaction_ = 0;
   }
-  if (compact) {
-    DL_RETURN_NOT_OK(CompactLog(ts));
-  } else {
-    DL_TRACE_SPAN("log.commit", "log");
-    auto t0 = Now();
-    stats_.log_rows_flushed = log_->CommitStaged();
-    stats_.compact_insert_ms = MsSince(t0);
-  }
+  if (compact) return CompactLog(ts);
+  DL_TRACE_SPAN("log.commit", "log");
+  auto t0 = Now();
+  stats_.log_rows_flushed = log_->CommitStaged();
+  stats_.compact_insert_ms = MsSince(t0);
+  return Status::OK();
+}
 
-  // ---- the user's answer ----
+Result<QueryResult> DataLawyer::ExecuteUserQuery(const BoundQuery& bound,
+                                                 QueryResult* answer) {
   // The lineage run's rows with the lineage dropped, or, when no provenance
   // was generated, one run of the bound query. Through the system catalog,
   // so SELECTs over dl_* relations execute like any other read.
@@ -1531,9 +1549,9 @@ Result<QueryResult> DataLawyer::ExecuteChecked(const SelectStmt& stmt,
   auto t0 = Now();
   Executor user_exec(system_catalog_.get(), PlanExecOptions());
   Result<QueryResult> result =
-      QueryResult{std::move(answer.schema), std::move(answer.rows)};
-  if (!answer.has_lineage) result = user_exec.ExecuteBound(*bound);
-  answer = QueryResult{};  // frees the lineage inside the timed phase
+      QueryResult{std::move(answer->schema), std::move(answer->rows)};
+  if (!answer->has_lineage) result = user_exec.ExecuteBound(bound);
+  *answer = QueryResult{};  // frees the lineage inside the timed phase
   stats_.query_exec_ms = MsSince(t0);
   // The user plan's morsels count toward dl_morsels_total; its index
   // counters do not (those are defined over policy statements only).
@@ -1547,13 +1565,8 @@ std::vector<PolicyStats> DataLawyer::PolicyReport() const {
   // Active policies first, in registration order, zero-filled if never run.
   for (const Policy& policy : prepared_valid_ ? active_ : source_policies_) {
     auto it = policy_stats_.find(policy.name);
-    if (it != policy_stats_.end()) {
-      report.push_back(it->second);
-    } else {
-      PolicyStats zero;
-      zero.name = policy.name;
-      report.push_back(zero);
-    }
+    report.push_back(it != policy_stats_.end() ? it->second : PolicyStats());
+    report.back().name = policy.name;
     auto cls = incremental_class_.find(policy.name);
     if (cls != incremental_class_.end()) {
       report.back().incremental_class = cls->second;
@@ -1600,19 +1613,14 @@ void DataLawyer::RegisterSystemRelations() {
         .AddColumn("partials_pruned", ValueType::kInt64);
     std::vector<Row> rows;
     for (const PolicyStats& s : PolicyReport()) {
-      Row row;
-      row.push_back(Value(s.name));
-      row.push_back(Value(int64_t(s.evaluations)));
-      row.push_back(Value(int64_t(s.prunes)));
-      row.push_back(Value(int64_t(s.rejections)));
-      row.push_back(Value(s.eval_us));
-      row.push_back(s.incremental_class.empty() ? Value()
-                                                : Value(s.incremental_class));
-      row.push_back(Value(int64_t(s.incremental_hits)));
-      row.push_back(Value(int64_t(s.incremental_fallbacks)));
-      row.push_back(Value(int64_t(s.partials_run)));
-      row.push_back(Value(int64_t(s.partials_pruned)));
-      rows.push_back(std::move(row));
+      rows.push_back(Row{
+          Value(s.name), Value(int64_t(s.evaluations)),
+          Value(int64_t(s.prunes)), Value(int64_t(s.rejections)),
+          Value(s.eval_us),
+          s.incremental_class.empty() ? Value() : Value(s.incremental_class),
+          Value(int64_t(s.incremental_hits)),
+          Value(int64_t(s.incremental_fallbacks)),
+          Value(int64_t(s.partials_run)), Value(int64_t(s.partials_pruned))});
     }
     return std::make_unique<OwnedRelation>(std::move(schema),
                                            std::move(rows));
@@ -1658,7 +1666,7 @@ void DataLawyer::RecordDecision(const std::string& sql,
     // Per-policy outcomes straight from this query's attribution slots:
     // violated > pruned > ok > skipped, plus "(union)" when the combined
     // union statement ran.
-    auto add_outcome = [&](const std::string& name, const QueryAttribution& a) {
+    auto add_outcome = [&](const std::string& name, const PolicyStats& a) {
       PolicyOutcome out;
       out.policy = name;
       out.evaluations = a.evaluations;
@@ -1679,7 +1687,7 @@ void DataLawyer::RecordDecision(const std::string& sql,
       add_outcome(active_[i].name, attribution_[i]);
     }
     if (attribution_.back().evaluations > 0) {
-      add_outcome("(union)", attribution_.back());
+      add_outcome(kUnionName, attribution_.back());
     }
     rec.witnesses = std::move(last_witnesses_);
     last_witnesses_.clear();
@@ -1703,34 +1711,78 @@ void DataLawyer::RecordDecision(const std::string& sql,
   if (options_.enable_metrics) {
     // Handles resolved once per process (the registry is global and the
     // names are fixed); thereafter this is a handful of relaxed atomic ops.
+    struct CounterOf {
+      const char* name;
+      const char* help;
+      size_t ExecutionStats::*field;
+    };
+    static const CounterOf kCounters[] = {
+        {"dl_policy_evaluations_total", "policy statements evaluated",
+         &ExecutionStats::policies_evaluated},
+        {"dl_policies_pruned_total", "policies dismissed early",
+         &ExecutionStats::policies_pruned_early},
+        {"dl_log_rows_flushed_total", "usage-log rows persisted",
+         &ExecutionStats::log_rows_flushed},
+        {"dl_log_rows_deleted_total", "usage-log rows compacted away",
+         &ExecutionStats::log_rows_deleted},
+        {"dl_index_probes_total", "equality conjuncts probed",
+         &ExecutionStats::index_probes},
+        {"dl_index_hits_total", "scans served by an index",
+         &ExecutionStats::index_hits},
+        {"dl_range_probes_total",
+         "range conjuncts probed against an ordered index",
+         &ExecutionStats::range_probes},
+        {"dl_range_scan_hits_total",
+         "scans served by an ordered-index range probe",
+         &ExecutionStats::range_hits},
+        {"dl_morsels_total",
+         "plan morsels dispatched to the work-stealing scheduler",
+         &ExecutionStats::morsels},
+        {"dl_steals_total",
+         "scheduler work-steals observed during checked queries",
+         &ExecutionStats::steals},
+        {"dl_query_sched_tasks_total",
+         "scheduler tasks attributed to checked queries",
+         &ExecutionStats::sched_tasks},
+        {"dl_plan_cache_hits_total",
+         "policy statements evaluated from a cached physical plan",
+         &ExecutionStats::plan_cache_hits},
+        {"dl_incremental_hits_total",
+         "policy verdicts served from incremental state",
+         &ExecutionStats::incremental_hits},
+        {"dl_incremental_fallbacks_total",
+         "incremental states that declined and fell back to full eval",
+         &ExecutionStats::incremental_fallbacks},
+        {"dl_incremental_rebuilds_total",
+         "incremental state rebuilds forced by dependency invalidation",
+         &ExecutionStats::incremental_rebuilds},
+    };
+    struct HistogramOf {
+      const char* name;
+      const char* help;
+      double PhaseTimes::*field;
+    };
+    static const HistogramOf kHistograms[] = {
+        {"dl_query_exec_us", "user-query execution latency (us)",
+         &PhaseTimes::user_exec_us},
+        {"dl_log_gen_us", "usage-log generation latency (us)",
+         &PhaseTimes::log_gen_us},
+        {"dl_policy_eval_us", "policy-evaluation wall latency (us)",
+         &PhaseTimes::policy_eval_us},
+        {"dl_compaction_us", "log-compaction latency (us)",
+         &PhaseTimes::compaction_us},
+        {"dl_parse_us", "SQL parse latency (us)", &PhaseTimes::parse_us},
+        {"dl_bind_us", "user-query bind latency (us)", &PhaseTimes::bind_us},
+        {"dl_plan_us", "plan-cache rewarm latency (us)", &PhaseTimes::plan_us},
+    };
     struct Handles {
       Counter* queries;
       Counter* rejected;
       Counter* probes;
-      Counter* evaluated;
-      Counter* pruned;
-      Counter* rows_flushed;
-      Counter* rows_deleted;
-      Counter* index_probes;
-      Counter* index_hits;
-      Counter* range_probes;
-      Counter* range_hits;
-      Counter* morsels;
-      Counter* steals;
-      Counter* sched_tasks;
-      Counter* plan_hits;
-      Counter* incr_hits;
-      Counter* incr_fallbacks;
-      Counter* incr_rebuilds;
       Histogram* total_us;
-      Histogram* query_us;
-      Histogram* log_gen_us;
-      Histogram* eval_us;
-      Histogram* compact_us;
-      Histogram* parse_us;
-      Histogram* bind_us;
-      Histogram* plan_us;
       Histogram* queue_wait_us;
+      std::vector<Counter*> counters;      // kCounters, in order
+      std::vector<Histogram*> histograms;  // kHistograms, in order
     };
     static Handles h = [] {
       MetricsRegistry& r = MetricsRegistry::Global();
@@ -1741,95 +1793,28 @@ void DataLawyer::RecordDecision(const std::string& sql,
                                       "queries rejected by a policy");
       handles.probes =
           r.GetCounter("dl_probes_total", "WouldAllow dry-run checks");
-      handles.evaluated = r.GetCounter("dl_policy_evaluations_total",
-                                       "policy statements evaluated");
-      handles.pruned = r.GetCounter("dl_policies_pruned_total",
-                                    "policies dismissed early");
-      handles.rows_flushed = r.GetCounter("dl_log_rows_flushed_total",
-                                          "usage-log rows persisted");
-      handles.rows_deleted = r.GetCounter("dl_log_rows_deleted_total",
-                                          "usage-log rows compacted away");
-      handles.index_probes = r.GetCounter("dl_index_probes_total",
-                                          "equality conjuncts probed");
-      handles.index_hits =
-          r.GetCounter("dl_index_hits_total", "scans served by an index");
-      handles.range_probes = r.GetCounter(
-          "dl_range_probes_total",
-          "range conjuncts probed against an ordered index");
-      handles.range_hits = r.GetCounter(
-          "dl_range_scan_hits_total",
-          "scans served by an ordered-index range probe");
-      handles.morsels = r.GetCounter(
-          "dl_morsels_total",
-          "plan morsels dispatched to the work-stealing scheduler");
-      handles.steals = r.GetCounter(
-          "dl_steals_total",
-          "scheduler work-steals observed during checked queries");
-      handles.sched_tasks = r.GetCounter(
-          "dl_query_sched_tasks_total",
-          "scheduler tasks attributed to checked queries");
-      handles.plan_hits = r.GetCounter(
-          "dl_plan_cache_hits_total",
-          "policy statements evaluated from a cached physical plan");
-      handles.incr_hits = r.GetCounter(
-          "dl_incremental_hits_total",
-          "policy verdicts served from incremental state");
-      handles.incr_fallbacks = r.GetCounter(
-          "dl_incremental_fallbacks_total",
-          "incremental states that declined and fell back to full eval");
-      handles.incr_rebuilds = r.GetCounter(
-          "dl_incremental_rebuilds_total",
-          "incremental state rebuilds forced by dependency invalidation");
       handles.total_us = r.GetHistogram("dl_total_us",
                                         "end-to-end per-query latency (us)");
-      handles.query_us = r.GetHistogram("dl_query_exec_us",
-                                        "user-query execution latency (us)");
-      handles.log_gen_us =
-          r.GetHistogram("dl_log_gen_us", "usage-log generation latency (us)");
-      handles.eval_us = r.GetHistogram("dl_policy_eval_us",
-                                       "policy-evaluation wall latency (us)");
-      handles.compact_us =
-          r.GetHistogram("dl_compaction_us", "log-compaction latency (us)");
-      handles.parse_us =
-          r.GetHistogram("dl_parse_us", "SQL parse latency (us)");
-      handles.bind_us =
-          r.GetHistogram("dl_bind_us", "user-query bind latency (us)");
-      handles.plan_us =
-          r.GetHistogram("dl_plan_us", "plan-cache rewarm latency (us)");
       handles.queue_wait_us = r.GetHistogram(
           "dl_query_queue_wait_us",
           "per-query summed scheduler submit-to-start latency (us)");
+      for (const CounterOf& c : kCounters) {
+        handles.counters.push_back(r.GetCounter(c.name, c.help));
+      }
+      for (const HistogramOf& c : kHistograms) {
+        handles.histograms.push_back(r.GetHistogram(c.name, c.help));
+      }
       return handles;
     }();
-    if (probe) {
-      h.probes->Increment();
-    } else {
-      h.queries->Increment();
-    }
+    (probe ? h.probes : h.queries)->Increment();
     if (!admitted) h.rejected->Increment();
-    h.evaluated->Increment(stats_.policies_evaluated);
-    h.pruned->Increment(stats_.policies_pruned_early);
-    h.rows_flushed->Increment(stats_.log_rows_flushed);
-    h.rows_deleted->Increment(stats_.log_rows_deleted);
-    h.index_probes->Increment(stats_.index_probes);
-    h.index_hits->Increment(stats_.index_hits);
-    h.range_probes->Increment(stats_.range_probes);
-    h.range_hits->Increment(stats_.range_hits);
-    h.morsels->Increment(stats_.morsels);
-    h.steals->Increment(stats_.steals);
-    h.sched_tasks->Increment(stats_.sched_tasks);
-    h.plan_hits->Increment(stats_.plan_cache_hits);
-    h.incr_hits->Increment(stats_.incremental_hits);
-    h.incr_fallbacks->Increment(stats_.incremental_fallbacks);
-    h.incr_rebuilds->Increment(stats_.incremental_rebuilds);
+    for (size_t i = 0; i < h.counters.size(); ++i) {
+      h.counters[i]->Increment(stats_.*kCounters[i].field);
+    }
     h.total_us->Observe(phases.total_us());
-    h.query_us->Observe(phases.user_exec_us);
-    h.log_gen_us->Observe(phases.log_gen_us);
-    h.eval_us->Observe(phases.policy_eval_us);
-    h.compact_us->Observe(phases.compaction_us);
-    h.parse_us->Observe(phases.parse_us);
-    h.bind_us->Observe(phases.bind_us);
-    h.plan_us->Observe(phases.plan_us);
+    for (size_t i = 0; i < h.histograms.size(); ++i) {
+      h.histograms[i]->Observe(phases.*kHistograms[i].field);
+    }
     if (stats_.sched_tasks > 0) {
       h.queue_wait_us->Observe(double(stats_.queue_wait_us));
     }

@@ -174,6 +174,11 @@ class DataLawyer {
   /// The active (post-unification) policies. Valid after Prepare().
   const std::vector<Policy>& active_policies() const { return active_; }
 
+  /// The compiled check programs, one line per program in merge order:
+  /// each step's round, the relations it needs, and what it runs without
+  /// and with a ready IncrementalState. Valid after Prepare().
+  std::string DescribeCheckPrograms() const;
+
   UsageLog* usage_log() { return log_.get(); }
   Clock* clock() { return clock_.get(); }
   Engine* engine() { return &engine_; }
@@ -197,6 +202,9 @@ class DataLawyer {
 
  private:
   struct PreparedPolicy;
+  struct CheckStep;
+  struct CheckProgram;
+  struct WaveSlot;
 
   /// What one policy-statement evaluation produced — messages plus the
   /// counters that fold into ExecutionStats. Produced by the const,
@@ -211,29 +219,41 @@ class DataLawyer {
     double eval_us = 0;  ///< this statement's own elapsed time
   };
 
-  /// This query's share of one attribution slot (see attribution_).
-  struct QueryAttribution {
-    uint64_t evaluations = 0;
-    uint64_t prunes = 0;
-    uint64_t rejections = 0;
-    double eval_us = 0;
-    uint64_t incremental_hits = 0;
-    uint64_t incremental_fallbacks = 0;
-    uint64_t partials_run = 0;
-    uint64_t partials_pruned = 0;
-  };
-
   /// The checked path shared by Execute and WouldAllow (`probe`): runs
   /// ExecuteChecked under the query's task group, then folds the query's
   /// attribution into policy_stats_ and records the decision — on error
-  /// paths too. `stats_` must already hold this query's ts and parse time.
+  /// paths too. `stats_` must already hold this query's parse time.
   Result<QueryResult> RunChecked(const std::string& sql,
                                  const SelectStmt& stmt,
                                  const QueryContext& context, int64_t ts,
                                  bool probe);
 
+  /// The checked pipeline as four phases: CheckHead (the serial head and
+  /// the bind), GenerateAndCheck (§4.4 steps 1-2), GenerateRestAndCompact
+  /// (steps 3-4) and ExecuteUserQuery.
   Result<QueryResult> ExecuteChecked(const SelectStmt& stmt,
                                      const QueryContext& context, int64_t ts);
+  Result<std::unique_ptr<BoundQuery>> CheckHead(const SelectStmt& stmt,
+                                                int64_t ts);
+  /// The one round loop over programs_: each round generates what its due
+  /// steps need, runs them in a wave (and the precise steps behind fired
+  /// deferred guards in a second), and merges the slots in program order.
+  Status GenerateAndCheck(int64_t ts, const GenerationInput& input);
+  /// One wave slot, its guard skipped once `guard_fired`; true when
+  /// decisive. Const: waves run it concurrently.
+  bool RunStep(const CheckProgram& program, const CheckStep& step,
+               bool guard_fired, const CatalogView* catalog, int64_t ts,
+               WaveSlot* s) const;
+  /// The serial merge of one slot: counters, prune, attribution, and its
+  /// error or rejection. True when the program stays open.
+  Result<bool> MergeSlot(const CheckProgram& program, const CheckStep& step,
+                         WaveSlot* s, const CatalogView* catalog);
+  /// Captures `violated`'s witness rows, then discards the increment.
+  Status Reject(const Policy* violated, std::vector<std::string> violations,
+                const CatalogView* catalog);
+  Status GenerateRestAndCompact(int64_t ts, const GenerationInput& input);
+  Result<QueryResult> ExecuteUserQuery(const BoundQuery& bound,
+                                       QueryResult* answer);
 
   /// Thread-safe evaluation core: runs one policy statement's cached plan
   /// (or its incremental state) over `catalog`, applying the simulated
@@ -264,7 +284,7 @@ class DataLawyer {
 
   /// This query's attribution slot for `policy` (an element of active_),
   /// or the "(union)" slot when null.
-  QueryAttribution& AttributionFor(const Policy* policy);
+  PolicyStats& AttributionFor(const Policy* policy);
 
   /// Builds "policy.eval:<name>"-style span labels, skipping the string
   /// work entirely when tracing is off.
@@ -324,6 +344,9 @@ class DataLawyer {
   /// ExplainPolicy (`analyze` false) and ExplainAnalyzePolicy (true).
   Result<std::string> ExplainPolicyPlan(const std::string& name, bool analyze);
 
+  /// Prepare's last analysis step: fills programs_.
+  void CompileCheckPrograms();
+
   /// (Re)plans every prepared policy statement — full, guard, partials,
   /// and the unified UNION statement — against a fresh policy catalog, and
   /// stamps the cache. Serial sections only (Prepare, or the head of
@@ -353,12 +376,9 @@ class DataLawyer {
   /// Constants tables synthesized by unification.
   std::vector<std::pair<std::string, std::unique_ptr<Table>>> constants_;
   std::unique_ptr<OverlayCatalog> constants_catalog_;
-  /// Algorithm 1 line 1 for the kUnion strategy: π_1 ∪ ... ∪ π_k, built
-  /// once per Prepare (and planned into the cache) instead of per query.
-  /// Null unless the strategy unions at least two eligible policies;
-  /// union_member_[i] marks which active policies it absorbed.
-  std::unique_ptr<SelectStmt> union_combined_;
-  std::vector<bool> union_member_;
+  /// The check programs GenerateAndCheck runs, in merge order: the kUnion
+  /// statement's first, then one per active policy outside it.
+  std::vector<CheckProgram> programs_;
 
   /// Per-policy physical plans, built at Prepare and revalidated against
   /// CacheStamp(); steady-state policy evaluation does zero parse/bind/
@@ -393,15 +413,15 @@ class DataLawyer {
   /// via Database::BumpVersion.
   std::map<std::string, size_t> stats_warm_rows_;
 
-  /// Union of active policies' log footprints.
-  std::set<std::string> mentioned_logs_;
   /// The mentioned logs in generation order (Algorithm 1, opt. 1), fixed
-  /// at Prepare: round k of interleaved evaluation has generated the first
-  /// k, and every per-round fact of PreparedPolicy is indexed by k.
+  /// at Prepare: an interleaved step at round k needs the first k.
   std::vector<std::string> generation_order_;
   /// The active policies' witnesses, folded once per Prepare; WarmPlanCache
   /// points each body at its cached plan.
   WitnessBodies witness_bodies_;
+  /// The dl_* system relations the witness bodies read. An async compaction
+  /// resolves them before it is submitted (see CompactLog).
+  std::vector<std::string> witness_system_relations_;
   bool prepared_valid_ = false;
 
   ExecutionStats stats_;
@@ -418,7 +438,7 @@ class DataLawyer {
   /// the start of each checked query without reallocating, written by the
   /// serial merge sections, folded into policy_stats_ after the query, and
   /// turned into the DecisionRecord's outcomes when decisions are on.
-  std::vector<QueryAttribution> attribution_;
+  std::vector<PolicyStats> attribution_;
 
   /// Decision-provenance store (enable_decisions).
   DecisionStore decisions_;

@@ -159,6 +159,19 @@ struct PolicyStats {
   /// Plan classification at the last warm: "incremental", "full-only", or
   /// "off" when the feature is disabled. Filled by PolicyReport.
   std::string incremental_class;
+
+  /// Adds `o`'s counters (not its name or class).
+  PolicyStats& operator+=(const PolicyStats& o) {
+    evaluations += o.evaluations;
+    prunes += o.prunes;
+    rejections += o.rejections;
+    eval_us += o.eval_us;
+    incremental_hits += o.incremental_hits;
+    incremental_fallbacks += o.incremental_fallbacks;
+    partials_run += o.partials_run;
+    partials_pruned += o.partials_pruned;
+    return *this;
+  }
 };
 
 }  // namespace datalawyer

@@ -137,27 +137,24 @@ const Table* UsageLog::delta_table(const std::string& name) const {
   return rel != nullptr ? rel->delta.get() : nullptr;
 }
 
-void UsageLog::EnableIndexes() {
-  indexes_enabled_ = true;
+void UsageLog::SetIndexes(bool on) {
+  indexes_enabled_ = on;
   for (auto& [name, rel] : relations_) {
+    if (!on) rel.main->DropIndexes();
     const TableSchema& schema = rel.main->schema();
-    for (size_t c = 0; c < schema.NumColumns(); ++c) {
+    for (size_t c = 0; on && c < schema.NumColumns(); ++c) {
       // Cannot fail: the column names come from the schema itself.
       (void)rel.main->BuildIndex(schema.column(c).name);
     }
   }
 }
 
-void UsageLog::DisableIndexes() {
-  indexes_enabled_ = false;
-  for (auto& [name, rel] : relations_) rel.main->DropIndexes();
-}
-
-void UsageLog::EnableOrderedIndexes() {
-  ordered_indexes_enabled_ = true;
+void UsageLog::SetOrderedIndexes(bool on) {
+  ordered_indexes_enabled_ = on;
   for (auto& [name, rel] : relations_) {
+    if (!on) rel.main->DropOrderedIndexes();
     const TableSchema& schema = rel.main->schema();
-    for (size_t c = 0; c < schema.NumColumns(); ++c) {
+    for (size_t c = 0; on && c < schema.NumColumns(); ++c) {
       if (schema.column(c).name != "ts") continue;
       // Cannot fail: the column name comes from the schema itself.
       (void)rel.main->BuildOrderedIndex(schema.column(c).name);
@@ -165,19 +162,11 @@ void UsageLog::EnableOrderedIndexes() {
   }
 }
 
-void UsageLog::DisableOrderedIndexes() {
-  ordered_indexes_enabled_ = false;
-  for (auto& [name, rel] : relations_) rel.main->DropOrderedIndexes();
-}
-
-void UsageLog::EnableStats() {
-  stats_enabled_ = true;
-  for (auto& [name, rel] : relations_) rel.main->EnableStats();
-}
-
-void UsageLog::DisableStats() {
-  stats_enabled_ = false;
-  for (auto& [name, rel] : relations_) rel.main->DisableStats();
+void UsageLog::SetStats(bool on) {
+  stats_enabled_ = on;
+  for (auto& [name, rel] : relations_) {
+    on ? rel.main->EnableStats() : rel.main->DisableStats();
+  }
 }
 
 size_t UsageLog::CommitStaged() {

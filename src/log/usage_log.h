@@ -57,43 +57,34 @@ class UsageLog {
   void SetPersisted(const std::string& name, bool persisted);
   bool IsPersisted(const std::string& name) const;
 
-  /// Builds equality hash indexes on every column of every log relation's
-  /// main table and keeps them maintained: appends (CommitStaged, the
-  /// compactor's insert phase) add the new positions; deletions
-  /// (compaction) drop the removed positions and renumber the survivors in
-  /// place (see Table). Policy
-  /// evaluation probes these through ConcatRelation for conjunctive
-  /// equality predicates (`uid = $user`, `ts = $now` — the access pattern
-  /// of nearly every paper policy). Deltas are never indexed: they hold one
-  /// query's increment and are scanned.
-  void EnableIndexes();
+  /// On: builds equality hash indexes on every column of every log
+  /// relation's main table and keeps them maintained: appends
+  /// (CommitStaged, the compactor's insert phase) add the new positions;
+  /// deletions (compaction) drop the removed positions and renumber the
+  /// survivors in place (see Table). Policy evaluation probes these
+  /// through ConcatRelation for conjunctive equality predicates
+  /// (`uid = $user`, `ts = $now` — the access pattern of nearly every paper
+  /// policy). Deltas are never indexed: they hold one query's increment and
+  /// are scanned. Off: drops them and turns maintenance off.
+  void SetIndexes(bool on);
   bool indexes_enabled() const { return indexes_enabled_; }
 
-  /// Drops all main-table indexes and turns index maintenance off — the
-  /// inverse of EnableIndexes, used when options.enable_log_indexes is
-  /// toggled off between queries.
-  void DisableIndexes();
-
-  /// Builds an ordered (sorted-run) index on the timestamp column ("ts")
-  /// of every log relation's main table and keeps it maintained under the
-  /// same discipline as the hash indexes: appends extend the unsorted tail
-  /// (merged into the sorted run past a threshold), deletions drop and
-  /// renumber entries in place. Policy evaluation answers sliding-window
-  /// range predicates (`p.ts > $now - 30`, BETWEEN) through these via
-  /// ConcatRelation::RangeLookup.
-  void EnableOrderedIndexes();
+  /// On: builds an ordered (sorted-run) index on the timestamp column
+  /// ("ts") of every log relation's main table and keeps it maintained
+  /// under the same discipline as the hash indexes: appends extend the
+  /// unsorted tail (merged into the sorted run past a threshold), deletions
+  /// drop and renumber entries in place. Policy evaluation answers
+  /// sliding-window range predicates (`p.ts > $now - 30`, BETWEEN) through
+  /// these via ConcatRelation::RangeLookup. Off: drops them.
+  void SetOrderedIndexes(bool on);
   bool ordered_indexes_enabled() const { return ordered_indexes_enabled_; }
 
-  /// Drops all ordered indexes and turns their maintenance off.
-  void DisableOrderedIndexes();
-
-  /// Keeps exact per-column statistics (row count, NDV, NULL count,
+  /// On: keeps exact per-column statistics (row count, NDV, NULL count,
   /// min/max) on every log relation's main table, folded in on append and
   /// subtracted on compaction deletes. The planner's cost model reads these
   /// through RelationData::Stats().
-  void EnableStats();
+  void SetStats(bool on);
   bool stats_enabled() const { return stats_enabled_; }
-  void DisableStats();
 
   /// Direct table access for the log compactor (mark/delete/insert phases).
   Table* main_table(const std::string& name);

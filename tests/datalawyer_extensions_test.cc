@@ -509,5 +509,72 @@ TEST(BannedTableTest, DroppedTableFailsEveryLaterCheck) {
   }
 }
 
+// ---- witness bodies over dl_* system relations ----
+
+// A witness body may join a dl_* relation. When an empty guard prunes its
+// policy, nothing in the check builds that relation's snapshot, so an async
+// mark would build it on the worker while the query thread appends this
+// query's decision (dl_decisions) and folds its attribution
+// (dl_policy_stats). The snapshots are resolved before the compaction is
+// submitted: async compaction stays race-free (ThreadSanitizer checks it)
+// and keeps every verdict and log row of sync compaction.
+TEST(SystemRelationWitnessTest, AsyncMarkReadsTheSyncSnapshot) {
+  auto run = [](bool async) {
+    Database db;
+    Engine engine(&db);
+    EXPECT_TRUE(engine
+                    .ExecuteScript("CREATE TABLE t (a INT);"
+                                   "INSERT INTO t VALUES (1);")
+                    .ok());
+    DataLawyerOptions options;
+    options.strategy = EvalStrategy::kSerial;
+    options.async_compaction = async;
+    DataLawyer dl(&db, UsageLog::WithStandardGenerators(),
+                  std::make_unique<ManualClock>(0, 10), options);
+    // Empty for every reader below: the precise statements never run.
+    const char* guard =
+        "SELECT DISTINCT 'uid 99 read' FROM users u, clock c "
+        "WHERE u.ts = c.ts AND u.uid = 99";
+    EXPECT_TRUE(dl.AddPolicyWithGuard(
+                      "decisions",
+                      "SELECT DISTINCT 'rejected user read twice in 100' "
+                      "FROM users u, dl_decisions d, clock c "
+                      "WHERE u.uid = d.uid AND d.verdict = 'reject' "
+                      "AND u.ts > c.ts - 100 "
+                      "GROUP BY u.uid HAVING COUNT(DISTINCT u.ts) > 1",
+                      guard)
+                    .ok());
+    EXPECT_TRUE(dl.AddPolicyWithGuard(
+                      "stats",
+                      "SELECT DISTINCT 'uid 1 read 5 times after a rejection' "
+                      "FROM users u, dl_policy_stats s, clock c "
+                      "WHERE s.policy = 'rate' AND s.rejections > 0 "
+                      "AND u.uid = 1 AND u.ts > c.ts - 100 "
+                      "GROUP BY u.uid HAVING COUNT(DISTINCT u.ts) > 4",
+                      guard)
+                    .ok());
+    EXPECT_TRUE(
+        dl.AddPolicy("rate", PaperPolicies::RateLimitForUser(1, 100, 2)).ok());
+    std::string trace;
+    for (int i = 0; i < 12; ++i) {
+      QueryContext ctx;
+      ctx.uid = i % 3;
+      trace += dl.Execute("SELECT * FROM t", ctx).status().ToString() + "\n";
+    }
+    EXPECT_TRUE(dl.Flush().ok());
+    const Table* users = dl.usage_log()->main_table("users");
+    for (size_t i = 0; i < users->NumRows(); ++i) {
+      for (const Value& v : users->RowAt(i)) trace += v.ToString() + ",";
+      trace += "\n";
+    }
+    return trace;
+  };
+  std::string sync = run(false);
+  EXPECT_NE(sync.find("OK"), std::string::npos) << sync;
+  EXPECT_NE(sync.find("rate limit exceeded for user 1"), std::string::npos)
+      << sync;
+  EXPECT_EQ(run(true), sync);
+}
+
 }  // namespace
 }  // namespace datalawyer
