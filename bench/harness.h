@@ -102,9 +102,11 @@ inline SeriesStats Summarize(const std::vector<ExecutionStats>& stats) {
 /// grep out of bench output without parsing the prose, and rewrites
 /// BENCH_<bench>.json in the working directory with every record emitted so
 /// far — the artifact bench/compare_baseline.py checks against
-/// bench/baseline/.
+/// bench/baseline/. With `compaction_split`, the record also splits
+/// compaction into its mark, delete and insert phases.
 inline void EmitJson(const std::string& bench, const std::string& label,
-                     const std::vector<ExecutionStats>& stats) {
+                     const std::vector<ExecutionStats>& stats,
+                     bool compaction_split = false) {
   MetricsRegistry registry;
   Histogram* total = registry.GetHistogram("total_us");
   Histogram* query = registry.GetHistogram("query_exec_us");
@@ -118,6 +120,14 @@ inline void EmitJson(const std::string& bench, const std::string& label,
     loggen->Observe(p.log_gen_us);
     eval->Observe(p.policy_eval_us);
     compact->Observe(p.compaction_us);
+    if (compaction_split) {
+      registry.GetHistogram("compact_mark_us")
+          ->Observe(s.compact_mark_ms * 1e3);
+      registry.GetHistogram("compact_delete_us")
+          ->Observe(s.compact_delete_ms * 1e3);
+      registry.GetHistogram("compact_insert_us")
+          ->Observe(s.compact_insert_ms * 1e3);
+    }
   }
   std::string record = "{\"bench\":\"" + JsonEscape(bench) + "\",\"label\":\"" +
                        JsonEscape(label) +

@@ -361,6 +361,7 @@ Status DataLawyer::Prepare() {
   constants_.clear();
   constants_catalog_.reset();
   witness_bodies_ = WitnessBodies{};
+  compactor_.Reset();
   plan_cache_.Clear();
 
   // Footnote 7: restrict each policy's history to its registration time.
@@ -480,16 +481,21 @@ Status DataLawyer::Prepare() {
     }
     witness_bodies_ = FoldWitnesses(sets, skip_retention);
   }
+  std::set<std::string> read;
+  for (const WitnessBody& body : witness_bodies_.bodies) {
+    ForEachTable(*body.query, [&](const std::string& table) {
+      read.insert(ToLower(table));
+    });
+  }
   witness_system_relations_.clear();
   for (const std::string& name : system_catalog_->Names()) {
-    bool read = false;
-    for (const WitnessBody& body : witness_bodies_.bodies) {
-      ForEachTable(*body.query, [&](const std::string& table) {
-        read = read || EqualsIgnoreCase(table, name);
-      });
-    }
-    if (read) witness_system_relations_.push_back(name);
+    if (read.count(ToLower(name))) witness_system_relations_.push_back(name);
   }
+  witness_tables_.clear();
+  for (const std::string& name : read) {
+    if (db_->FindTable(name) != nullptr) witness_tables_.push_back(name);
+  }
+  witness_table_versions_.clear();
 
   CompileCheckPrograms();
 
@@ -607,6 +613,14 @@ void DataLawyer::CompileCheckPrograms() {
       CheckStep step;
       step.round = k;
       step.needs = available;
+      // A round that generated nothing the policy (or its guard) reads
+      // would rerun the last round's guard and partial over the same rows:
+      // it cannot prune what they did not, so it stays `nothing`.
+      if (k > 0 && !std::count(policy.log_relations.begin(),
+                               policy.log_relations.end(), order[k - 1])) {
+        program.steps.push_back(std::move(step));
+        continue;
+      }
       step.guard = policy.guard != nullptr && within(guard_relations);
       covered = within(policy.log_relations);
       if (covered) {
@@ -614,10 +628,7 @@ void DataLawyer::CompileCheckPrograms() {
       } else {
         // A ready state answers at the covering round, or earlier, once an
         // increment check proves this round's staged rows cannot join in.
-        bool new_relation =
-            k > 0 && std::count(policy.log_relations.begin(),
-                                policy.log_relations.end(), order[k - 1]);
-        step.ready = ts_joined && new_relation ? Kind::kCheck : Kind::kNothing;
+        step.ready = ts_joined && k > 0 ? Kind::kCheck : Kind::kNothing;
         auto partial = BuildPartialPolicy(policy.effective(), *log_, available);
         if (!policy.monotone) StripHaving(partial.get());
         if (!inert(*partial)) {
@@ -767,16 +778,18 @@ void DataLawyer::WarmPlanCache() {
       }
     }
   }
-  // Witness bodies reference dl_now besides the policy catalog. The stamp
-  // and the stats-drift rewarm cover them like the policy plans; Mark runs
-  // them directly from these entries, or returns their warm error.
-  AddNowRelation(&catalog, clock_->Now());
+  // The cache stamp and the stats-drift rewarm cover the witness bodies
+  // like the policy plans; the compactor runs them directly from these
+  // entries, or returns their warm error.
   for (WitnessBody& body : witness_bodies_.bodies) {
     const PlanCache::Entry& entry =
         plan_cache_.Warm(*body.query, catalog.view(), planner);
     body.plan = entry.status.ok() ? Result<const PhysicalPlan*>(&entry.plan)
                                   : entry.status;
   }
+  // Preemptive compaction's witness partials reference dl_now besides the
+  // policy catalog.
+  AddNowRelation(&catalog, clock_->Now());
   for (const PreparedPolicy& prep : prepared_) {
     for (const auto& [rel, prefixes] : prep.witness_partials) {
       for (const auto& partials : prefixes) {
@@ -1168,20 +1181,35 @@ Result<bool> DataLawyer::IncrementProvablyDispensable(const std::string& name,
 }
 
 Status DataLawyer::CompactLog(int64_t ts) {
+  // A stamp sees the database tables its body joins as they were. After a
+  // write to one (or DDL) since the last compaction, and after every query
+  // for the dl_* snapshots, the compactor restamps the whole log against
+  // the tables as they are, as a whole-log mark would see them.
+  std::vector<uint64_t> versions{db_->version()};
+  for (const std::string& name : witness_tables_) {
+    const Table* table = db_->FindTable(name);
+    versions.push_back(table != nullptr ? uint64_t(table->next_row_id()) : 0);
+    versions.push_back(table != nullptr ? table->mutation_epoch() : 0);
+  }
+  if (versions != witness_table_versions_ ||
+      !witness_system_relations_.empty()) {
+    compactor_.Reset();
+    witness_table_versions_ = std::move(versions);
+  }
   auto compact = [this, ts]() -> Result<CompactionStats> {
-    LogCompactor compactor(log_.get());
-    return compactor.CompactAndFlush(witness_bodies_, policy_base_catalog(),
-                                     ts);
+    return compactor_.CompactAndFlush(witness_bodies_, policy_base_catalog(),
+                                      ts);
   };
   if (options_.async_compaction) {
     // §5.1: return the result before compaction finishes. The worker owns
-    // the log tables, and reads the witness bodies and their cached plans,
-    // until the next Flush waits on it. Detached from the query's
-    // attribution group: compaction outlives the query, and its tasks must
-    // not inflate the query's scheduler footprint.
+    // the log tables and the compactor's stamps, and reads the witness
+    // bodies and their cached plans, until the next Flush waits on it.
+    // Detached from the query's attribution group: compaction outlives the
+    // query, and its tasks must not inflate the query's scheduler
+    // footprint.
     //
     // The dl_* relations the bodies read are resolved here, serially: the
-    // worker then marks against the snapshot sync compaction would see,
+    // worker then stamps against the snapshot sync compaction would see,
     // instead of building one while this query's decision is appended and
     // its attribution folded.
     for (const std::string& name : witness_system_relations_) {

@@ -323,9 +323,10 @@ class DataLawyer {
   Result<bool> IncrementProvablyDispensable(const std::string& name,
                                             int64_t ts);
 
-  /// §4.4 step 3-4 at `ts`: marks with the witness bodies, deletes, and
-  /// flushes the increment — inline, folding the phase stats into `stats_`,
-  /// or on the scheduler when async_compaction (see pending_compaction_).
+  /// §4.4 step 3-4 at `ts`: stamps the new rows with the witness bodies,
+  /// deletes the expired ones, and flushes the increment — inline, folding
+  /// the phase stats into `stats_`, or on the scheduler when
+  /// async_compaction (see pending_compaction_).
   Status CompactLog(int64_t ts);
 
   const CatalogView* policy_base_catalog() const;
@@ -419,6 +420,15 @@ class DataLawyer {
   /// The active policies' witnesses, folded once per Prepare; WarmPlanCache
   /// points each body at its cached plan.
   WitnessBodies witness_bodies_;
+  /// Stamps the log with witness_bodies_; reset with them at Prepare, so
+  /// the first compaction after a policy change stamps the whole log, and
+  /// by CompactLog after a write to a table they join.
+  LogCompactor compactor_{log_.get()};
+  /// The database tables the witness bodies read, and their versions
+  /// (append and delete counters, after the schema version) at the last
+  /// compaction: a change restamps the whole log.
+  std::vector<std::string> witness_tables_;
+  std::vector<uint64_t> witness_table_versions_;
   /// The dl_* system relations the witness bodies read. An async compaction
   /// resolves them before it is submitted (see CompactLog).
   std::vector<std::string> witness_system_relations_;

@@ -36,7 +36,7 @@ struct ExecutionStats {
 
   double query_exec_ms = 0;    ///< see PhaseTimes::user_exec_us
   double log_gen_ms = 0;       ///< log-generating functions (usage tracking)
-  double compact_mark_ms = 0;  ///< witness queries + marking
+  double compact_mark_ms = 0;  ///< stamping new rows + finding expired ones
   double compact_delete_ms = 0;
   double compact_insert_ms = 0;
 

@@ -33,7 +33,7 @@ namespace datalawyer {
 /// overlay the staged increment at evaluation time.
 ///
 /// Each contribution remembers the main-table row id it took from every
-/// relation. A compaction delete (Table::RetainOnly) publishes the removed
+/// relation. A compaction delete (Table::EraseIds) publishes the removed
 /// row ids as a retraction delta, and Advance subtracts it: contributions
 /// with a retracted source are dropped (unapplied when active). Row ids are
 /// stable and a contribution is one joined tuple of source rows, so what is

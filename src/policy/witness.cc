@@ -28,6 +28,46 @@ void WitnessSet::MergeFrom(WitnessSet other) {
   }
 }
 
+namespace {
+
+bool MentionsNow(const Expr& expr) {
+  bool found = false;
+  expr.Visit([&](const Expr& e) {
+    if (e.kind() == ExprKind::kColumnRef &&
+        EqualsIgnoreCase(static_cast<const ColumnRefExpr&>(e).qualifier,
+                         WitnessBuilder::NowRelationName())) {
+      found = true;
+    }
+  });
+  return found;
+}
+
+/// A witness query split into its clock-free part and its bounds.
+struct SplitWitness {
+  std::vector<ExprPtr> plain;
+  /// Each `dl_now.ts + 1 op rhs` conjunct: op "<" or "<=", and rhs.
+  std::vector<std::pair<std::string, ExprPtr>> bounds;
+};
+
+/// Splits `query`'s WHERE; false when a dl_now conjunct is not of the form
+/// WitnessBuilder writes.
+bool SplitBounds(const SelectStmt& query, SplitWitness* out) {
+  if (query.where == nullptr) return true;
+  for (ExprPtr& conj : SplitConjuncts(*query.where)) {
+    if (!MentionsNow(*conj)) {
+      out->plain.push_back(std::move(conj));
+      continue;
+    }
+    if (conj->kind() != ExprKind::kBinary) return false;
+    auto& b = static_cast<BinaryExpr&>(*conj);
+    if ((b.op != "<" && b.op != "<=") || MentionsNow(*b.rhs)) return false;
+    out->bounds.push_back({b.op, std::move(b.rhs)});
+  }
+  return true;
+}
+
+}  // namespace
+
 WitnessBodies FoldWitnesses(const std::vector<const WitnessSet*>& sets,
                             const std::set<std::string>& skip_retention) {
   WitnessBodies out;
@@ -38,29 +78,81 @@ WitnessBodies FoldWitnesses(const std::vector<const WitnessSet*>& sets,
       }
     }
   }
-  // Body index by fold key: FROM and WHERE for full-query witnesses (the
-  // projection does not change their lineage), the whole text otherwise.
+  // Body index by fold key: FROM and the clock-free WHERE for full-query
+  // witnesses (the projection does not change their lineage, and their
+  // bounds become members), the whole text otherwise. Within a body, a
+  // member per distinct bound list.
   std::map<std::string, size_t> body_of;
+  std::vector<std::map<std::string, size_t>> member_of;
   for (const WitnessSet* set : sets) {
     for (const auto& [name, witness] : set->per_relation) {
       if (skip_retention.count(name) || out.keep_all.count(name)) continue;
       for (const auto& query : witness.queries) {
+        SplitWitness split;
+        if (!SplitBounds(*query, &split)) {
+          out.keep_all.insert(name);
+          break;
+        }
+        const bool keyed = !query->distinct_on.empty();
         std::string key;
-        if (query->distinct && query->distinct_on.empty()) {
-          key = "FROM";
-          for (const TableRef& ref : query->from) key += " " + ref.ToString();
-          if (query->where != nullptr) {
-            key += " WHERE " + query->where->ToString();
-          }
-        } else {
+        if (keyed) {
           key = query->ToString();
+        } else {
+          key = "FROM";
+          for (const TableRef& ref : query->from) {
+            if (ref.table_name != WitnessBuilder::NowRelationName()) {
+              key += " " + ref.ToString();
+            }
+          }
+          for (const ExprPtr& conj : split.plain) {
+            key += " AND " + conj->ToString();
+          }
         }
         auto [it, fresh] = body_of.emplace(key, out.bodies.size());
-        if (fresh) out.bodies.push_back(WitnessBody{query->Clone(), {}});
-        std::vector<std::string>& rels = out.bodies[it->second].relations;
+        if (fresh) {
+          WitnessBody body;
+          body.query = std::make_unique<SelectStmt>();
+          for (const TableRef& ref : query->from) {
+            if (ref.table_name != WitnessBuilder::NowRelationName()) {
+              body.query->from.push_back(ref.Clone());
+            }
+          }
+          body.query->where = AndTogether(std::move(split.plain));
+          out.bodies.push_back(std::move(body));
+          member_of.emplace_back();
+        }
+        WitnessBody& body = out.bodies[it->second];
+        std::string member_key;
+        for (const auto& [op, rhs] : split.bounds) {
+          member_key += op + " " + rhs->ToString() + ";";
+        }
+        auto [m, new_member] =
+            member_of[it->second].emplace(member_key, body.members.size());
+        if (new_member) {
+          WitnessBody::Member member;
+          for (auto& [op, rhs] : split.bounds) {
+            member.bounds.push_back(
+                WitnessBody::Bound{body.query->items.size(), op == "<="});
+            body.query->items.push_back(SelectItem{std::move(rhs), ""});
+          }
+          body.members.push_back(std::move(member));
+          if (keyed) {
+            for (const ExprPtr& e : query->distinct_on) {
+              body.query->items.push_back(SelectItem{e->Clone(), ""});
+            }
+            body.key_columns = query->distinct_on.size();
+          }
+        }
+        std::vector<std::string>& rels = body.members[m->second].relations;
         auto pos = std::lower_bound(rels.begin(), rels.end(), name);
         if (pos == rels.end() || *pos != name) rels.insert(pos, name);
       }
+    }
+  }
+  for (WitnessBody& body : out.bodies) {
+    if (body.query->items.empty()) {
+      body.query->items.push_back(
+          SelectItem{std::make_unique<LiteralExpr>(Value(int64_t{1})), ""});
     }
   }
   return out;
@@ -384,6 +476,26 @@ Result<WitnessSet> WitnessBuilder::BuildForMember(
       need_now = true;
     }
     query->where = AndTogether(std::move(conjuncts));
+
+    // Compaction runs a witness over one increment at a time, so every
+    // neighbour must be ts-joined to this alias in the witness itself. The
+    // policy implies each such equality; one that ran through the clock or
+    // a subquery, which the witness drops, is stated directly.
+    JoinGraph own = JoinGraph::Build(*query);
+    std::vector<ExprPtr> implied;
+    for (const LogAlias& other : log_aliases) {
+      if (other.alias != la.alias && kept.count(other.alias) &&
+          !own.SameClass(my_ts, QualifiedColumn{other.alias, "ts"})) {
+        implied.push_back(std::make_unique<BinaryExpr>(
+            "=", std::make_unique<ColumnRefExpr>(la.alias, "ts"),
+            std::make_unique<ColumnRefExpr>(other.alias, "ts")));
+      }
+    }
+    if (!implied.empty()) {
+      join_columns.insert("ts");
+      if (query->where != nullptr) implied.push_back(std::move(query->where));
+      query->where = AndTogether(std::move(implied));
+    }
 
     if (need_now) {
       TableRef now_ref;

@@ -34,19 +34,44 @@ struct WitnessSet {
   void MergeFrom(WitnessSet other);
 };
 
-/// One query the mark phase runs once, on behalf of every witness folded
-/// into it: the compactor retains each of `relations`' tuples in its
-/// lineage.
+/// One query the compactor runs once over each log row when the row
+/// arrives, on behalf of every witness folded into it (§4.1.2). A witness
+/// keeps the log tuples of each satisfying join row for as long as every
+/// clock conjunct `dl_now.ts + 1 < rhs` (or `<=`) holds. Every log alias of
+/// a witness is ts-joined to the marked one and the clock ticks strictly,
+/// so a join row's log tuples all arrive with one increment; every clock
+/// conjunct bounds the clock from above, so a join row that stops
+/// satisfying a witness never satisfies it again. Whether a join row keeps
+/// its tuples is therefore a tick fixed when they arrive: its bound.
 struct WitnessBody {
+  /// The witnesses' shared FROM and WHERE without the dl_now conjuncts,
+  /// selecting every bound's right-hand side and then the DISTINCT ON key,
+  /// without DISTINCT: one output row, with its lineage, per join row.
   std::unique_ptr<SelectStmt> query;
-  std::vector<std::string> relations;  ///< harvested log relations, sorted
+  /// One clock conjunct: `query`'s output column holding its right-hand
+  /// side, and whether it is `<=` (inclusive) rather than `<`.
+  struct Bound {
+    size_t column = 0;
+    bool inclusive = false;
+  };
+  /// One folded witness: a join row keeps its tuples of `relations` until
+  /// the first of `bounds` passes, or for good when there is none.
+  struct Member {
+    std::vector<std::string> relations;  ///< harvested log relations, sorted
+    std::vector<Bound> bounds;
+  };
+  std::vector<Member> members;
+  /// DISTINCT ON witnesses: the trailing output columns holding the key
+  /// (one member); one join row per key keeps its tuples. 0 otherwise.
+  size_t key_columns = 0;
   /// The query's cached physical plan, owned by the caller's plan cache
   /// and set when it warms, or the error warming it produced.
   Result<const PhysicalPlan*> plan =
       Status::Internal("witness body was never planned");
 };
 
-/// The mark work of a prepared policy set, folded once (FoldWitnesses).
+/// The compaction work of a prepared policy set, folded once
+/// (FoldWitnesses).
 struct WitnessBodies {
   std::vector<WitnessBody> bodies;
   /// Relations under full fallback: retained whole, never queried.
@@ -57,12 +82,13 @@ struct WitnessBodies {
 ///
 ///  * relations in `skip_retention` are dropped (wiped, never queried);
 ///    relations any set keeps whole go to keep_all and are never queried;
-///  * full-query witnesses (`SELECT DISTINCT a.*`, no DISTINCT ON) with
-///    identical FROM and WHERE become one body marking the union of their
-///    relations, within a policy and across policies. This is exact:
-///    DISTINCT unions the lineage of duplicate rows, so the body's lineage
-///    is every tuple of every satisfying join row, whichever alias is
-///    projected;
+///  * full-query witnesses (`SELECT DISTINCT a.*`, no DISTINCT ON) whose
+///    FROM and clock-free WHERE are identical become one body, within a
+///    policy and across policies; witnesses that differ only in their
+///    clock bounds become members of it. This is exact: DISTINCT unions
+///    the lineage of duplicate rows, so a witness's lineage is every tuple
+///    of every satisfying join row, whichever alias is projected, and the
+///    body's output carries each member's bounds for each join row;
 ///  * DISTINCT ON witnesses keep one body per distinct query text, since
 ///    the row they keep depends on the projection.
 WitnessBodies FoldWitnesses(const std::vector<const WitnessSet*>& sets,
@@ -115,10 +141,15 @@ Result<WitnessCaptureResult> CaptureViolationWitnesses(
 ///    cannot normalize) falls back to the full relation;
 ///  * policies with HAVING are treated as full queries: GROUP BY/HAVING are
 ///    dropped and the plain `SELECT DISTINCT a.*` witness (Eq. 2) is used;
-///  * FROM subqueries are handled separately and unioned (Algorithm 2).
+///  * FROM subqueries are handled separately and unioned (Algorithm 2);
+///  * every neighbour's ts is equated with a's within the witness: the
+///    policy implies it, and compaction runs a witness over one increment
+///    at a time. An equality that ran through the clock or a subquery,
+///    which the witness drops, is stated directly.
 ///
 /// The generated queries reference the synthetic one-row relation
-/// `dl_now(ts)` holding the current clock value; the compactor provides it.
+/// `dl_now(ts)` holding the current clock value; preemptive compaction's
+/// partials provide it, and FoldWitnesses turns its conjuncts into bounds.
 class WitnessBuilder {
  public:
   explicit WitnessBuilder(const UsageLog* log) : log_(log) {}

@@ -425,10 +425,14 @@ void Table::ErasePositions(const std::vector<size_t>& removed) {
   ++version_;
 }
 
-size_t Table::RetainOnly(const std::unordered_set<int64_t>& keep) {
+size_t Table::EraseIds(const std::vector<int64_t>& ids) {
   std::vector<size_t> removed;
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    if (!keep.count(row_ids_[i])) removed.push_back(i);
+  for (int64_t id : ids) {
+    size_t p = LowerBoundRowId(id);
+    if (p < row_ids_.size() && row_ids_[p] == id &&
+        (removed.empty() || removed.back() < p)) {
+      removed.push_back(p);
+    }
   }
   if (removed.empty()) return 0;
   retraction_.valid = true;

@@ -25,7 +25,7 @@ class RelationData {
   virtual size_t NumRows() const = 0;
   virtual const Row& RowAt(size_t i) const = 0;
   /// Stable id of row i — survives deletions of other rows. Used as the
-  /// provenance `itid` and by log compaction's mark phase.
+  /// provenance `itid` and by log compaction's stamps.
   virtual int64_t RowIdAt(size_t i) const = 0;
 
   /// Appends to `*out` the positions of every row whose column `col` equals
@@ -80,10 +80,10 @@ class RelationData {
 
 /// In-memory row store with stable row ids.
 ///
-/// Deletion is by *retention*: LogCompactor computes the set of row ids that
-/// form the absolute witness and calls RetainOnly() with it (§4.1.2). Every
-/// mutation keeps the hash indexes, ordered indexes and statistics current
-/// in place: appends fold the new row in, deletions drop the removed
+/// Compaction deletes by id: LogCompactor finds the rows whose witnesses
+/// have expired and erases them with EraseIds() (§4.1.2). Every mutation
+/// keeps the hash indexes, ordered indexes and statistics current in
+/// place: appends fold the new row in, deletions drop the removed
 /// positions and renumber the survivors in order (no rehash, no re-sort).
 /// Row ids ascend with position, since appends take fresh, larger ids and
 /// deletions keep the survivors' order.
@@ -113,9 +113,10 @@ class Table : public RelationData {
   /// Appends many rows.
   Status AppendAll(std::vector<Row> rows);
 
-  /// Deletes every row whose id is NOT in `keep`; returns the number of
-  /// rows removed. A deletion is recorded as last_retraction().
-  size_t RetainOnly(const std::unordered_set<int64_t>& keep);
+  /// Deletes the rows with the given ids (ascending; ids no row has are
+  /// ignored), each found by binary search; returns the number of rows
+  /// removed. A compaction delete: it is recorded as last_retraction().
+  size_t EraseIds(const std::vector<int64_t>& ids);
 
   /// Deletes every row whose id IS in `remove`; returns the number removed.
   /// Resets last_retraction(): this is not a compaction delete.
@@ -124,11 +125,11 @@ class Table : public RelationData {
   /// Deletes every row. Resets last_retraction().
   void Clear();
 
-  /// The last RetainOnly deletion, as a retraction delta: it moved the
+  /// The last EraseIds deletion, as a retraction delta: it moved the
   /// table from mutation epoch `from_epoch` to `from_epoch + 1` by removing
   /// `row_ids` (ascending). Incremental-evaluation state built at
   /// `from_epoch` subtracts it instead of rebuilding. `valid` is false
-  /// until the first RetainOnly deletion and after RemoveIds/Clear.
+  /// until the first EraseIds deletion and after RemoveIds/Clear.
   struct Retraction {
     bool valid = false;
     uint64_t from_epoch = 0;
@@ -188,7 +189,7 @@ class Table : public RelationData {
     return stats_enabled_ ? &stats_ : nullptr;
   }
 
-  /// Monotonic counter bumped by every deletion (RetainOnly / RemoveIds /
+  /// Monotonic counter bumped by every deletion (EraseIds / RemoveIds /
   /// Clear); appends leave it unchanged. Lets incremental-evaluation state
   /// detect in-place shrinkage that a row-id watermark would otherwise
   /// miss; last_retraction() says whether the change was a compaction

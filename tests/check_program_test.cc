@@ -10,7 +10,9 @@
 // and then the step in the same slot; `guard>>` runs the precise step in
 // the round's next wave. `+improved` marks a §4.3 improved partial. A
 // partial over the clock and Constants tables alone (every policy's round
-// 0 here, except P1's, which reads `groups`) compiles to `nothing`.
+// 0 here, except P1's, which reads `groups`) compiles to `nothing`, and
+// so does a round that generated no relation the policy reads (round 2,
+// `schema`, for everything that does not read it).
 
 #include <gtest/gtest.h>
 
@@ -76,22 +78,19 @@ TEST_F(CheckProgramTest, InterleavedUnifiedWithImprovedPartials) {
       Programs(EvalStrategy::kInterleaved, /*unification=*/true,
                /*improved=*/true),
       "guarded: 0[] nothing; 1[users] guard>partial+improved|check; "
-      "2[users,schema] guard>partial+improved|nothing; "
+      "2[users,schema] nothing; "
       "3[users,schema,provenance] guard>full;\n"
       "p1: 0[] partial|nothing; 1[users] full;\n"
       "p2: 0[] nothing; 1[users] partial+improved|check; "
       "2[users,schema] full;\n"
       "p3: 0[] nothing; 1[users] partial+improved|check; "
-      "2[users,schema] partial+improved|nothing; "
-      "3[users,schema,provenance] full;\n"
+      "2[users,schema] nothing; 3[users,schema,provenance] full;\n"
       "p4: 0[] nothing; 1[users] partial|check; "
-      "2[users,schema] partial|nothing; 3[users,schema,provenance] full;\n"
+      "2[users,schema] nothing; 3[users,schema,provenance] full;\n"
       "p5: 0[] nothing; 1[users] partial+improved|check; "
-      "2[users,schema] partial+improved|nothing; "
-      "3[users,schema,provenance] full;\n"
+      "2[users,schema] nothing; 3[users,schema,provenance] full;\n"
       "p6: 0[] nothing; 1[users] partial+improved|check; "
-      "2[users,schema] partial+improved|nothing; "
-      "3[users,schema,provenance] full;\n"
+      "2[users,schema] nothing; 3[users,schema,provenance] full;\n"
       "union: 0[] nothing; 1[users] partial|check; "
       "2[users,schema] partial|check; 3[users,schema,provenance] full;\n"
       "sum: 4[users] full;\n"
@@ -105,15 +104,15 @@ TEST_F(CheckProgramTest, InterleavedSeparatePolicies) {
       "p1: 0[] partial|nothing; 1[users] full;\n"
       "p2: 0[] nothing; 1[users] partial|check; 2[users,schema] full;\n"
       "p3: 0[] nothing; 1[users] partial|check; "
-      "2[users,schema] partial|nothing; 3[users,schema,provenance] full;\n"
+      "2[users,schema] nothing; 3[users,schema,provenance] full;\n"
       "p4: 0[] nothing; 1[users] partial|check; "
-      "2[users,schema] partial|nothing; 3[users,schema,provenance] full;\n"
+      "2[users,schema] nothing; 3[users,schema,provenance] full;\n"
       "p5: 0[] nothing; 1[users] partial|check; "
-      "2[users,schema] partial|nothing; 3[users,schema,provenance] full;\n"
+      "2[users,schema] nothing; 3[users,schema,provenance] full;\n"
       "p6: 0[] nothing; 1[users] partial|check; "
-      "2[users,schema] partial|nothing; 3[users,schema,provenance] full;\n"
+      "2[users,schema] nothing; 3[users,schema,provenance] full;\n"
       "guarded: 0[] nothing; 1[users] guard>partial|check; "
-      "2[users,schema] guard>partial|nothing; "
+      "2[users,schema] nothing; "
       "3[users,schema,provenance] guard>full;\n"
       "union: 0[] nothing; 1[users] partial|check; "
       "2[users,schema] partial|check; 3[users,schema,provenance] full;\n"

@@ -115,18 +115,14 @@ TEST(IncrementalStateTest, DeleteFromGroupsRebuildsP1Once) {
   }
 }
 
-/// Retains every row of `table` except the first `n` whose uid (column 1)
-/// is `uid`; returns how many rows it removed.
+/// Erases the first `n` rows of `table` whose uid (column 1) is `uid`, as a
+/// compaction delete; returns how many rows it removed.
 size_t DropOldestOfUser(Table* table, int64_t uid, size_t n) {
-  std::unordered_set<int64_t> keep;
-  for (size_t i = 0; i < table->NumRows(); ++i) {
-    if (n > 0 && table->RowAt(i)[1] == Value(uid)) {
-      --n;
-      continue;
-    }
-    keep.insert(table->RowIdAt(i));
+  std::vector<int64_t> erase;
+  for (size_t i = 0; i < table->NumRows() && erase.size() < n; ++i) {
+    if (table->RowAt(i)[1] == Value(uid)) erase.push_back(table->RowIdAt(i));
   }
-  return table->RetainOnly(keep);
+  return table->EraseIds(erase);
 }
 
 TEST(IncrementalStateTest, RetractingActiveContributionsSubtractsThem) {

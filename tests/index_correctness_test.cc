@@ -58,14 +58,17 @@ TEST(IndexCorrectnessTest, RandomInsertsAndDeletesAgainstLinearScan) {
     // path (the index drops and renumbers positions in place).
     if (rng() % 3 == 0 && table.NumRows() > 0) {
       std::unordered_set<int64_t> remove;
-      std::unordered_set<int64_t> keep;
+      std::vector<int64_t> erase;
       for (size_t i = 0; i < table.NumRows(); ++i) {
-        (rng() % 4 == 0 ? remove : keep).insert(table.RowIdAt(i));
+        if (rng() % 4 == 0) {
+          remove.insert(table.RowIdAt(i));
+          erase.push_back(table.RowIdAt(i));
+        }
       }
       if (round % 2 == 0) {
         table.RemoveIds(remove);
       } else {
-        table.RetainOnly(keep);
+        table.EraseIds(erase);
       }
     }
     ASSERT_TRUE(table.HasValidIndex(0));

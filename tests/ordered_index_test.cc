@@ -297,19 +297,14 @@ TEST(TableMaintenanceTest, RandomMutationsMatchFreshTable) {
       }
       where += " append";
     } else if (op < 8) {
-      std::unordered_set<int64_t> keep;
       std::vector<int64_t> removed;
       uint64_t drop = 2 + rng() % 4;  // drop ~1/2 .. 1/5 of the rows
       for (size_t i = 0; i < table->NumRows(); ++i) {
-        if (rng() % drop == 0) {
-          removed.push_back(table->RowIdAt(i));
-        } else {
-          keep.insert(table->RowIdAt(i));
-        }
+        if (rng() % drop == 0) removed.push_back(table->RowIdAt(i));
       }
       uint64_t epoch = table->mutation_epoch();
       Table::Retraction before = table->last_retraction();
-      ASSERT_EQ(table->RetainOnly(keep), removed.size());
+      ASSERT_EQ(table->EraseIds(removed), removed.size());
       const Table::Retraction& rt = table->last_retraction();
       if (removed.empty()) {
         // Nothing deleted: the table, its epoch and its record are as
@@ -323,7 +318,7 @@ TEST(TableMaintenanceTest, RandomMutationsMatchFreshTable) {
         EXPECT_EQ(rt.from_epoch, epoch) << where;
         EXPECT_EQ(rt.row_ids, removed) << where;
       }
-      where += " RetainOnly";
+      where += " EraseIds";
     } else if (op < 9) {
       std::unordered_set<int64_t> remove;
       for (size_t i = 0; i < table->NumRows(); ++i) {
@@ -357,17 +352,17 @@ TEST(TableMaintenanceTest, DeletingEveryValueResetsTheColumnClass) {
   // index usable, exactly as in a table built from the surviving rows.
   Table table(TableSchema().AddColumn("k", ValueType::kInt64));
   ASSERT_TRUE(table.BuildOrderedIndex("k").ok());
-  std::unordered_set<int64_t> nulls;
+  std::vector<int64_t> numbers;
   for (int64_t i = 0; i < 6; ++i) {
     Value v = i % 2 == 0 ? Value(i) : Value::Null();
     Result<int64_t> id = table.Append(Row{v});
     ASSERT_TRUE(id.ok());
-    if (i % 2 == 1) nulls.insert(*id);
+    if (i % 2 == 0) numbers.push_back(*id);
   }
   Value text(std::string("m"));
   std::vector<size_t> hits;
   EXPECT_FALSE(table.RangeLookup(0, &text, true, nullptr, true, &hits));
-  ASSERT_EQ(table.RetainOnly(nulls), 3u);
+  ASSERT_EQ(table.EraseIds(numbers), 3u);
   ASSERT_TRUE(table.RangeLookup(0, &text, true, nullptr, true, &hits));
   EXPECT_TRUE(hits.empty());
   ASSERT_TRUE(table.Append(Row{Value(std::string("x"))}).ok());
@@ -382,7 +377,7 @@ TEST(TableMaintenanceTest, LowerBoundRowIdFollowsDeletions) {
     ASSERT_TRUE(table.Append(Row{Value(i)}).ok());
   }
   EXPECT_EQ(table.next_row_id(), 10);
-  ASSERT_EQ(table.RetainOnly({1, 2, 5, 8, 9}), 5u);
+  ASSERT_EQ(table.EraseIds({0, 3, 4, 6, 7}), 5u);
   EXPECT_EQ(table.LowerBoundRowId(0), 0u);
   EXPECT_EQ(table.LowerBoundRowId(3), 2u);
   EXPECT_EQ(table.LowerBoundRowId(5), 2u);

@@ -48,17 +48,18 @@ TEST(TableTest, AppendRejectsWrongArity) {
       table.Append(Row{Value(int64_t{1}), Value("x"), Value(true)}).ok());
 }
 
-TEST(TableTest, RetainOnlyKeepsExactlyTheWitness) {
+TEST(TableTest, EraseIdsRemovesExactlyTheGivenRows) {
   Table table(TwoCols());
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(table.Append(Row{Value(int64_t(i)), Value("r")}).ok());
   }
-  EXPECT_EQ(table.RetainOnly({1, 3, 5}), 7u);
+  EXPECT_EQ(table.EraseIds({0, 2, 4, 6, 7, 8, 9}), 7u);
   ASSERT_EQ(table.NumRows(), 3u);
   EXPECT_EQ(table.RowAt(0)[0], Value(int64_t{1}));
   EXPECT_EQ(table.RowAt(2)[0], Value(int64_t{5}));
-  // Retaining an empty set wipes the table.
-  EXPECT_EQ(table.RetainOnly({}), 3u);
+  // Ids no row has are ignored.
+  EXPECT_EQ(table.EraseIds({0, 3, 42}), 1u);
+  EXPECT_EQ(table.EraseIds({1, 5}), 2u);
   EXPECT_EQ(table.NumRows(), 0u);
 }
 

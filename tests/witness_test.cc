@@ -111,6 +111,25 @@ TEST_F(WitnessBuilderTest, NeighborhoodExcludesUnjoinedLogRelations) {
   EXPECT_EQ(pq.find("users"), std::string::npos);
 }
 
+TEST_F(WitnessBuilderTest, NeighborhoodJoinedThroughTheClockIsJoinedDirectly) {
+  // u and p share a ts only through the clock, whose conjuncts become
+  // bounds: each witness states the equality the policy implies.
+  WitnessSet set = Build(
+      "SELECT DISTINCT 'e' FROM users u, provenance p, clock c "
+      "WHERE u.ts = c.ts AND p.ts = c.ts AND u.uid = 1");
+  std::string uq = set.per_relation.at("users").queries[0]->ToString();
+  EXPECT_NE(uq.find("(u.ts = p.ts)"), std::string::npos) << uq;
+  std::string pq = set.per_relation.at("provenance").queries[0]->ToString();
+  EXPECT_NE(pq.find("(p.ts = u.ts)"), std::string::npos) << pq;
+  // Joined directly, the witness adds nothing.
+  set = Build(
+      "SELECT DISTINCT 'e' FROM users u, provenance p, clock c "
+      "WHERE u.ts = p.ts AND p.ts = c.ts AND u.uid = 1");
+  uq = set.per_relation.at("users").queries[0]->ToString();
+  EXPECT_EQ(uq.find("(u.ts = p.ts) AND (u.ts = p.ts)"), std::string::npos)
+      << uq;
+}
+
 TEST_F(WitnessBuilderTest, ClockInequalityForcesFullFallback) {
   WitnessSet set = Build(
       "SELECT DISTINCT 'e' FROM users u, clock c WHERE u.ts != c.ts");
