@@ -34,8 +34,8 @@ Result<Value> EvalLogical(const BinaryExpr& b, const EvalContext& ctx) {
   return Value(false);
 }
 
-/// SQL LIKE with % (any sequence) and _ (any single character);
-/// case-sensitive, iterative two-pointer matcher.
+}  // namespace
+
 bool LikeMatch(const std::string& text, const std::string& pattern) {
   size_t t = 0, p = 0;
   size_t star_p = std::string::npos, star_t = 0;
@@ -57,8 +57,6 @@ bool LikeMatch(const std::string& text, const std::string& pattern) {
   while (p < pattern.size() && pattern[p] == '%') ++p;
   return p == pattern.size();
 }
-
-}  // namespace
 
 Result<Value> Eval(const Expr& expr, const EvalContext& ctx) {
   switch (expr.kind()) {
@@ -87,11 +85,13 @@ Result<Value> Eval(const Expr& expr, const EvalContext& ctx) {
       if (b.op == "and" || b.op == "or") return EvalLogical(b, ctx);
       DL_ASSIGN_OR_RETURN(Value lhs, Eval(*b.lhs, ctx));
       DL_ASSIGN_OR_RETURN(Value rhs, Eval(*b.rhs, ctx));
-      if (b.op == "=" || b.op == "!=" || b.op == "<" || b.op == "<=" ||
-          b.op == ">" || b.op == ">=") {
-        return Value::Compare(lhs, b.op, rhs);
+      CompareOp cmp;
+      if (ParseCompareOp(b.op, &cmp)) return Value::Compare(lhs, cmp, rhs);
+      ArithOp arith;
+      if (ParseArithOp(b.op, &arith)) {
+        return Value::Arithmetic(lhs, arith, rhs);
       }
-      return Value::Arithmetic(lhs, b.op, rhs);
+      return UnknownOperator(b.op);
     }
     case ExprKind::kUnary: {
       const auto& u = static_cast<const UnaryExpr&>(expr);
@@ -121,7 +121,8 @@ Result<Value> Eval(const Expr& expr, const EvalContext& ctx) {
       bool saw_null = false;
       for (const ExprPtr& item : in.items) {
         DL_ASSIGN_OR_RETURN(Value v, Eval(*item, ctx));
-        DL_ASSIGN_OR_RETURN(Value eq, Value::Compare(operand, "=", v));
+        DL_ASSIGN_OR_RETURN(Value eq,
+                            Value::Compare(operand, CompareOp::kEq, v));
         if (eq.is_null()) {
           saw_null = true;
         } else if (eq.AsBool()) {
@@ -195,6 +196,14 @@ Result<bool> EvalPredicate(const Expr& expr, const EvalContext& ctx) {
   DL_ASSIGN_OR_RETURN(Value v, Eval(expr, ctx));
   if (v.is_bool()) return v.AsBool();
   if (v.is_null()) return false;
+  return NotAPredicate(expr);
+}
+
+Status UnknownOperator(const std::string& op) {
+  return Status::InvalidArgument("unknown operator: " + op);
+}
+
+Status NotAPredicate(const Expr& expr) {
   return Status::TypeError("predicate did not evaluate to a boolean: " +
                            expr.ToString());
 }

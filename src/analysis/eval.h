@@ -28,6 +28,17 @@ Result<Value> Eval(const Expr& expr, const EvalContext& ctx);
 /// non-null values are a type error.
 Result<bool> EvalPredicate(const Expr& expr, const EvalContext& ctx);
 
+/// SQL LIKE with % (any sequence) and _ (any single character);
+/// case-sensitive, iterative two-pointer matcher.
+bool LikeMatch(const std::string& text, const std::string& pattern);
+
+/// Errors Eval and compiled programs (analysis/expr_program.h) share: a
+/// binary operator that is neither a comparison nor arithmetic (raised
+/// after both operands evaluate), and a predicate whose value is not
+/// boolean.
+Status UnknownOperator(const std::string& op);
+Status NotAPredicate(const Expr& expr);
+
 }  // namespace datalawyer
 
 #endif  // DATALAWYER_ANALYSIS_EVAL_H_

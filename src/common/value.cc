@@ -3,6 +3,7 @@
 #include <cmath>
 #include <functional>
 #include <sstream>
+#include <utility>
 
 namespace datalawyer {
 
@@ -86,40 +87,84 @@ size_t Value::Hash() const {
   return 0;
 }
 
-Result<Value> Value::Compare(const Value& lhs, const std::string& op,
-                             const Value& rhs) {
-  if (lhs.is_null() || rhs.is_null()) return Value::Null();
-
-  int cmp = 0;
-  if (lhs.is_numeric() && rhs.is_numeric()) {
-    if (lhs.is_int64() && rhs.is_int64()) {
-      int64_t a = lhs.AsInt64(), b = rhs.AsInt64();
-      cmp = a < b ? -1 : (a > b ? 1 : 0);
-    } else {
-      double a = lhs.ToDouble(), b = rhs.ToDouble();
-      cmp = a < b ? -1 : (a > b ? 1 : 0);
+bool ParseCompareOp(const std::string& op, CompareOp* out) {
+  static const std::pair<const char*, CompareOp> kOps[] = {
+      {"=", CompareOp::kEq}, {"!=", CompareOp::kNe}, {"<>", CompareOp::kNe},
+      {"<", CompareOp::kLt}, {"<=", CompareOp::kLe}, {">", CompareOp::kGt},
+      {">=", CompareOp::kGe}};
+  for (const auto& [text, value] : kOps) {
+    if (op == text) {
+      *out = value;
+      return true;
     }
-  } else if (lhs.is_string() && rhs.is_string()) {
-    cmp = lhs.AsString().compare(rhs.AsString());
-    cmp = cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
-  } else if (lhs.is_bool() && rhs.is_bool()) {
-    cmp = int(lhs.AsBool()) - int(rhs.AsBool());
-  } else {
-    return Status::TypeError("cannot compare " +
-                             std::string(ValueTypeToString(lhs.type())) +
-                             " with " + ValueTypeToString(rhs.type()));
   }
-
-  if (op == "=") return Value(cmp == 0);
-  if (op == "!=" || op == "<>") return Value(cmp != 0);
-  if (op == "<") return Value(cmp < 0);
-  if (op == "<=") return Value(cmp <= 0);
-  if (op == ">") return Value(cmp > 0);
-  if (op == ">=") return Value(cmp >= 0);
-  return Status::InvalidArgument("unknown comparison operator: " + op);
+  return false;
 }
 
-Result<Value> Value::Arithmetic(const Value& lhs, const std::string& op,
+bool ParseArithOp(const std::string& op, ArithOp* out) {
+  static const std::pair<const char*, ArithOp> kOps[] = {
+      {"+", ArithOp::kAdd}, {"-", ArithOp::kSub}, {"*", ArithOp::kMul},
+      {"/", ArithOp::kDiv}, {"%", ArithOp::kMod}};
+  for (const auto& [text, value] : kOps) {
+    if (op == text) {
+      *out = value;
+      return true;
+    }
+  }
+  return false;
+}
+
+bool Value::SqlOrder(const Value& lhs, const Value& rhs, int* cmp) {
+  if (lhs.is_int64() && rhs.is_int64()) {
+    int64_t a = lhs.AsInt64(), b = rhs.AsInt64();
+    *cmp = a < b ? -1 : (a > b ? 1 : 0);
+  } else if (lhs.is_numeric() && rhs.is_numeric()) {
+    double a = lhs.ToDouble(), b = rhs.ToDouble();
+    *cmp = a < b ? -1 : (a > b ? 1 : 0);
+  } else if (lhs.is_string() && rhs.is_string()) {
+    int c = lhs.AsString().compare(rhs.AsString());
+    *cmp = c < 0 ? -1 : (c > 0 ? 1 : 0);
+  } else if (lhs.is_bool() && rhs.is_bool()) {
+    *cmp = int(lhs.AsBool()) - int(rhs.AsBool());
+  } else {
+    return false;
+  }
+  return true;
+}
+
+Status Value::IncomparableError(const Value& lhs, const Value& rhs) {
+  return Status::TypeError("cannot compare " +
+                           std::string(ValueTypeToString(lhs.type())) +
+                           " with " + ValueTypeToString(rhs.type()));
+}
+
+bool Value::Holds(CompareOp op, int cmp) {
+  switch (op) {
+    case CompareOp::kEq:
+      return cmp == 0;
+    case CompareOp::kNe:
+      return cmp != 0;
+    case CompareOp::kLt:
+      return cmp < 0;
+    case CompareOp::kLe:
+      return cmp <= 0;
+    case CompareOp::kGt:
+      return cmp > 0;
+    case CompareOp::kGe:
+      return cmp >= 0;
+  }
+  return false;
+}
+
+Result<Value> Value::Compare(const Value& lhs, CompareOp op,
+                             const Value& rhs) {
+  if (lhs.is_null() || rhs.is_null()) return Value::Null();
+  int cmp = 0;
+  if (!SqlOrder(lhs, rhs, &cmp)) return IncomparableError(lhs, rhs);
+  return Value(Holds(op, cmp));
+}
+
+Result<Value> Value::Arithmetic(const Value& lhs, ArithOp op,
                                 const Value& rhs) {
   if (lhs.is_null() || rhs.is_null()) return Value::Null();
   if (!lhs.is_numeric() || !rhs.is_numeric()) {
@@ -130,32 +175,37 @@ Result<Value> Value::Arithmetic(const Value& lhs, const std::string& op,
 
   if (lhs.is_int64() && rhs.is_int64()) {
     int64_t a = lhs.AsInt64(), b = rhs.AsInt64();
-    if (op == "+") return Value(a + b);
-    if (op == "-") return Value(a - b);
-    if (op == "*") return Value(a * b);
-    if (op == "/") {
-      if (b == 0) return Status::InvalidArgument("division by zero");
-      return Value(a / b);
-    }
-    if (op == "%") {
-      if (b == 0) return Status::InvalidArgument("modulo by zero");
-      return Value(a % b);
-    }
-  } else {
-    double a = lhs.ToDouble(), b = rhs.ToDouble();
-    if (op == "+") return Value(a + b);
-    if (op == "-") return Value(a - b);
-    if (op == "*") return Value(a * b);
-    if (op == "/") {
-      if (b == 0.0) return Status::InvalidArgument("division by zero");
-      return Value(a / b);
-    }
-    if (op == "%") {
-      if (b == 0.0) return Status::InvalidArgument("modulo by zero");
-      return Value(std::fmod(a, b));
+    switch (op) {
+      case ArithOp::kAdd:
+        return Value(a + b);
+      case ArithOp::kSub:
+        return Value(a - b);
+      case ArithOp::kMul:
+        return Value(a * b);
+      case ArithOp::kDiv:
+        if (b == 0) return Status::InvalidArgument("division by zero");
+        return Value(a / b);
+      case ArithOp::kMod:
+        if (b == 0) return Status::InvalidArgument("modulo by zero");
+        return Value(a % b);
     }
   }
-  return Status::InvalidArgument("unknown arithmetic operator: " + op);
+  double a = lhs.ToDouble(), b = rhs.ToDouble();
+  switch (op) {
+    case ArithOp::kAdd:
+      return Value(a + b);
+    case ArithOp::kSub:
+      return Value(a - b);
+    case ArithOp::kMul:
+      return Value(a * b);
+    case ArithOp::kDiv:
+      if (b == 0.0) return Status::InvalidArgument("division by zero");
+      return Value(a / b);
+    case ArithOp::kMod:
+      if (b == 0.0) return Status::InvalidArgument("modulo by zero");
+      return Value(std::fmod(a, b));
+  }
+  return Status::Internal("unhandled arithmetic operator");
 }
 
 std::string Value::ToString() const {

@@ -23,6 +23,20 @@ enum class ValueType {
 /// Returns e.g. "INT64".
 const char* ValueTypeToString(ValueType type);
 
+/// SQL comparison operators.
+enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe };
+
+/// SQL arithmetic operators.
+enum class ArithOp { kAdd, kSub, kMul, kDiv, kMod };
+
+/// Maps operator text ("=", "!=", "<>", "<", "<=", ">", ">=") to its enum;
+/// false for anything else.
+bool ParseCompareOp(const std::string& op, CompareOp* out);
+
+/// Maps operator text ("+", "-", "*", "/", "%") to its enum; false for
+/// anything else.
+bool ParseArithOp(const std::string& op, ArithOp* out);
+
 /// A dynamically typed SQL value. Timestamps are plain INT64 (the paper's
 /// integer clock, §3.1). NULL ordering/equality follows three-valued logic
 /// in expressions; for grouping and DISTINCT, NULLs compare equal (SQL
@@ -72,13 +86,21 @@ class Value {
   size_t Hash() const;
 
   /// SQL comparison: returns NULL if either side is NULL, a kTypeError for
-  /// incomparable types, else a BOOL. `op` in {"=","!=","<","<=",">",">="}.
-  static Result<Value> Compare(const Value& lhs, const std::string& op,
+  /// incomparable types, else a BOOL.
+  static Result<Value> Compare(const Value& lhs, CompareOp op,
                                const Value& rhs);
 
-  /// SQL arithmetic (+,-,*,/,%). NULL-in → NULL-out. Integer division by
-  /// zero is a kInvalidArgument error.
-  static Result<Value> Arithmetic(const Value& lhs, const std::string& op,
+  /// Compare's non-NULL core without a Result: sets *cmp to -1, 0 or 1 and
+  /// returns true, or returns false when the types are incomparable (then
+  /// IncomparableError(lhs, rhs) is Compare's error).
+  static bool SqlOrder(const Value& lhs, const Value& rhs, int* cmp);
+  static Status IncomparableError(const Value& lhs, const Value& rhs);
+  /// Whether `op` holds for a SqlOrder result.
+  static bool Holds(CompareOp op, int cmp);
+
+  /// SQL arithmetic. NULL-in → NULL-out. Division or modulo by zero is a
+  /// kInvalidArgument error.
+  static Result<Value> Arithmetic(const Value& lhs, ArithOp op,
                                   const Value& rhs);
 
   /// Renders the value as it would appear in a result set ("NULL", 42,

@@ -4,6 +4,7 @@
 
 #include "analysis/binder.h"
 #include "analysis/eval.h"
+#include "analysis/expr_program.h"
 #include "sql/parser.h"
 
 namespace datalawyer {
@@ -162,10 +163,13 @@ Status Engine::ExecuteDelete(const DeleteStmt& stmt) {
   Binder binder(&db_catalog_);
   DL_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bq, binder.Bind(probe));
 
+  ExprProgram where = ExprProgram::Compile(*probe.where, bq.get());
   std::unordered_set<int64_t> to_remove;
   for (size_t i = 0; i < table->NumRows(); ++i) {
-    EvalContext ctx{bq.get(), &table->RowAt(i), nullptr};
-    DL_ASSIGN_OR_RETURN(bool match, EvalPredicate(*probe.where, ctx));
+    ProgramInput in;
+    in.row = table->RowAt(i);
+    bool match = false;
+    DL_RETURN_NOT_OK(where.Test(in, &match));
     if (match) to_remove.insert(table->RowIdAt(i));
   }
   table->RemoveIds(to_remove);

@@ -21,6 +21,39 @@ void MergeLineage(LineageSet* dst, const LineageSet& src) {
   dst->insert(dst->end(), src.begin(), src.end());
 }
 
+/// Runs `key_programs` over `row` into *key; sets *null_key instead when a
+/// key part is NULL (SQL: NULL keys never join).
+Status EvalJoinKey(const std::vector<ExprProgram>& key_programs,
+                   const Row& row, Row* key, bool* null_key) {
+  ProgramInput in;
+  in.row = row;
+  key->clear();
+  key->reserve(key_programs.size());
+  *null_key = false;
+  for (const ExprProgram& p : key_programs) {
+    Value v;
+    DL_RETURN_NOT_OK(p.Evaluate(in, &v));
+    if (v.is_null()) {
+      *null_key = true;
+      return Status::OK();
+    }
+    key->push_back(std::move(v));
+  }
+  return Status::OK();
+}
+
+/// Tests `filters` in order against `in`: *keep is false at the first one
+/// that is not TRUE.
+Status TestAll(const std::vector<ExprProgram>& filters, const ProgramInput& in,
+               bool* keep) {
+  *keep = true;
+  for (const ExprProgram& f : filters) {
+    DL_RETURN_NOT_OK(f.Test(in, keep));
+    if (!*keep) break;
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 const char* MorselClassName(MorselClass cls) {
@@ -163,8 +196,8 @@ Status PlanExecutor::RunMorsels(
   // Morsels are contiguous spans processed in row order and a span stops at
   // its first failing row, so the first failing morsel's error is the
   // error serial execution would have hit first (all earlier morsels ran
-  // clean; Eval is side-effect-free, so the extra rows later morsels
-  // evaluated are unobservable).
+  // clean; expression programs are side-effect-free, so the extra rows
+  // later morsels evaluated are unobservable).
   for (const Status& st : statuses) {
     if (!st.ok()) return st;
   }
@@ -313,12 +346,11 @@ Result<QueryResult> PlanExecutor::RunMember(const PhysicalMember& pm) {
     Intermediate filtered;
     std::unordered_map<Row, size_t, RowHash> seen;
     for (size_t i = 0; i < joined.rows.size(); ++i) {
-      Row key;
-      key.reserve(stmt.distinct_on.size());
-      EvalContext ctx{&bq, &joined.rows[i], nullptr};
-      for (const ExprPtr& e : stmt.distinct_on) {
-        DL_ASSIGN_OR_RETURN(Value v, Eval(*e, ctx));
-        key.push_back(std::move(v));
+      Row key(pm.distinct_on_programs.size());
+      ProgramInput in;
+      in.row = joined.rows[i];
+      for (size_t k = 0; k < key.size(); ++k) {
+        DL_RETURN_NOT_OK(pm.distinct_on_programs[k].Evaluate(in, &key[k]));
       }
       if (seen.emplace(std::move(key), i).second) {
         filtered.rows.push_back(std::move(joined.rows[i]));
@@ -339,9 +371,9 @@ Result<QueryResult> PlanExecutor::RunMember(const PhysicalMember& pm) {
 
   QueryResult result;
   if (bq.is_grouped) {
-    DL_ASSIGN_OR_RETURN(result, ProjectGrouped(bq, std::move(joined)));
+    DL_ASSIGN_OR_RETURN(result, ProjectGrouped(pm, std::move(joined)));
   } else {
-    DL_ASSIGN_OR_RETURN(result, ProjectUngrouped(bq, std::move(joined)));
+    DL_ASSIGN_OR_RETURN(result, ProjectUngrouped(pm, std::move(joined)));
   }
 
   if (stmt.distinct) {
@@ -400,17 +432,10 @@ Result<PlanExecutor::Intermediate> PlanExecutor::ScanRelation(
   // Fragment-local emission: morsel tasks each fill their own fragment and
   // the fragments concatenate in morsel order (order positions renumbered
   // afterwards), so the serial path is just "one fragment, `out` itself".
-  auto emit = [&](Row&& full_row, LineageSet&& lineage,
-                  Intermediate* frag) -> Status {
-    EvalContext ctx{&bq, &full_row, nullptr};
-    for (const Expr* p : ps.filters) {
-      DL_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*p, ctx));
-      if (!keep) return Status::OK();
-    }
+  auto emit = [&](Row&& full_row, LineageSet&& lineage, Intermediate* frag) {
     if (track_order) frag->order.push_back({uint32_t(frag->rows.size())});
     frag->rows.push_back(std::move(full_row));
     if (options_.capture_lineage) frag->lineage.push_back(std::move(lineage));
-    return Status::OK();
   };
 
   if (ps.subplan == nullptr) {
@@ -469,12 +494,13 @@ Result<PlanExecutor::Intermediate> PlanExecutor::ScanRelation(
       }
       if (left == nullptr || left->rows.empty()) return false;
       for (size_t i = 0; i < left->rows.size(); ++i) {
-        EvalContext ctx{&bq, &left->rows[i], nullptr};
-        Result<Value> v = Eval(*probe.bound_expr, ctx);
-        if (!v.ok()) return false;
+        ProgramInput in;
+        in.row = left->rows[i];
+        Value v;
+        if (!probe.bound_program.Evaluate(in, &v).ok()) return false;
         if (i == 0) {
-          *out = std::move(v).value();
-        } else if (*out != v.value()) {
+          *out = std::move(v);
+        } else if (*out != v) {
           return false;  // left rows disagree: narrowing would drop matches
         }
       }
@@ -515,12 +541,12 @@ Result<PlanExecutor::Intermediate> PlanExecutor::ScanRelation(
           if (is_lower) {
             bool replace = !has_lo;
             if (has_lo) {
-              Result<Value> gt = Value::Compare(bound, ">", lo);
+              Result<Value> gt = Value::Compare(bound, CompareOp::kGt, lo);
               if (!gt.ok() || gt->is_null()) continue;
               if (gt->AsBool()) {
                 replace = true;
               } else {
-                Result<Value> eq = Value::Compare(bound, "=", lo);
+                Result<Value> eq = Value::Compare(bound, CompareOp::kEq, lo);
                 if (eq.ok() && !eq->is_null() && eq->AsBool() && !inclusive) {
                   lo_inc = false;  // same bound, stricter inclusivity
                 }
@@ -535,12 +561,12 @@ Result<PlanExecutor::Intermediate> PlanExecutor::ScanRelation(
           } else {
             bool replace = !has_hi;
             if (has_hi) {
-              Result<Value> lt = Value::Compare(bound, "<", hi);
+              Result<Value> lt = Value::Compare(bound, CompareOp::kLt, hi);
               if (!lt.ok() || lt->is_null()) continue;
               if (lt->AsBool()) {
                 replace = true;
               } else {
-                Result<Value> eq = Value::Compare(bound, "=", hi);
+                Result<Value> eq = Value::Compare(bound, CompareOp::kEq, hi);
                 if (eq.ok() && !eq->is_null() && eq->AsBool() && !inclusive) {
                   hi_inc = false;
                 }
@@ -590,15 +616,26 @@ Result<PlanExecutor::Intermediate> PlanExecutor::ScanRelation(
     if (have_probe) ++scan_stats_.index_hits;
     if (have_range) ++scan_stats_.range_hits;
 
+    // The filters test the stored row itself; only a row that passes is
+    // copied into a full-width row and given its lineage entry.
     auto emit_position = [&](size_t i, Intermediate* frag) -> Status {
-      Row full_row(bq.total_slots, Value::Null());
       const Row& src = data->RowAt(i);
-      for (size_t c = 0; c < width; ++c) full_row[offset + c] = src[c];
+      ProgramInput in;
+      in.window = src;
+      bool keep = true;
+      DL_RETURN_NOT_OK(TestAll(ps.filter_programs, in, &keep));
+      if (!keep) return Status::OK();
+      Row full_row(bq.total_slots);
+      std::copy(src.begin(), src.begin() + width, full_row.begin() + offset);
       LineageSet lineage;
       if (options_.capture_lineage) {
+        // Room for one entry per FROM item: the joins that take this row
+        // over append theirs without reallocating.
+        lineage.reserve(pm.scans.size());
         lineage.push_back(LineageEntry{rel_id, data->RowIdAt(i)});
       }
-      return emit(std::move(full_row), std::move(lineage), frag);
+      emit(std::move(full_row), std::move(lineage), frag);
+      return Status::OK();
     };
 
     bool narrowed = have_probe || have_range;
@@ -611,10 +648,12 @@ Result<PlanExecutor::Intermediate> PlanExecutor::ScanRelation(
       DL_RETURN_NOT_OK(RunMorsels(
           split, total,
           [&](size_t lo, size_t hi, size_t m) -> Status {
+            Intermediate local;
             for (size_t k = lo; k < hi; ++k) {
               DL_RETURN_NOT_OK(
-                  emit_position(narrowed ? positions[k] : k, &frags[m]));
+                  emit_position(narrowed ? positions[k] : k, &local));
             }
+            frags[m] = std::move(local);
             return Status::OK();
           },
           &scan_cpu_us, profiling_ ? &scan_timing : nullptr));
@@ -668,9 +707,14 @@ Result<PlanExecutor::Intermediate> PlanExecutor::ScanRelation(
     for (size_t c = 0; c < width && c < sub.rows[i].size(); ++c) {
       full_row[offset + c] = std::move(sub.rows[i][c]);
     }
+    ProgramInput in;
+    in.window = RowView(full_row.data() + offset, width);
+    bool keep = true;
+    DL_RETURN_NOT_OK(TestAll(ps.filter_programs, in, &keep));
+    if (!keep) continue;
     LineageSet lineage;
     if (options_.capture_lineage) lineage = std::move(sub.lineage[i]);
-    DL_RETURN_NOT_OK(emit(std::move(full_row), std::move(lineage), &out));
+    emit(std::move(full_row), std::move(lineage), &out);
   }
   if (profiling_) {
     RecordOp("scan subquery " + rel.binding_name + " as " + rel.binding_name,
@@ -705,29 +749,33 @@ Result<PlanExecutor::Intermediate> PlanExecutor::JoinStep(
     return "nested loop join " + source + " as " + rel.binding_name;
   };
 
-  auto combine = [&](size_t li, size_t ri) {
-    Row row = left.rows[li];
-    for (size_t c = 0; c < width; ++c) {
-      row[offset + c] = right.rows[ri][offset + c];
-    }
-    return row;
-  };
-
-  auto emit = [&](size_t li, size_t ri, Intermediate* frag) -> Status {
-    Row row = combine(li, ri);
-    EvalContext ctx{&bq, &row, nullptr};
-    for (const Expr* p : pj.residual) {
-      DL_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*p, ctx));
-      if (!keep) return Status::OK();
-    }
+  // The residuals read the incoming relation's slots from the right row and
+  // the rest from the left row; only a pair that passes is combined. The
+  // left side's last candidate pair (`last`) takes over its row, lineage
+  // and order instead of copying them: `left` is this step's own input, and
+  // morsels own disjoint left ranges.
+  auto emit = [&](size_t li, size_t ri, bool last,
+                  Intermediate* frag) -> Status {
+    const Row& rrow = right.rows[ri];
+    ProgramInput in;
+    in.row = left.rows[li];
+    in.window = RowView(rrow.data() + offset, width);
+    bool keep = true;
+    DL_RETURN_NOT_OK(TestAll(pj.residual_programs, in, &keep));
+    if (!keep) return Status::OK();
+    auto take = [last](auto& v) { return last ? std::move(v) : v; };
+    Row row = take(left.rows[li]);
+    std::copy(rrow.begin() + offset, rrow.begin() + offset + width,
+              row.begin() + offset);
     frag->rows.push_back(std::move(row));
     if (options_.capture_lineage) {
-      LineageSet lineage = left.lineage[li];
-      MergeLineage(&lineage, right.lineage[ri]);
+      const LineageSet& rl = right.lineage[ri];
+      LineageSet lineage = take(left.lineage[li]);
+      lineage.insert(lineage.end(), rl.begin(), rl.end());
       frag->lineage.push_back(std::move(lineage));
     }
     if (track_order) {
-      std::vector<uint32_t> order = left.order[li];
+      std::vector<uint32_t> order = take(left.order[li]);
       order.insert(order.end(), right.order[ri].begin(),
                    right.order[ri].end());
       frag->order.push_back(std::move(order));
@@ -747,19 +795,11 @@ Result<PlanExecutor::Intermediate> PlanExecutor::JoinStep(
     std::vector<size_t> key_hashes(rn, 0);
     auto key_span = [&](size_t lo, size_t hi, size_t) -> Status {
       for (size_t ri = lo; ri < hi; ++ri) {
-        EvalContext ctx{&bq, &right.rows[ri], nullptr};
         Row key;
-        key.reserve(pj.right_keys.size());
         bool null_key = false;
-        for (const Expr* e : pj.right_keys) {
-          DL_ASSIGN_OR_RETURN(Value v, Eval(*e, ctx));
-          if (v.is_null()) {
-            null_key = true;
-            break;
-          }
-          key.push_back(std::move(v));
-        }
-        if (null_key) continue;  // SQL: NULL keys never join
+        DL_RETURN_NOT_OK(EvalJoinKey(pj.right_key_programs, right.rows[ri],
+                                     &key, &null_key));
+        if (null_key) continue;
         key_hashes[ri] = RowHash()(key);
         keys[ri] = std::move(key);
       }
@@ -797,25 +837,18 @@ Result<PlanExecutor::Intermediate> PlanExecutor::JoinStep(
     for (const auto& part : build) build_entries += part.size();
 
     auto probe_span = [&](size_t lo, size_t hi, Intermediate* frag) -> Status {
+      Row key;
       for (size_t li = lo; li < hi; ++li) {
-        EvalContext ctx{&bq, &left.rows[li], nullptr};
-        Row key;
-        key.reserve(pj.left_keys.size());
         bool null_key = false;
-        for (const Expr* e : pj.left_keys) {
-          DL_ASSIGN_OR_RETURN(Value v, Eval(*e, ctx));
-          if (v.is_null()) {
-            null_key = true;
-            break;
-          }
-          key.push_back(std::move(v));
-        }
+        DL_RETURN_NOT_OK(
+            EvalJoinKey(pj.left_key_programs, left.rows[li], &key, &null_key));
         if (null_key) continue;
         const auto& part = build[parts == 1 ? 0 : RowHash()(key) % parts];
         auto it = part.find(key);
         if (it == part.end()) continue;
-        for (size_t ri : it->second) {
-          DL_RETURN_NOT_OK(emit(li, ri, frag));
+        const std::vector<size_t>& matches = it->second;
+        for (size_t k = 0; k < matches.size(); ++k) {
+          DL_RETURN_NOT_OK(emit(li, matches[k], k + 1 == matches.size(), frag));
         }
       }
       return Status::OK();
@@ -828,7 +861,10 @@ Result<PlanExecutor::Intermediate> PlanExecutor::JoinStep(
       DL_RETURN_NOT_OK(RunMorsels(
           probe_split, left.rows.size(),
           [&](size_t lo, size_t hi, size_t m) {
-            return probe_span(lo, hi, &frags[m]);
+            Intermediate local;
+            DL_RETURN_NOT_OK(probe_span(lo, hi, &local));
+            frags[m] = std::move(local);
+            return Status::OK();
           },
           &join_cpu_us, join_timing_ptr));
       for (Intermediate& frag : frags) AppendFragment(&out, std::move(frag));
@@ -856,7 +892,7 @@ Result<PlanExecutor::Intermediate> PlanExecutor::JoinStep(
   auto nl_span = [&](size_t lo, size_t hi, Intermediate* frag) -> Status {
     for (size_t li = lo; li < hi; ++li) {
       for (size_t ri = 0; ri < right.rows.size(); ++ri) {
-        DL_RETURN_NOT_OK(emit(li, ri, frag));
+        DL_RETURN_NOT_OK(emit(li, ri, ri + 1 == right.rows.size(), frag));
       }
     }
     return Status::OK();
@@ -869,7 +905,10 @@ Result<PlanExecutor::Intermediate> PlanExecutor::JoinStep(
     DL_RETURN_NOT_OK(RunMorsels(
         nl_split, left.rows.size(),
         [&](size_t lo, size_t hi, size_t m) {
-          return nl_span(lo, hi, &frags[m]);
+          Intermediate local;
+          DL_RETURN_NOT_OK(nl_span(lo, hi, &local));
+          frags[m] = std::move(local);
+          return Status::OK();
         },
         &join_cpu_us, join_timing_ptr));
     for (Intermediate& frag : frags) AppendFragment(&out, std::move(frag));
@@ -928,8 +967,9 @@ void PlanExecutor::RestoreInputOrder(const PhysicalMember& pm,
   joined->order.clear();
 }
 
-Result<QueryResult> PlanExecutor::ProjectUngrouped(const BoundQuery& bq,
+Result<QueryResult> PlanExecutor::ProjectUngrouped(const PhysicalMember& pm,
                                                    Intermediate input) {
+  const BoundQuery& bq = *pm.bq;
   double prof_start = profiling_ ? ProfNowUs() : 0;
   double cpu_us = 0;
   QueryResult result;
@@ -941,15 +981,15 @@ Result<QueryResult> PlanExecutor::ProjectUngrouped(const BoundQuery& bq,
   auto project_span = [&](size_t lo, size_t hi, std::vector<Row>* rows,
                           std::vector<LineageSet>* lineage) -> Status {
     for (size_t i = lo; i < hi; ++i) {
-      EvalContext ctx{&bq, &input.rows[i], nullptr};
-      Row out;
-      out.reserve(bq.output_columns.size());
-      for (const OutputColumn& col : bq.output_columns) {
+      ProgramInput in;
+      in.row = input.rows[i];
+      Row out(bq.output_columns.size());
+      for (size_t c = 0; c < out.size(); ++c) {
+        const OutputColumn& col = bq.output_columns[c];
         if (col.expr != nullptr) {
-          DL_ASSIGN_OR_RETURN(Value v, Eval(*col.expr, ctx));
-          out.push_back(std::move(v));
+          DL_RETURN_NOT_OK(pm.output_programs[c].Evaluate(in, &out[c]));
         } else {
-          out.push_back(input.rows[i][col.slot]);
+          out[c] = input.rows[i][col.slot];
         }
       }
       rows->push_back(std::move(out));
@@ -970,7 +1010,12 @@ Result<QueryResult> PlanExecutor::ProjectUngrouped(const BoundQuery& bq,
     DL_RETURN_NOT_OK(RunMorsels(
         split, input.rows.size(),
         [&](size_t lo, size_t hi, size_t m) {
-          return project_span(lo, hi, &row_frags[m], &lineage_frags[m]);
+          std::vector<Row> rows;
+          std::vector<LineageSet> lineage;
+          DL_RETURN_NOT_OK(project_span(lo, hi, &rows, &lineage));
+          row_frags[m] = std::move(rows);
+          lineage_frags[m] = std::move(lineage);
+          return Status::OK();
         },
         &cpu_us, profiling_ ? &proj_timing : nullptr));
     for (size_t m = 0; m < morsels; ++m) {
@@ -995,14 +1040,16 @@ Result<QueryResult> PlanExecutor::ProjectUngrouped(const BoundQuery& bq,
   return result;
 }
 
-Result<QueryResult> PlanExecutor::ProjectGrouped(const BoundQuery& bq,
+Result<QueryResult> PlanExecutor::ProjectGrouped(const PhysicalMember& pm,
                                                  Intermediate input) {
+  const BoundQuery& bq = *pm.bq;
   double prof_start = profiling_ ? ProfNowUs() : 0;
   double cpu_us = 0;
   const SelectStmt& stmt = *bq.stmt;
 
   struct GroupState {
-    Row representative;
+    /// The group's first input row (`input` outlives every group).
+    const Row* representative = nullptr;
     std::vector<AggregateAccumulator> accumulators;
     LineageSet lineage;
   };
@@ -1010,12 +1057,13 @@ Result<QueryResult> PlanExecutor::ProjectGrouped(const BoundQuery& bq,
   /// Hash table + first-appearance order — one per morsel when parallel,
   /// merged in morsel order so representatives, group order, and lineage
   /// sequences all match the serial single-pass build.
+  using GroupEntry = std::pair<const Row, GroupState>;
   struct GroupAcc {
     std::unordered_map<Row, GroupState, RowHash> groups;
-    std::vector<const Row*> group_order;  // deterministic output order
+    std::vector<GroupEntry*> group_order;  // deterministic output order
   };
 
-  auto new_group_state = [&](const Row& representative) {
+  auto new_group_state = [&](const Row* representative) {
     GroupState state;
     state.representative = representative;
     state.accumulators.reserve(bq.aggregates.size());
@@ -1026,18 +1074,17 @@ Result<QueryResult> PlanExecutor::ProjectGrouped(const BoundQuery& bq,
   };
 
   auto accumulate_span = [&](size_t lo, size_t hi, GroupAcc* acc) -> Status {
+    Row key(pm.group_by_programs.size());
     for (size_t i = lo; i < hi; ++i) {
-      EvalContext ctx{&bq, &input.rows[i], nullptr};
-      Row key;
-      key.reserve(stmt.group_by.size());
-      for (const ExprPtr& e : stmt.group_by) {
-        DL_ASSIGN_OR_RETURN(Value v, Eval(*e, ctx));
-        key.push_back(std::move(v));
+      ProgramInput in;
+      in.row = input.rows[i];
+      for (size_t k = 0; k < key.size(); ++k) {
+        DL_RETURN_NOT_OK(pm.group_by_programs[k].Evaluate(in, &key[k]));
       }
-      auto [it, inserted] = acc->groups.try_emplace(std::move(key));
-      if (inserted) {
-        it->second = new_group_state(input.rows[i]);
-        acc->group_order.push_back(&it->first);
+      auto it = acc->groups.find(key);
+      if (it == acc->groups.end()) {
+        it = acc->groups.emplace(key, new_group_state(&input.rows[i])).first;
+        acc->group_order.push_back(&*it);
       }
       GroupState& state = it->second;
       for (size_t a = 0; a < bq.aggregates.size(); ++a) {
@@ -1045,7 +1092,8 @@ Result<QueryResult> PlanExecutor::ProjectGrouped(const BoundQuery& bq,
         if (spec->star) {
           state.accumulators[a].AddStarRow();
         } else {
-          DL_ASSIGN_OR_RETURN(Value v, Eval(*spec->args[0], ctx));
+          Value v;
+          DL_RETURN_NOT_OK(pm.aggregate_arg_programs[a].Evaluate(in, &v));
           DL_RETURN_NOT_OK(state.accumulators[a].Add(v));
         }
       }
@@ -1067,7 +1115,10 @@ Result<QueryResult> PlanExecutor::ProjectGrouped(const BoundQuery& bq,
     DL_RETURN_NOT_OK(RunMorsels(
         split, input.rows.size(),
         [&](size_t lo, size_t hi, size_t m) {
-          return accumulate_span(lo, hi, &partials[m]);
+          GroupAcc local;
+          DL_RETURN_NOT_OK(accumulate_span(lo, hi, &local));
+          partials[m] = std::move(local);
+          return Status::OK();
         },
         &cpu_us, profiling_ ? &agg_timing : nullptr));
     // Merge in morsel order: a group's representative, position in
@@ -1076,15 +1127,21 @@ Result<QueryResult> PlanExecutor::ProjectGrouped(const BoundQuery& bq,
     // accumulator cannot prove exact (float partial sums) abandons the
     // partials and redoes the whole aggregation serially; `input` was only
     // read, so the redo sees exactly what the serial path would have.
+    // The first partial is taken over whole (its groups come first anyway).
+    size_t total_groups = 0;
+    for (const GroupAcc& partial : partials) {
+      total_groups += partial.groups.size();
+    }
+    acc = std::move(partials[0]);
+    acc.groups.reserve(total_groups);
     bool merged = true;
-    for (GroupAcc& partial : partials) {
-      if (!merged) break;
-      for (const Row* key : partial.group_order) {
-        GroupState& src = partial.groups.find(*key)->second;
-        auto [it, inserted] = acc.groups.try_emplace(*key);
+    for (size_t m = 1; m < morsels && merged; ++m) {
+      for (GroupEntry* entry : partials[m].group_order) {
+        GroupState& src = entry->second;
+        auto [it, inserted] = acc.groups.try_emplace(entry->first);
         if (inserted) {
           it->second = std::move(src);
-          acc.group_order.push_back(&it->first);
+          acc.group_order.push_back(&*it);
           continue;
         }
         GroupState& dst = it->second;
@@ -1110,35 +1167,37 @@ Result<QueryResult> PlanExecutor::ProjectGrouped(const BoundQuery& bq,
   }
 
   // A global aggregate (no GROUP BY) over empty input still forms one group.
+  Row null_row;
   if (acc.groups.empty() && stmt.group_by.empty()) {
-    Row key;
-    auto [it, inserted] = acc.groups.try_emplace(std::move(key));
-    it->second = new_group_state(Row(bq.total_slots, Value::Null()));
-    acc.group_order.push_back(&it->first);
+    null_row.resize(bq.total_slots);
+    auto [it, inserted] = acc.groups.try_emplace(Row());
+    it->second = new_group_state(&null_row);
+    acc.group_order.push_back(&*it);
   }
 
   QueryResult result;
   result.schema = bq.output_schema;
-  for (const Row* key : acc.group_order) {
-    GroupState& state = acc.groups.find(*key)->second;
-    std::unordered_map<const Expr*, Value> agg_values;
-    for (size_t a = 0; a < bq.aggregates.size(); ++a) {
-      DL_ASSIGN_OR_RETURN(Value v, state.accumulators[a].Finish());
-      agg_values[bq.aggregates[a]] = std::move(v);
+  for (GroupEntry* entry : acc.group_order) {
+    GroupState& state = entry->second;
+    std::vector<Value> agg_values(bq.aggregates.size());
+    for (size_t a = 0; a < agg_values.size(); ++a) {
+      DL_ASSIGN_OR_RETURN(agg_values[a], state.accumulators[a].Finish());
     }
-    EvalContext ctx{&bq, &state.representative, &agg_values};
+    ProgramInput in;
+    in.row = *state.representative;
+    in.aggs = agg_values.data();
     if (stmt.having != nullptr) {
-      DL_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*stmt.having, ctx));
+      bool keep = false;
+      DL_RETURN_NOT_OK(pm.having_program.Test(in, &keep));
       if (!keep) continue;
     }
-    Row out;
-    out.reserve(bq.output_columns.size());
-    for (const OutputColumn& col : bq.output_columns) {
+    Row out(bq.output_columns.size());
+    for (size_t c = 0; c < out.size(); ++c) {
+      const OutputColumn& col = bq.output_columns[c];
       if (col.expr != nullptr) {
-        DL_ASSIGN_OR_RETURN(Value v, Eval(*col.expr, ctx));
-        out.push_back(std::move(v));
+        DL_RETURN_NOT_OK(pm.output_programs[c].Evaluate(in, &out[c]));
       } else {
-        out.push_back(state.representative[col.slot]);
+        out[c] = (*state.representative)[col.slot];
       }
     }
     result.rows.push_back(std::move(out));
@@ -1224,13 +1283,14 @@ Status PlanExecutor::ApplyOrderAndLimit(const BoundQuery& bq,
     }
     std::vector<size_t> perm(result->rows.size());
     for (size_t i = 0; i < perm.size(); ++i) perm[i] = i;
+    // A tie (neither side orders first: 1 and 1.0 are one) falls through to
+    // the next key; stable_sort keeps full ties in input order.
     std::stable_sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
       for (const auto& [col, asc] : keys) {
         const Value& va = result->rows[a][col];
         const Value& vb = result->rows[b][col];
-        if (va == vb) continue;
-        bool less = va < vb;
-        return asc ? less : !less;
+        if (va < vb) return asc;
+        if (vb < va) return !asc;
       }
       return false;
     });

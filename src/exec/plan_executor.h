@@ -236,9 +236,10 @@ class PlanExecutor {
   /// Sorts `joined` into the row order the FROM-order fold would have
   /// produced (lexicographic in per-relation scan positions, FROM order).
   void RestoreInputOrder(const PhysicalMember& pm, Intermediate* joined);
-  Result<QueryResult> ProjectUngrouped(const BoundQuery& bq,
+  Result<QueryResult> ProjectUngrouped(const PhysicalMember& pm,
                                        Intermediate input);
-  Result<QueryResult> ProjectGrouped(const BoundQuery& bq, Intermediate input);
+  Result<QueryResult> ProjectGrouped(const PhysicalMember& pm,
+                                     Intermediate input);
   Status ApplyDistinct(QueryResult* result);
   Status ApplyOrderAndLimit(const BoundQuery& bq, QueryResult* result);
 
@@ -266,6 +267,10 @@ class PlanExecutor {
   /// bad row). Adds the morsel count to scan_stats_; when profiling or
   /// feeding adaptive feedback it times each morsel, accumulating into
   /// *cpu_us, the feedback accumulator, and (when non-null) *timing.
+  /// Spans fill a fragment local to their thread and move it into the
+  /// shared per-morsel slot once done: neighbouring slots share cache
+  /// lines, and growing them in place from several threads would bounce
+  /// those lines on every emitted row.
   Status RunMorsels(const MorselSplit& split, size_t n,
                     const std::function<Status(size_t lo, size_t hi,
                                                size_t m)>& span,

@@ -409,6 +409,13 @@ Result<PhysicalMember> Planner::Physicalize(const LogicalMember& member) const {
     PhysicalScan ps;
     ps.rel_idx = scan->rel_idx;
     ps.filters = scan->filters;
+    ProgramLayout own_row;
+    own_row.window_lo = bq.slot_offsets[scan->rel_idx];
+    own_row.window_hi = own_row.window_lo + rel.schema.NumColumns();
+    own_row.outside_window_null = true;
+    for (const Expr* f : ps.filters) {
+      ps.filter_programs.push_back(ExprProgram::Compile(*f, &bq, own_row));
+    }
     if (rel.subquery != nullptr) {
       DL_ASSIGN_OR_RETURN(PhysicalPlan sub, Plan(*rel.subquery));
       ps.subplan = std::make_unique<PhysicalPlan>(std::move(sub));
@@ -485,6 +492,14 @@ Result<PhysicalMember> Planner::Physicalize(const LogicalMember& member) const {
       const LogicalJoin* join = joins[j - 1];
       pj.residual = join->residual;
       pj.equi_conjuncts = join->equi;
+      size_t offset = bq.slot_offsets[scan->rel_idx];
+      ProgramLayout right_window;
+      right_window.window_lo = offset;
+      right_window.window_hi = offset + rel.schema.NumColumns();
+      for (const Expr* r : pj.residual) {
+        pj.residual_programs.push_back(
+            ExprProgram::Compile(*r, &bq, right_window));
+      }
       if (!join->equi.empty()) {
         pj.algo = JoinAlgo::kHashJoin;
         for (const Expr* e : join->equi) {
@@ -493,8 +508,9 @@ Result<PhysicalMember> Planner::Physicalize(const LogicalMember& member) const {
           if (!AsEquiJoin(*e, bq, placed_mask, rel_bit, &ls, &rs)) {
             return Status::Internal("equi-join classification changed");
           }
-          pj.left_keys.push_back(ls);
           pj.right_keys.push_back(rs);
+          pj.left_key_programs.push_back(ExprProgram::Compile(*ls, &bq));
+          pj.right_key_programs.push_back(ExprProgram::Compile(*rs, &bq));
         }
       }
 
@@ -523,6 +539,7 @@ Result<PhysicalMember> Planner::Physicalize(const LogicalMember& member) const {
             probe.col = size_t(col);
             probe.op = flip == 0 ? b.op : FlipRangeOp(b.op);
             probe.bound_expr = val_side;
+            probe.bound_program = ExprProgram::Compile(*val_side, &bq);
             probe.conjunct = r;
             ps.range_probes.push_back(std::move(probe));
             break;  // at most one candidate per conjunct
@@ -625,6 +642,31 @@ Result<PhysicalMember> Planner::Physicalize(const LogicalMember& member) const {
   pm.restore_input_order = false;
   for (size_t j = 0; j < pm.scan_order.size(); ++j) {
     if (pm.scan_order[j] != j) pm.restore_input_order = true;
+  }
+
+  const SelectStmt& stmt = *bq.stmt;
+  ProgramLayout group_layout;
+  group_layout.grouped = true;
+  for (const ExprPtr& e : stmt.distinct_on) {
+    pm.distinct_on_programs.push_back(ExprProgram::Compile(*e, &bq));
+  }
+  for (const ExprPtr& e : stmt.group_by) {
+    pm.group_by_programs.push_back(ExprProgram::Compile(*e, &bq));
+  }
+  for (const FuncCallExpr* agg : bq.aggregates) {
+    pm.aggregate_arg_programs.push_back(
+        agg->star ? ExprProgram() : ExprProgram::Compile(*agg->args[0], &bq));
+  }
+  if (stmt.having != nullptr) {
+    pm.having_program = ExprProgram::Compile(*stmt.having, &bq, group_layout);
+  }
+  for (const OutputColumn& col : bq.output_columns) {
+    pm.output_programs.push_back(
+        col.expr == nullptr
+            ? ExprProgram()
+            : ExprProgram::Compile(*col.expr, &bq,
+                                   bq.is_grouped ? group_layout
+                                                 : ProgramLayout()));
   }
   return pm;
 }

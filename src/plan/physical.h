@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "analysis/bound_query.h"
+#include "analysis/expr_program.h"
 #include "common/result.h"
 #include "common/value.h"
 #include "sql/ast.h"
@@ -40,8 +41,10 @@ struct PhysicalRangeProbe {
   std::string op;  ///< "<", "<=", ">", ">=" with the column on the left
   bool has_const = false;
   Value value;  ///< plan-time constant bound when has_const
-  /// Bound expression over already-placed relations when !has_const.
+  /// Bound expression over already-placed relations when !has_const, and
+  /// its program over the accumulated left side's rows.
   const Expr* bound_expr = nullptr;
+  ExprProgram bound_program;
   const Expr* conjunct = nullptr;  ///< originating conjunct (for explain)
 };
 
@@ -63,6 +66,10 @@ enum class AccessPath {
 struct PhysicalScan {
   size_t rel_idx = 0;  ///< FROM index in the member's BoundQuery
   std::vector<const Expr*> filters;  ///< pushed-down conjuncts, WHERE order
+  /// `filters` compiled to read the scanned relation's own row (its window
+  /// of the flat slots; every other slot reads NULL), so a scan tests a
+  /// stored row before building the full-width row.
+  std::vector<ExprProgram> filter_programs;
   std::vector<PhysicalProbe> probes;
   std::vector<PhysicalRangeProbe> range_probes;
   /// Cost-model decision; kUnknown = decide adaptively at run time.
@@ -83,13 +90,18 @@ enum class JoinAlgo {
 /// with the member's scans[i + 1].
 struct PhysicalJoin {
   JoinAlgo algo = JoinAlgo::kNestedLoop;
-  /// Parallel key sides for kHashJoin (left over the accumulated side,
-  /// right over the incoming scan), plus the originating conjuncts for
-  /// rendering.
-  std::vector<const Expr*> left_keys;
+  /// The incoming scan's side of each kHashJoin key (for estimates), plus
+  /// the originating conjuncts for rendering.
   std::vector<const Expr*> right_keys;
   std::vector<const Expr*> equi_conjuncts;
   std::vector<const Expr*> residual;
+  /// Programs of the keys, parallel lists (left over the accumulated
+  /// side's full-width rows, right over the incoming scan's), and of the
+  /// residuals (the incoming relation's slots read from the right row, the
+  /// rest from the left row, so a rejected pair is never combined).
+  std::vector<ExprProgram> left_key_programs;
+  std::vector<ExprProgram> right_key_programs;
+  std::vector<ExprProgram> residual_programs;
   /// Estimated output cardinality; < 0 when built without statistics.
   double est_rows = -1;
 };
@@ -120,6 +132,17 @@ struct PhysicalMember {
   /// byte-identical to the unoptimized path.
   std::vector<size_t> scan_order;
   bool restore_input_order = false;
+
+  /// Per-row programs of the tail stages: DISTINCT ON keys, GROUP BY keys,
+  /// aggregate arguments (BoundQuery::aggregates order; empty for COUNT(*)),
+  /// HAVING (empty when absent) and output columns (empty for a `*`
+  /// expansion). HAVING and a grouped query's outputs read the group's
+  /// finished aggregates.
+  std::vector<ExprProgram> distinct_on_programs;
+  std::vector<ExprProgram> group_by_programs;
+  std::vector<ExprProgram> aggregate_arg_programs;
+  ExprProgram having_program;
+  std::vector<ExprProgram> output_programs;
 };
 
 /// An executable physical plan for one (possibly UNION-chained) bound

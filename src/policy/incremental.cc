@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <utility>
 
 #include "analysis/eval.h"
+#include "analysis/expr_program.h"
 
 namespace datalawyer {
 namespace {
@@ -39,7 +39,8 @@ bool IsComparisonOp(const std::string& op) {
   return op == "=" || op == "<" || op == "<=" || op == ">" || op == ">=";
 }
 
-/// What a (sub)expression references, resolved through the binding.
+/// What a compiled (sub)expression references: its program's slots,
+/// classified by fold level.
 struct RefScan {
   bool unknown = false;   ///< a column ref the binder did not slot
   bool clock = false;     ///< references the synthesized clock
@@ -48,31 +49,25 @@ struct RefScan {
   std::vector<size_t> levels;  ///< every referenced fold level (repeats)
 };
 
-RefScan ScanRefs(const Expr& expr, const BoundQuery& bq,
+RefScan ScanRefs(const ExprProgram& program,
                  const std::vector<bool>& is_clock_slot,
                  const std::vector<int>& slot_level) {
   RefScan out;
-  expr.Visit([&](const Expr& node) {
-    if (node.kind() != ExprKind::kColumnRef) return;
-    auto it = bq.column_slots.find(&node);
-    if (it == bq.column_slots.end()) {
-      out.unknown = true;
-      return;
-    }
-    size_t slot = it->second;
+  out.unknown = program.unresolved();
+  for (size_t slot : program.slots()) {
     if (slot < is_clock_slot.size() && is_clock_slot[slot]) {
       out.clock = true;
-      return;
+      continue;
     }
     int level = slot < slot_level.size() ? slot_level[slot] : -1;
     if (level < 0) {
       out.unknown = true;
-      return;
+      continue;
     }
     out.nonclock = true;
     out.max_level = std::max(out.max_level, level);
     out.levels.push_back(size_t(level));
-  });
+  }
   return out;
 }
 
@@ -156,13 +151,14 @@ std::unique_ptr<IncrementalState> IncrementalState::Build(
   std::vector<const Expr*> conjuncts;
   if (stmt.where != nullptr) conjuncts = ConjunctPtrs(*stmt.where);
   for (const Expr* c : conjuncts) {
-    RefScan refs = ScanRefs(*c, bq, is_clock_slot, slot_level);
+    ExprProgram program = ExprProgram::Compile(*c, &bq);
+    RefScan refs = ScanRefs(program, is_clock_slot, slot_level);
     if (refs.unknown) return nullptr;
     if (!refs.clock) {
       if (refs.nonclock) {
-        st->level_conjuncts_[refs.max_level].push_back(c);
+        st->level_conjuncts_[refs.max_level].push_back(program);
         st->overlay_conjuncts_[refs.max_level].push_back(
-            LevelConjunct{c, refs.levels});
+            LevelConjunct{std::move(program), refs.levels});
         // Hash-probe candidate: `col = other` where `col` lives at this
         // level and `other` is fully bound by outer levels or constants.
         if (c->kind() == ExprKind::kBinary) {
@@ -180,13 +176,14 @@ std::unique_ptr<IncrementalState> IncrementalState::Build(
                   slot >= rel.slot_offset + rel.arity) {
                 continue;
               }
-              RefScan oref = ScanRefs(*other, bq, is_clock_slot, slot_level);
+              ExprProgram other_program = ExprProgram::Compile(*other, &bq);
+              RefScan oref = ScanRefs(other_program, is_clock_slot, slot_level);
               if (oref.unknown || oref.clock ||
                   oref.max_level >= refs.max_level) {
                 continue;
               }
               st->eq_probes_[refs.max_level].push_back(
-                  EqProbe{slot - rel.slot_offset, other});
+                  EqProbe{slot - rel.slot_offset, std::move(other_program)});
               break;
             }
           }
@@ -199,8 +196,10 @@ std::unique_ptr<IncrementalState> IncrementalState::Build(
     if (c->kind() != ExprKind::kBinary) return nullptr;
     const auto& bin = static_cast<const BinaryExpr&>(*c);
     if (!IsComparisonOp(bin.op)) return nullptr;
-    RefScan lhs = ScanRefs(*bin.lhs, bq, is_clock_slot, slot_level);
-    RefScan rhs = ScanRefs(*bin.rhs, bq, is_clock_slot, slot_level);
+    RefScan lhs = ScanRefs(ExprProgram::Compile(*bin.lhs, &bq),
+                           is_clock_slot, slot_level);
+    RefScan rhs = ScanRefs(ExprProgram::Compile(*bin.rhs, &bq),
+                           is_clock_slot, slot_level);
     if (lhs.unknown || rhs.unknown) return nullptr;
     const Expr* col = nullptr;
     const Expr* clk = nullptr;
@@ -232,7 +231,6 @@ std::unique_ptr<IncrementalState> IncrementalState::Build(
     if ((*at1).AsInt64() - (*at0).AsInt64() != 1) return nullptr;
 
     WindowConjunct w;
-    w.expr = c;
     w.slot = slot_it->second;
     w.base = (*at0).AsInt64();
     if (op == ">") {
@@ -254,7 +252,7 @@ std::unique_ptr<IncrementalState> IncrementalState::Build(
     int level = slot_level[w.slot];
     if (level < 0) return nullptr;
     st->overlay_conjuncts_[level].push_back(
-        LevelConjunct{c, {size_t(level)}});
+        LevelConjunct{std::move(program), {size_t(level)}});
     WindowBound wb;
     wb.col = w.slot - st->rels_[level].slot_offset;
     wb.base = w.base;
@@ -277,65 +275,30 @@ std::unique_ptr<IncrementalState> IncrementalState::Build(
 
   // HAVING: every non-aggregate column reference must land on a grouped
   // slot (the synthesized representative row carries only those); the
-  // aggregate call sites themselves are validated below.
+  // aggregate call sites themselves are validated below. The grouped
+  // program reads aggregates without descending into their arguments, so
+  // its slots are exactly those references.
   st->exists_only_ = stmt.having == nullptr;
   if (st->exists_only_) {
     if (!bq.aggregates.empty()) return nullptr;
   } else {
     if (!bq.is_grouped) return nullptr;
-    std::function<bool(const Expr&)> grouped_refs_only =
-        [&](const Expr& e) -> bool {
-      switch (e.kind()) {
-        case ExprKind::kLiteral:
-          return true;
-        case ExprKind::kColumnRef: {
-          auto it = bq.column_slots.find(&e);
-          if (it == bq.column_slots.end()) return false;
-          return std::find(st->group_slots_.begin(), st->group_slots_.end(),
-                           it->second) != st->group_slots_.end();
-        }
-        case ExprKind::kFuncCall: {
-          const auto& f = static_cast<const FuncCallExpr&>(e);
-          if (f.IsAggregate()) return true;  // args checked per AggSpec
-          for (const ExprPtr& a : f.args) {
-            if (!grouped_refs_only(*a)) return false;
-          }
-          return true;
-        }
-        case ExprKind::kBinary: {
-          const auto& b = static_cast<const BinaryExpr&>(e);
-          return grouped_refs_only(*b.lhs) && grouped_refs_only(*b.rhs);
-        }
-        case ExprKind::kUnary:
-          return grouped_refs_only(
-              *static_cast<const UnaryExpr&>(e).operand);
-        case ExprKind::kIsNull:
-          return grouped_refs_only(
-              *static_cast<const IsNullExpr&>(e).operand);
-        case ExprKind::kLike:
-          return grouped_refs_only(
-              *static_cast<const LikeExpr&>(e).operand);
-        case ExprKind::kInList: {
-          const auto& in = static_cast<const InListExpr&>(e);
-          if (!grouped_refs_only(*in.operand)) return false;
-          for (const ExprPtr& item : in.items) {
-            if (!grouped_refs_only(*item)) return false;
-          }
-          return true;
-        }
-        case ExprKind::kStar:
-          return false;
+    ProgramLayout grouped;
+    grouped.grouped = true;
+    st->having_ = ExprProgram::Compile(*stmt.having, &bq, grouped);
+    if (st->having_.unresolved()) return nullptr;
+    for (size_t slot : st->having_.slots()) {
+      if (std::find(st->group_slots_.begin(), st->group_slots_.end(), slot) ==
+          st->group_slots_.end()) {
+        return nullptr;
       }
-      return false;
-    };
-    if (!grouped_refs_only(*stmt.having)) return nullptr;
+    }
   }
 
   // Aggregates: COUNT(*)/COUNT/SUM/MIN/MAX (DISTINCT included); AVG has no
   // removable accumulator that reproduces the executor's double math.
   for (const FuncCallExpr* f : bq.aggregates) {
     AggSpec spec;
-    spec.site = f;
     spec.distinct = f->distinct;
     if (f->name == "count") {
       if (f->star) {
@@ -355,8 +318,8 @@ std::unique_ptr<IncrementalState> IncrementalState::Build(
     }
     if (spec.kind != AggKind::kCountStar) {
       if (f->args.size() != 1 || f->args[0] == nullptr) return nullptr;
-      spec.arg = f->args[0].get();
-      RefScan refs = ScanRefs(*spec.arg, bq, is_clock_slot, slot_level);
+      spec.arg = ExprProgram::Compile(*f->args[0], &bq);
+      RefScan refs = ScanRefs(spec.arg, is_clock_slot, slot_level);
       if (refs.unknown || refs.clock) return nullptr;
     }
     st->aggs_.push_back(spec);
@@ -527,14 +490,15 @@ bool IncrementalState::ProbePositions(size_t level, bool fold_mode,
                                       std::vector<size_t>* out) const {
   const RelationState& r = rels_[level];
   const Table* table = r.main;
-  EvalContext ctx{bq_, scratch, nullptr};
+  ProgramInput in;
+  in.row = *scratch;
   bool answered = false;
   // Hash probes first (typically the most selective). An evaluation error
   // just skips the probe: the plain scan re-raises it through the conjunct.
   for (const EqProbe& p : eq_probes_[level]) {
-    Result<Value> v = Eval(*p.other, ctx);
-    if (!v.ok()) continue;
-    if ((*v).is_null()) {
+    Value v;
+    if (!p.other.Evaluate(in, &v).ok()) continue;
+    if (v.is_null()) {
       // `col = NULL` never holds; the conjunct rejects every row.
       out->clear();
       return true;
@@ -543,11 +507,11 @@ bool IncrementalState::ProbePositions(size_t level, bool fold_mode,
     // every structural representation a numerically-equal stored value can
     // take, so narrowing never drops a row the conjunct would keep.
     std::vector<Value> variants;
-    variants.push_back(*v);
-    if ((*v).is_int64()) {
-      variants.push_back(Value(double((*v).AsInt64())));
-    } else if ((*v).is_double()) {
-      double d = (*v).AsDouble();
+    variants.push_back(v);
+    if (v.is_int64()) {
+      variants.push_back(Value(double(v.AsInt64())));
+    } else if (v.is_double()) {
+      double d = v.AsDouble();
       if (std::isfinite(d) && d == std::nearbyint(d) &&
           d >= -9223372036854774784.0 && d <= 9223372036854774784.0) {
         variants.push_back(Value(int64_t(d)));
@@ -636,7 +600,8 @@ bool IncrementalState::FoldTerm(size_t level, size_t term, int64_t now,
   } else if (level == term) {
     begin = r.folded_rows;
   }
-  EvalContext ctx{bq_, scratch, nullptr};
+  ProgramInput in;
+  in.row = *scratch;
   auto visit = [&](size_t i) -> bool {
     if (++fold_steps_ > kFoldStepCap) return false;
     const Row& row = r.main->RowAt(i);
@@ -645,16 +610,11 @@ bool IncrementalState::FoldTerm(size_t level, size_t term, int64_t now,
     for (size_t c = 0; c < arity; ++c) {
       (*scratch)[r.slot_offset + c] = row[c];
     }
-    bool pass = true;
-    for (const Expr* e : level_conjuncts_[level]) {
-      Result<bool> pr = EvalPredicate(*e, ctx);
-      if (!pr.ok()) return false;
-      if (!*pr) {
-        pass = false;
-        break;
-      }
+    for (const ExprProgram& e : level_conjuncts_[level]) {
+      bool pass = false;
+      if (!e.Test(in, &pass).ok()) return false;
+      if (!pass) return true;
     }
-    if (!pass) return true;
     return FoldTerm(level + 1, term, now, scratch);
   };
   std::vector<size_t> positions;
@@ -698,21 +658,19 @@ bool IncrementalState::EmitContribution(const Row& scratch, int64_t now) {
   if (!exists_only_) {
     c.key.reserve(group_slots_.size());
     for (size_t s : group_slots_) c.key.push_back(scratch[s]);
-    c.args.reserve(aggs_.size());
-    EvalContext ctx{bq_, &scratch, nullptr};
-    for (const AggSpec& a : aggs_) {
-      if (a.kind == AggKind::kCountStar) {
-        c.args.push_back(Value::Null());
-        continue;
-      }
-      Result<Value> v = Eval(*a.arg, ctx);
-      if (!v.ok()) return false;
+    c.args.resize(aggs_.size());
+    ProgramInput in;
+    in.row = scratch;
+    for (size_t i = 0; i < aggs_.size(); ++i) {
+      const AggSpec& a = aggs_[i];
+      if (a.kind == AggKind::kCountStar) continue;
+      Value& v = c.args[i];
+      if (!a.arg.Evaluate(in, &v).ok()) return false;
       // SUM mixes int and double accumulation in the executor; mirror only
       // the pure-integer case and fall back on anything else.
-      if (a.kind == AggKind::kSum && !(*v).is_null() && !(*v).is_int64()) {
+      if (a.kind == AggKind::kSum && !v.is_null() && !v.is_int64()) {
         return false;
       }
-      c.args.push_back(std::move(*v));
     }
   }
   if (enter_at > now) {
@@ -922,7 +880,8 @@ bool IncrementalState::OverlayTerm(
     return true;
   }
   const RelationState& r = rels_[level];
-  EvalContext ctx{bq_, scratch, nullptr};
+  ProgramInput in;
+  in.row = *scratch;
   auto visit = [&](const Table* table, size_t i) -> bool {
     if (++*steps > kEvalStepCap) return false;
     const Row& row = table->RowAt(i);
@@ -930,19 +889,14 @@ bool IncrementalState::OverlayTerm(
     for (size_t c = 0; c < arity; ++c) {
       (*scratch)[r.slot_offset + c] = row[c];
     }
-    bool pass = true;
     for (const LevelConjunct& c : overlay_conjuncts_[level]) {
-      Result<bool> pr = EvalPredicate(*c.expr, ctx);
-      if (!pr.ok()) {
+      bool pass = false;
+      if (!c.program.Test(in, &pass).ok()) {
         Poison();
         return false;
       }
-      if (!*pr) {
-        pass = false;
-        break;
-      }
+      if (!pass) return true;
     }
-    if (!pass) return true;
     return OverlayTerm(level + 1, term, now, scratch, groups, any_tuple,
                        steps);
   };
@@ -998,7 +952,8 @@ bool IncrementalState::DeltaTerm(size_t level, const std::vector<bool>& live,
   if (level == rels_.size()) return true;
   if (!live[level]) return DeltaTerm(level + 1, live, scratch, steps);
   const RelationState& r = rels_[level];
-  EvalContext ctx{bq_, scratch, nullptr};
+  ProgramInput in;
+  in.row = *scratch;
   for (size_t i = 0; i < r.delta->NumRows(); ++i) {
     if (++*steps > kEvalStepCap) return true;
     const Row& row = r.delta->RowAt(i);
@@ -1011,12 +966,8 @@ bool IncrementalState::DeltaTerm(size_t level, const std::vector<bool>& live,
       bool applies = true;
       for (size_t l : c.levels) applies = applies && live[l];
       if (!applies) continue;
-      Result<bool> pr = EvalPredicate(*c.expr, ctx);
-      if (!pr.ok()) return true;
-      if (!*pr) {
-        pass = false;
-        break;
-      }
+      if (!c.program.Test(in, &pass).ok()) return true;
+      if (!pass) break;
     }
     if (pass && DeltaTerm(level + 1, live, scratch, steps)) return true;
   }
@@ -1034,7 +985,8 @@ bool IncrementalState::AccumulateOverlay(
   OverlayGroup& og = (*groups)[std::move(key)];
   if (og.aggs.size() != aggs_.size()) og.aggs.resize(aggs_.size());
   ++og.hits;
-  EvalContext ctx{bq_, &scratch, nullptr};
+  ProgramInput in;
+  in.row = scratch;
   for (size_t i = 0; i < aggs_.size(); ++i) {
     const AggSpec& a = aggs_[i];
     OverlayAgg& s = og.aggs[i];
@@ -1042,9 +994,8 @@ bool IncrementalState::AccumulateOverlay(
       ++s.count;
       continue;
     }
-    Result<Value> vr = Eval(*a.arg, ctx);
-    if (!vr.ok()) return false;
-    Value v = std::move(*vr);
+    Value v;
+    if (!a.arg.Evaluate(in, &v).ok()) return false;
     if (v.is_null()) continue;
     switch (a.kind) {
       case AggKind::kCount:
@@ -1158,29 +1109,29 @@ bool IncrementalState::MergedAggValue(size_t i, const AggState* s,
 bool IncrementalState::CheckGroup(const Row& key, const GroupState* s,
                                   const OverlayGroup* o,
                                   bool* violated) const {
-  std::unordered_map<const Expr*, Value> agg_values;
+  std::vector<Value> agg_values(aggs_.size());
   for (size_t i = 0; i < aggs_.size(); ++i) {
     const AggState* as =
         s != nullptr && !s->aggs.empty() ? &s->aggs[i] : nullptr;
     const OverlayAgg* oa = o != nullptr ? &o->aggs[i] : nullptr;
-    Value v;
-    if (!MergedAggValue(i, as, oa, &v)) {
+    if (!MergedAggValue(i, as, oa, &agg_values[i])) {
       Poison();
       return false;
     }
-    agg_values[aggs_[i].site] = std::move(v);
   }
-  Row representative(total_slots_, Value::Null());
+  Row representative(total_slots_);
   for (size_t i = 0; i < group_slots_.size() && i < key.size(); ++i) {
     representative[group_slots_[i]] = key[i];
   }
-  EvalContext ctx{bq_, &representative, &agg_values};
-  Result<bool> pr = EvalPredicate(*bq_->stmt->having, ctx);
-  if (!pr.ok()) {
+  ProgramInput in;
+  in.row = representative;
+  in.aggs = agg_values.data();
+  bool pass = false;
+  if (!having_.Test(in, &pass).ok()) {
     Poison();
     return false;
   }
-  if (*pr) *violated = true;
+  if (pass) *violated = true;
   return true;
 }
 

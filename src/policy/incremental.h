@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "analysis/bound_query.h"
+#include "analysis/expr_program.h"
 #include "common/value.h"
 #include "common/value_hash.h"
 #include "log/usage_log.h"
@@ -140,9 +141,8 @@ class IncrementalState {
   ///   enter_at  = row[slot] - base + enter_adj   (when has_enter)
   ///   expire_at = row[slot] - base + expire_adj  (when has_expire).
   struct WindowConjunct {
-    const Expr* expr = nullptr;  ///< original conjunct (overlay evaluation)
-    size_t slot = 0;             ///< non-clock column the bound constrains
-    int64_t base = 0;            ///< clock-side affine intercept
+    size_t slot = 0;   ///< non-clock column the bound constrains
+    int64_t base = 0;  ///< clock-side affine intercept
     bool has_enter = false;
     int64_t enter_adj = 0;
     bool has_expire = false;
@@ -155,15 +155,15 @@ class IncrementalState {
   /// log-side delta). Like the executor's pushdown, a probe only narrows:
   /// the originating conjunct is still re-applied to every visited row.
   struct EqProbe {
-    size_t col = 0;               ///< column within the relation
-    const Expr* other = nullptr;  ///< side bound by outer levels / constants
+    size_t col = 0;     ///< column within the relation
+    ExprProgram other;  ///< side bound by outer levels / constants
   };
 
   /// A WHERE conjunct filed under the deepest fold level it references,
   /// with every level it references (IncrementMayJoin skips the conjunct
   /// when one of them is dropped).
   struct LevelConjunct {
-    const Expr* expr = nullptr;
+    ExprProgram program;
     std::vector<size_t> levels;
   };
 
@@ -182,11 +182,11 @@ class IncrementalState {
 
   enum class AggKind { kCountStar, kCount, kSum, kMin, kMax };
 
+  /// One aggregate call site, in BoundQuery::aggregates order.
   struct AggSpec {
-    const FuncCallExpr* site = nullptr;  ///< bq.aggregates[i] call site
     AggKind kind = AggKind::kCountStar;
     bool distinct = false;
-    const Expr* arg = nullptr;  ///< null for COUNT(*)
+    ExprProgram arg;  ///< empty for COUNT(*)
   };
 
   /// Removable accumulator for one aggregate site over one group. Mirrors
@@ -300,7 +300,7 @@ class IncrementalState {
   std::vector<size_t> clock_slots_;
   std::vector<const Expr*> constant_conjuncts_;
   /// Non-window conjuncts by deepest referenced fold level.
-  std::vector<std::vector<const Expr*>> level_conjuncts_;
+  std::vector<std::vector<ExprProgram>> level_conjuncts_;
   /// All conjuncts (windows included) by level, for overlay evaluation
   /// where the clock slots are prefilled with `now`.
   std::vector<std::vector<LevelConjunct>> overlay_conjuncts_;
@@ -310,6 +310,7 @@ class IncrementalState {
   std::vector<WindowConjunct> windows_;
   std::vector<size_t> group_slots_;
   std::vector<AggSpec> aggs_;
+  ExprProgram having_;  ///< grouped program; empty when exists_only_
 
   // --- Maintained state (serial sections only) ---
   std::unordered_map<Row, GroupState, RowHash> groups_;

@@ -129,39 +129,55 @@ std::unique_ptr<SelectStmt> SelectStmt::Clone() const {
   return out;
 }
 
-std::string SelectStmt::ToString() const {
+namespace {
+
+/// One member's SELECT ... HAVING text, without ORDER BY / LIMIT.
+std::string SelectCoreToString(const SelectStmt& s) {
   std::string out = "SELECT ";
-  if (!distinct_on.empty()) {
+  if (!s.distinct_on.empty()) {
     out += "DISTINCT ON (";
-    for (size_t i = 0; i < distinct_on.size(); ++i) {
+    for (size_t i = 0; i < s.distinct_on.size(); ++i) {
       if (i > 0) out += ", ";
-      out += distinct_on[i]->ToString();
+      out += s.distinct_on[i]->ToString();
     }
     out += ") ";
-  } else if (distinct) {
+  } else if (s.distinct) {
     out += "DISTINCT ";
   }
-  for (size_t i = 0; i < items.size(); ++i) {
+  for (size_t i = 0; i < s.items.size(); ++i) {
     if (i > 0) out += ", ";
-    out += items[i].expr->ToString();
-    if (!items[i].alias.empty()) out += " AS " + items[i].alias;
+    out += s.items[i].expr->ToString();
+    if (!s.items[i].alias.empty()) out += " AS " + s.items[i].alias;
   }
-  if (!from.empty()) {
+  if (!s.from.empty()) {
     out += " FROM ";
-    for (size_t i = 0; i < from.size(); ++i) {
+    for (size_t i = 0; i < s.from.size(); ++i) {
       if (i > 0) out += ", ";
-      out += from[i].ToString();
+      out += s.from[i].ToString();
     }
   }
-  if (where) out += " WHERE " + where->ToString();
-  if (!group_by.empty()) {
+  if (s.where) out += " WHERE " + s.where->ToString();
+  if (!s.group_by.empty()) {
     out += " GROUP BY ";
-    for (size_t i = 0; i < group_by.size(); ++i) {
+    for (size_t i = 0; i < s.group_by.size(); ++i) {
       if (i > 0) out += ", ";
-      out += group_by[i]->ToString();
+      out += s.group_by[i]->ToString();
     }
   }
-  if (having) out += " HAVING " + having->ToString();
+  if (s.having) out += " HAVING " + s.having->ToString();
+  return out;
+}
+
+}  // namespace
+
+std::string SelectStmt::ToString() const {
+  // The head's ORDER BY / LIMIT orders the whole UNION chain, so it is
+  // written after the last member.
+  std::string out = SelectCoreToString(*this);
+  for (const SelectStmt* m = this; m->union_next; m = m->union_next.get()) {
+    out += m->union_all ? " UNION ALL " : " UNION ";
+    out += SelectCoreToString(*m->union_next);
+  }
   if (!order_by.empty()) {
     out += " ORDER BY ";
     for (size_t i = 0; i < order_by.size(); ++i) {
@@ -171,10 +187,6 @@ std::string SelectStmt::ToString() const {
     }
   }
   if (limit.has_value()) out += " LIMIT " + std::to_string(*limit);
-  if (union_next) {
-    out += union_all ? " UNION ALL " : " UNION ";
-    out += union_next->ToString();
-  }
   return out;
 }
 

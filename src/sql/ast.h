@@ -257,6 +257,8 @@ struct SelectStmt {
   ExprPtr where;                 ///< null if absent
   std::vector<ExprPtr> group_by;
   ExprPtr having;                ///< null if absent
+  /// On a UNION chain's head these order and limit the whole union; the
+  /// parser leaves them empty on every other member.
   std::vector<OrderByItem> order_by;
   std::optional<int64_t> limit;
 

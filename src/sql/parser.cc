@@ -164,35 +164,59 @@ Result<Statement> Parser::ParseStatement() {
 }
 
 Result<std::unique_ptr<SelectStmt>> Parser::ParseSelectStmt() {
-  // A UNION chain: core (UNION [ALL] core)*
-  std::unique_ptr<SelectStmt> head;
-  // Parenthesized select head: "(SELECT ...) UNION ..."
-  if (Peek().type == TokenType::kLParen && Peek(1).IsKeyword("select")) {
-    Advance();  // (
-    DL_ASSIGN_OR_RETURN(head, ParseSelectStmt());
-    DL_RETURN_NOT_OK(Expect(TokenType::kRParen, "')'"));
-  } else {
-    DL_ASSIGN_OR_RETURN(head, ParseSelectCore());
-  }
-  SelectStmt* tail = head.get();
+  // A UNION chain: member (UNION [ALL] member)*, where a member is a core
+  // SELECT or a parenthesized select. A trailing ORDER BY / LIMIT parses
+  // onto the last core member but orders and limits the whole chain, so it
+  // moves to the head, whose clause the executor applies to the union
+  // result. Anywhere else in a chain the clause would apply to one member,
+  // which the executor does not do: that is Unsupported.
+  auto has_clause = [](const SelectStmt& s) {
+    return !s.order_by.empty() || s.limit.has_value();
+  };
+  auto member_clause = [](bool parenthesized) {
+    return Status::Unsupported(
+        parenthesized
+            ? "ORDER BY / LIMIT inside a parenthesized UNION member"
+            : "ORDER BY / LIMIT before UNION (it may only follow the last "
+              "member, where it applies to the whole union)");
+  };
+  bool parenthesized = false;
+  DL_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> head,
+                      ParseUnionMember(&parenthesized));
+  SelectStmt* last = head.get();  // last member as written
+  SelectStmt* tail = head.get();  // end of the flattened chain
   while (Peek().IsKeyword("union")) {
+    if (has_clause(*last)) return member_clause(parenthesized);
     Advance();
     bool all = MatchKeyword("all");
-    std::unique_ptr<SelectStmt> next;
-    if (Peek().type == TokenType::kLParen && Peek(1).IsKeyword("select")) {
-      Advance();
-      DL_ASSIGN_OR_RETURN(next, ParseSelectStmt());
-      DL_RETURN_NOT_OK(Expect(TokenType::kRParen, "')'"));
-    } else {
-      DL_ASSIGN_OR_RETURN(next, ParseSelectCore());
-    }
+    DL_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> next,
+                        ParseUnionMember(&parenthesized));
+    last = next.get();
     tail->union_all = all;
     tail->union_next = std::move(next);
     // Follow to the end of any chain the parenthesized select carried.
     tail = tail->union_next.get();
     while (tail->union_next) tail = tail->union_next.get();
   }
+  if (last != head.get() && has_clause(*last)) {
+    if (parenthesized) return member_clause(true);
+    head->order_by = std::move(last->order_by);
+    last->order_by.clear();
+    head->limit = last->limit;
+    last->limit.reset();
+  }
   return head;
+}
+
+Result<std::unique_ptr<SelectStmt>> Parser::ParseUnionMember(
+    bool* parenthesized) {
+  *parenthesized = Peek().type == TokenType::kLParen &&
+                   Peek(1).IsKeyword("select");
+  if (!*parenthesized) return ParseSelectCore();
+  Advance();  // (
+  DL_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> member, ParseSelectStmt());
+  DL_RETURN_NOT_OK(Expect(TokenType::kRParen, "')'"));
+  return member;
 }
 
 Result<std::unique_ptr<SelectStmt>> Parser::ParseSelectCore() {

@@ -49,6 +49,9 @@ class Parser {
   Result<Statement> ParseStatement();
   Result<std::unique_ptr<SelectStmt>> ParseSelectStmt();
   Result<std::unique_ptr<SelectStmt>> ParseSelectCore();
+  /// One UNION member: a core SELECT, or a parenthesized select (then
+  /// *parenthesized is set).
+  Result<std::unique_ptr<SelectStmt>> ParseUnionMember(bool* parenthesized);
   Result<TableRef> ParseTableRef();
   Result<std::unique_ptr<InsertStmt>> ParseInsert();
   Result<std::unique_ptr<CreateTableStmt>> ParseCreateTable();

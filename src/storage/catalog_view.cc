@@ -60,12 +60,14 @@ bool ConcatRelation::RangeLookup(size_t col, const Value* lo,
       const Value& v = second_->RowAt(i)[col];
       bool in = true;
       if (lo != nullptr) {
-        auto r = Value::Compare(v, lo_inclusive ? ">=" : ">", *lo);
+        auto r = Value::Compare(
+            v, lo_inclusive ? CompareOp::kGe : CompareOp::kGt, *lo);
         if (!r.ok()) return false;
         in = !r->is_null() && r->AsBool();
       }
       if (in && hi != nullptr) {
-        auto r = Value::Compare(v, hi_inclusive ? "<=" : "<", *hi);
+        auto r = Value::Compare(
+            v, hi_inclusive ? CompareOp::kLe : CompareOp::kLt, *hi);
         if (!r.ok()) return false;
         in = !r->is_null() && r->AsBool();
       }

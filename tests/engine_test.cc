@@ -118,5 +118,62 @@ TEST_F(EngineTest, SelectAgainstExtraCatalog) {
   EXPECT_EQ(result->rows[0][1], Value(int64_t{42}));
 }
 
+// A trailing ORDER BY / LIMIT orders and limits the whole UNION, not its
+// last member. Int 7 and double 7.0 in one output column are a tie, kept in
+// union order; a tie falls through to the next key.
+TEST_F(EngineTest, OrderByAndLimitApplyToTheWholeUnion) {
+  ASSERT_TRUE(engine_.ExecuteSql("CREATE TABLE t (k INT, x INT)").ok());
+  ASSERT_TRUE(engine_.ExecuteSql("CREATE TABLE u (k INT, x DOUBLE)").ok());
+  ASSERT_TRUE(
+      engine_.ExecuteSql("INSERT INTO t VALUES (1, 5), (2, 1), (3, 7)").ok());
+  ASSERT_TRUE(
+      engine_.ExecuteSql("INSERT INTO u VALUES (4, 1.0), (5, 7.0), (6, 2.5)")
+          .ok());
+  auto keys = [&](const std::string& sql) {
+    std::vector<int64_t> out;
+    auto result = engine_.ExecuteSql(sql);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    if (!result.ok()) return out;
+    for (const Row& row : result->rows) out.push_back(row[0].AsInt64());
+    return out;
+  };
+  const std::string both =
+      "SELECT k, x FROM t UNION ALL SELECT k, x FROM u";
+  EXPECT_EQ(keys(both + " ORDER BY x DESC LIMIT 2"),
+            (std::vector<int64_t>{3, 5}));
+  EXPECT_EQ(keys(both + " ORDER BY x DESC"),
+            (std::vector<int64_t>{3, 5, 1, 6, 2, 4}));
+  EXPECT_EQ(keys(both + " ORDER BY x"),
+            (std::vector<int64_t>{2, 4, 6, 1, 3, 5}));
+  EXPECT_EQ(keys(both + " ORDER BY x DESC, k DESC"),
+            (std::vector<int64_t>{5, 3, 1, 6, 4, 2}));
+  EXPECT_EQ(keys(both + " LIMIT 4"), (std::vector<int64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(keys("SELECT k, x FROM t UNION SELECT k, x FROM u ORDER BY 1 "
+                 "DESC LIMIT 3"),
+            (std::vector<int64_t>{6, 5, 4}));
+
+  // The clause renders after the last member and parses back the same.
+  auto parsed = Parser::ParseSelect(both + " ORDER BY x DESC LIMIT 2");
+  ASSERT_TRUE(parsed.ok());
+  const std::string text = (*parsed)->ToString();
+  EXPECT_EQ(text,
+            "SELECT k, x FROM t UNION ALL SELECT k, x FROM u ORDER BY x DESC "
+            "LIMIT 2");
+  auto reparsed = Parser::ParseSelect(text);
+  ASSERT_TRUE(reparsed.ok());
+  EXPECT_EQ((*reparsed)->ToString(), text);
+
+  // Anywhere but after the last member it would apply to one member.
+  for (const char* sql :
+       {"SELECT k, x FROM t ORDER BY x UNION ALL SELECT k, x FROM u",
+        "SELECT k, x FROM t LIMIT 1 UNION SELECT k, x FROM u",
+        "(SELECT k, x FROM t LIMIT 1) UNION SELECT k, x FROM u",
+        "SELECT k, x FROM t UNION (SELECT k, x FROM u ORDER BY x)"}) {
+    auto result = engine_.ExecuteSql(sql);
+    ASSERT_FALSE(result.ok()) << sql;
+    EXPECT_EQ(result.status().code(), StatusCode::kUnsupported) << sql;
+  }
+}
+
 }  // namespace
 }  // namespace datalawyer

@@ -16,7 +16,10 @@
 #include "common/task_scheduler.h"
 #include "common/trace.h"
 #include "core/datalawyer.h"
+#include "exec/executor.h"
 #include "exec/plan_executor.h"
+#include "sql/parser.h"
+#include "storage/catalog_view.h"
 #include "workload/mimic.h"
 #include "workload/paper_policies.h"
 #include "workload/paper_queries.h"
@@ -492,6 +495,89 @@ TEST(ParallelDeterminismTest, InlineWaveStopsAtTheDecisiveSlot) {
   }
   EXPECT_GT(spans, 0u);
   EXPECT_EQ(spans, dl.last_stats().policies_evaluated);
+}
+
+/// t(k, d, e) with k = 0..n-1, d = e = 1, except d = 0 at row `div_zero`
+/// and e = 0 at row `mod_zero`; u(k, v) with one row per k.
+void LoadArithmeticTables(Database* db, int64_t n, int64_t div_zero,
+                          int64_t mod_zero) {
+  Table* t = db->CreateTable("t", TableSchema()
+                                      .AddColumn("k", ValueType::kInt64)
+                                      .AddColumn("d", ValueType::kInt64)
+                                      .AddColumn("e", ValueType::kInt64))
+                 .value();
+  Table* u = db->CreateTable("u", TableSchema()
+                                      .AddColumn("k", ValueType::kInt64)
+                                      .AddColumn("v", ValueType::kString))
+                 .value();
+  for (int64_t k = 0; k < n; ++k) {
+    ASSERT_TRUE(t->Append(Row{Value(k), Value(int64_t{k == div_zero ? 0 : 1}),
+                              Value(int64_t{k == mod_zero ? 0 : 1})})
+                    .ok());
+    ASSERT_TRUE(u->Append(Row{Value(k), Value("v" + std::to_string(k))}).ok());
+  }
+}
+
+Result<QueryResult> RunSelect(const Database& db, const std::string& sql,
+                              size_t threads, bool lineage) {
+  DatabaseCatalog catalog(&db);
+  TaskScheduler scheduler(threads);
+  ExecOptions options;
+  options.capture_lineage = lineage;
+  options.scheduler = &scheduler;
+  options.morsel_size = 16;
+  Executor executor(&catalog, options);
+  DL_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> stmt,
+                      Parser::ParseSelect(sql));
+  return executor.Execute(*stmt);
+}
+
+// A scan filter that raises on middle rows: the serial first error (row
+// 300's division by zero, not row 700's modulo by zero) is the answer
+// whatever the thread count, with small morsels (so the later error's
+// morsel can finish first) and with lineage on or off.
+TEST(ParallelDeterminismTest, ScanFilterErrorIsTheSerialFirstError) {
+  Database db;
+  LoadArithmeticTables(&db, 1000, 300, 700);
+  const std::string sql = "SELECT k FROM t WHERE k / d + k % e >= 0";
+  for (bool lineage : {false, true}) {
+    for (size_t threads : {size_t(0), size_t(2)}) {
+      Result<QueryResult> r = RunSelect(db, sql, threads, lineage);
+      ASSERT_FALSE(r.ok()) << "threads " << threads << " lineage " << lineage;
+      EXPECT_EQ(r.status().ToString(), "InvalidArgument: division by zero")
+          << "threads " << threads << " lineage " << lineage;
+    }
+  }
+  // Without the row-300 error the row-700 one is first.
+  Database later;
+  LoadArithmeticTables(&later, 1000, -1, 700);
+  Result<QueryResult> r = RunSelect(later, sql, 2, true);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().ToString(), "InvalidArgument: modulo by zero");
+}
+
+// A filter that rejects 90% of the scanned rows, alone and feeding a join:
+// rows, lineage and emission order are byte-identical across thread counts.
+TEST(ParallelDeterminismTest, SelectiveScanIsThreadInvisible) {
+  Database db;
+  LoadArithmeticTables(&db, 3000, -1, -1);
+  for (const std::string sql :
+       {"SELECT k, d FROM t WHERE k % 10 = 3",
+        "SELECT t.k, u.v FROM t, u WHERE t.k % 10 = 3 AND u.k = t.k",
+        "SELECT u.v, t.k FROM u, t WHERE t.k % 10 = 3 AND u.k > t.k - 2 "
+        "AND u.k < t.k + 2"}) {
+    Result<QueryResult> serial = RunSelect(db, sql, 0, true);
+    ASSERT_TRUE(serial.ok()) << sql << ": " << serial.status().ToString();
+    EXPECT_GE(serial->rows.size(), 300u) << sql;
+    for (size_t threads : {size_t(1), size_t(2)}) {
+      Result<QueryResult> parallel = RunSelect(db, sql, threads, true);
+      ASSERT_TRUE(parallel.ok()) << sql;
+      EXPECT_EQ(parallel->rows, serial->rows) << sql << " threads " << threads;
+      EXPECT_EQ(parallel->lineage, serial->lineage)
+          << sql << " threads " << threads;
+      EXPECT_EQ(parallel->base_relations, serial->base_relations) << sql;
+    }
+  }
 }
 
 }  // namespace

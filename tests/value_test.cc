@@ -50,7 +50,9 @@ class ValueCompareTest : public ::testing::TestWithParam<CompareCase> {};
 
 TEST_P(ValueCompareTest, Compare) {
   const CompareCase& c = GetParam();
-  auto result = Value::Compare(c.lhs, c.op, c.rhs);
+  CompareOp op;
+  ASSERT_TRUE(ParseCompareOp(c.op, &op)) << c.op;
+  auto result = Value::Compare(c.lhs, op, c.rhs);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(*result, c.expected)
       << c.lhs.ToString() << " " << c.op << " " << c.rhs.ToString();
@@ -92,9 +94,11 @@ INSTANTIATE_TEST_SUITE_P(
         CompareCase{Value::Null(), "=", Value::Null(), Value::Null()}));
 
 TEST(ValueTest, CompareTypeErrors) {
-  EXPECT_FALSE(Value::Compare(Value(int64_t{1}), "=", Value("1")).ok());
-  EXPECT_FALSE(Value::Compare(Value(true), "<", Value(int64_t{1})).ok());
-  EXPECT_FALSE(Value::Compare(Value("a"), ">", Value(1.0)).ok());
+  EXPECT_FALSE(
+      Value::Compare(Value(int64_t{1}), CompareOp::kEq, Value("1")).ok());
+  EXPECT_FALSE(
+      Value::Compare(Value(true), CompareOp::kLt, Value(int64_t{1})).ok());
+  EXPECT_FALSE(Value::Compare(Value("a"), CompareOp::kGt, Value(1.0)).ok());
 }
 
 struct ArithCase {
@@ -108,7 +112,9 @@ class ValueArithTest : public ::testing::TestWithParam<ArithCase> {};
 
 TEST_P(ValueArithTest, Arithmetic) {
   const ArithCase& c = GetParam();
-  auto result = Value::Arithmetic(c.lhs, c.op, c.rhs);
+  ArithOp op;
+  ASSERT_TRUE(ParseArithOp(c.op, &op)) << c.op;
+  auto result = Value::Arithmetic(c.lhs, op, c.rhs);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   if (c.expected.is_double()) {
     ASSERT_TRUE(result->is_double());
@@ -144,12 +150,13 @@ INSTANTIATE_TEST_SUITE_P(
         ArithCase{Value(int64_t{1}), "*", Value::Null(), Value::Null()}));
 
 TEST(ValueTest, ArithmeticErrors) {
-  EXPECT_FALSE(Value::Arithmetic(Value(int64_t{1}), "/",
+  EXPECT_FALSE(Value::Arithmetic(Value(int64_t{1}), ArithOp::kDiv,
                                  Value(int64_t{0})).ok());
-  EXPECT_FALSE(Value::Arithmetic(Value(int64_t{1}), "%",
+  EXPECT_FALSE(Value::Arithmetic(Value(int64_t{1}), ArithOp::kMod,
                                  Value(int64_t{0})).ok());
-  EXPECT_FALSE(Value::Arithmetic(Value("a"), "+", Value("b")).ok());
-  EXPECT_FALSE(Value::Arithmetic(Value(true), "+", Value(int64_t{1})).ok());
+  EXPECT_FALSE(Value::Arithmetic(Value("a"), ArithOp::kAdd, Value("b")).ok());
+  EXPECT_FALSE(
+      Value::Arithmetic(Value(true), ArithOp::kAdd, Value(int64_t{1})).ok());
 }
 
 TEST(ValueTest, TotalOrderAcrossTypes) {
