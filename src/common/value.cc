@@ -101,6 +101,21 @@ bool ParseCompareOp(const std::string& op, CompareOp* out) {
   return false;
 }
 
+CompareOp MirrorCompareOp(CompareOp op) {
+  switch (op) {
+    case CompareOp::kLt:
+      return CompareOp::kGt;
+    case CompareOp::kLe:
+      return CompareOp::kGe;
+    case CompareOp::kGt:
+      return CompareOp::kLt;
+    case CompareOp::kGe:
+      return CompareOp::kLe;
+    default:
+      return op;
+  }
+}
+
 bool ParseArithOp(const std::string& op, ArithOp* out) {
   static const std::pair<const char*, ArithOp> kOps[] = {
       {"+", ArithOp::kAdd}, {"-", ArithOp::kSub}, {"*", ArithOp::kMul},

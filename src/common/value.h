@@ -33,6 +33,9 @@ enum class ArithOp { kAdd, kSub, kMul, kDiv, kMod };
 /// false for anything else.
 bool ParseCompareOp(const std::string& op, CompareOp* out);
 
+/// The operator with its operands swapped: `a OP b` is `b MIRROR(OP) a`.
+CompareOp MirrorCompareOp(CompareOp op);
+
 /// Maps operator text ("+", "-", "*", "/", "%") to its enum; false for
 /// anything else.
 bool ParseArithOp(const std::string& op, ArithOp* out);

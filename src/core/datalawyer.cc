@@ -1504,20 +1504,34 @@ Status DataLawyer::Reject(const Policy* violated,
                           std::vector<std::string> violations,
                           const CatalogView* catalog) {
   // Capture the violating log rows while the staged increment still
-  // exists — the witness tuples behind this rejection. Best-effort: a
-  // capture error degrades the explanation, never the verdict.
+  // exists — the witness tuples behind this rejection — by re-running the
+  // policy's cached plan with lineage. The optimizer-off evaluation is
+  // only the reference the witness differential compares against.
+  // Best-effort: a capture error degrades the explanation, never the
+  // verdict.
   if (decisions_.enabled() && violated != nullptr) {
-    Result<WitnessCaptureResult> captured = CaptureViolationWitnesses(
-        violated->effective(), catalog, *log_, options_.decision_witness_limit,
-        options_.decision_witness_naive, options_.enable_stats_costing);
-    if (captured.ok()) {
+    ScopedSpan span("decision.witness", "policy");
+    Result<QueryResult> evaluated = Status::Internal("no witness evaluation");
+    if (options_.decision_witness_naive) {
+      ExecOptions naive;
+      naive.capture_lineage = true;
+      naive.enable_optimizer = false;
+      evaluated = Executor(catalog, naive).Execute(violated->effective());
+    } else if (auto cached = CachedPlan(violated->effective()); cached.ok()) {
+      ExecOptions exec_options = PlanExecOptions();
+      exec_options.capture_lineage = true;
+      evaluated = PlanExecutor(catalog, exec_options).Run((*cached)->plan);
+    }
+    if (evaluated.ok()) {
+      WitnessCaptureResult captured = CaptureViolationWitnesses(
+          *evaluated, catalog, *log_, options_.decision_witness_limit);
       last_witnesses_.clear();
-      for (CapturedWitness& c : captured->rows) {
+      for (CapturedWitness& c : captured.rows) {
         last_witnesses_.push_back(DecisionWitness{std::move(c.relation),
                                                   c.row_id, c.from_increment,
                                                   c.ts, std::move(c.values)});
       }
-      last_witnesses_truncated_ = captured->truncated;
+      last_witnesses_truncated_ = captured.truncated;
     }
   }
   log_->DiscardStaged();

@@ -180,8 +180,9 @@ struct DataLawyerOptions {
   size_t decision_witness_limit = 32;
 
   /// Capture witness tuples with the naive (optimizer-off) re-evaluation
-  /// instead of the planned one. Both identify the same rows — this switch
-  /// exists so the differential test can compare them byte-for-byte.
+  /// instead of re-running the policy's cached plan. Both identify the same
+  /// rows — this switch exists so the differential test can compare them
+  /// byte-for-byte.
   bool decision_witness_naive = false;
 
   /// The slow-enforcement log lists the recorded decisions whose

@@ -1,13 +1,13 @@
 #include "policy/incremental.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <limits>
 #include <utility>
 
 #include "analysis/eval.h"
 #include "analysis/expr_program.h"
+#include "common/strings.h"
 
 namespace datalawyer {
 namespace {
@@ -20,25 +20,6 @@ constexpr size_t kEvalStepCap = 1'000'000;
 constexpr int64_t kNoEnter = std::numeric_limits<int64_t>::min();
 constexpr int64_t kNoExpire = std::numeric_limits<int64_t>::max();
 
-std::string Lower(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) c = char(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
-/// Mirrors a comparison so the column lands on the left-hand side.
-const char* FlipComparison(const std::string& op) {
-  if (op == "<") return ">";
-  if (op == "<=") return ">=";
-  if (op == ">") return "<";
-  if (op == ">=") return "<=";
-  return "=";
-}
-
-bool IsComparisonOp(const std::string& op) {
-  return op == "=" || op == "<" || op == "<=" || op == ">" || op == ">=";
-}
-
 /// What a compiled (sub)expression references: its program's slots,
 /// classified by fold level.
 struct RefScan {
@@ -46,7 +27,7 @@ struct RefScan {
   bool clock = false;     ///< references the synthesized clock
   bool nonclock = false;  ///< references a foldable relation
   int max_level = -1;     ///< deepest referenced fold level
-  std::vector<size_t> levels;  ///< every referenced fold level (repeats)
+  uint64_t levels = 0;    ///< bit j: references fold level j
 };
 
 RefScan ScanRefs(const ExprProgram& program,
@@ -66,7 +47,7 @@ RefScan ScanRefs(const ExprProgram& program,
     }
     out.nonclock = true;
     out.max_level = std::max(out.max_level, level);
-    out.levels.push_back(size_t(level));
+    out.levels |= uint64_t(1) << level;
   }
   return out;
 }
@@ -99,12 +80,12 @@ std::unique_ptr<IncrementalState> IncrementalState::Build(
   // Relations: log relations fold from main + overlay from delta, statics
   // fold only, the clock becomes prefilled slots. Anything else (virtual
   // dl_* snapshots, subqueries) is full-only.
-  const std::string clock_name = Lower(UsageLog::ClockRelationName());
+  const std::string clock_name = ToLower(UsageLog::ClockRelationName());
   size_t log_count = 0;
   for (size_t i = 0; i < bq.relations.size(); ++i) {
     const BoundRelation& rel = bq.relations[i];
     if (rel.subquery != nullptr) return nullptr;
-    std::string name = Lower(rel.table_name);
+    std::string name = ToLower(rel.table_name);
     if (name.empty()) return nullptr;
     size_t offset = bq.slot_offsets[i];
     size_t arity = rel.schema.NumColumns();
@@ -130,9 +111,8 @@ std::unique_ptr<IncrementalState> IncrementalState::Build(
     }
     st->rels_.push_back(std::move(r));
   }
-  if (log_count == 0) return nullptr;
-  st->level_conjuncts_.resize(st->rels_.size());
-  st->overlay_conjuncts_.resize(st->rels_.size());
+  if (log_count == 0 || st->rels_.size() > kMaxLevels) return nullptr;
+  st->conjuncts_.resize(st->rels_.size());
   st->eq_probes_.resize(st->rels_.size());
   st->window_bounds_.resize(st->rels_.size());
 
@@ -156,8 +136,7 @@ std::unique_ptr<IncrementalState> IncrementalState::Build(
     if (refs.unknown) return nullptr;
     if (!refs.clock) {
       if (refs.nonclock) {
-        st->level_conjuncts_[refs.max_level].push_back(program);
-        st->overlay_conjuncts_[refs.max_level].push_back(
+        st->conjuncts_[refs.max_level].push_back(
             LevelConjunct{std::move(program), refs.levels});
         // Hash-probe candidate: `col = other` where `col` lives at this
         // level and `other` is fully bound by outer levels or constants.
@@ -195,7 +174,8 @@ std::unique_ptr<IncrementalState> IncrementalState::Build(
     }
     if (c->kind() != ExprKind::kBinary) return nullptr;
     const auto& bin = static_cast<const BinaryExpr&>(*c);
-    if (!IsComparisonOp(bin.op)) return nullptr;
+    CompareOp op;
+    if (!ParseCompareOp(bin.op, &op) || op == CompareOp::kNe) return nullptr;
     RefScan lhs = ScanRefs(ExprProgram::Compile(*bin.lhs, &bq),
                            is_clock_slot, slot_level);
     RefScan rhs = ScanRefs(ExprProgram::Compile(*bin.rhs, &bq),
@@ -203,14 +183,13 @@ std::unique_ptr<IncrementalState> IncrementalState::Build(
     if (lhs.unknown || rhs.unknown) return nullptr;
     const Expr* col = nullptr;
     const Expr* clk = nullptr;
-    std::string op = bin.op;
     if (lhs.nonclock && !lhs.clock && rhs.clock && !rhs.nonclock) {
       col = bin.lhs.get();
       clk = bin.rhs.get();
     } else if (rhs.nonclock && !rhs.clock && lhs.clock && !lhs.nonclock) {
       col = bin.rhs.get();
       clk = bin.lhs.get();
-      op = FlipComparison(op);
+      op = MirrorCompareOp(op);
     } else {
       return nullptr;
     }
@@ -233,35 +212,34 @@ std::unique_ptr<IncrementalState> IncrementalState::Build(
     WindowConjunct w;
     w.slot = slot_it->second;
     w.base = (*at0).AsInt64();
-    if (op == ">") {
-      w.has_expire = true;  // ts > now + b  <=>  now < ts - b
-    } else if (op == ">=") {
-      w.has_expire = true;
-      w.expire_adj = 1;
-    } else if (op == "<") {
-      w.has_enter = true;
-      w.enter_adj = 1;
-    } else if (op == "<=") {
-      w.has_enter = true;
-    } else {  // "="
-      w.has_enter = true;
-      w.has_expire = true;
-      w.expire_adj = 1;
+    switch (op) {
+      case CompareOp::kGt:
+        w.has_expire = true;  // ts > now + b  <=>  now < ts - b
+        break;
+      case CompareOp::kGe:
+        w.has_expire = true;
+        w.expire_adj = 1;
+        break;
+      case CompareOp::kLt:
+        w.has_enter = true;
+        w.enter_adj = 1;
+        break;
+      case CompareOp::kLe:
+        w.has_enter = true;
+        break;
+      default:  // kEq
+        w.has_enter = true;
+        w.has_expire = true;
+        w.expire_adj = 1;
+        break;
     }
     st->windows_.push_back(w);
     int level = slot_level[w.slot];
     if (level < 0) return nullptr;
-    st->overlay_conjuncts_[level].push_back(
-        LevelConjunct{std::move(program), {size_t(level)}});
-    WindowBound wb;
-    wb.col = w.slot - st->rels_[level].slot_offset;
-    wb.base = w.base;
-    wb.op = op == ">"    ? WindowOp::kGt
-            : op == ">=" ? WindowOp::kGe
-            : op == "<"  ? WindowOp::kLt
-            : op == "<=" ? WindowOp::kLe
-                         : WindowOp::kEq;
-    st->window_bounds_[level].push_back(wb);
+    st->conjuncts_[level].push_back(
+        LevelConjunct{std::move(program), (uint64_t(1) << level) | kClockBit});
+    st->window_bounds_[level].push_back(
+        WindowBound{w.slot - st->rels_[level].slot_offset, w.base, op});
   }
 
   // GROUP BY: plain column references on non-clock slots.
@@ -342,7 +320,6 @@ std::unique_ptr<IncrementalState> IncrementalState::Build(
   }
 
   st->permanent_sources_.resize(st->rels_.size());
-  st->fold_sources_.resize(st->rels_.size());
   st->ClearState();
   return st;
 }
@@ -415,7 +392,6 @@ void IncrementalState::Advance(int64_t now, size_t* rebuilds) {
     if (r.folded_rows < r.main->NumRows()) growth = true;
   }
   if (growth) {
-    fold_steps_ = 0;
     if (!FoldGrowth(now)) {
       Poison();
       ready_ = false;
@@ -475,23 +451,109 @@ bool IncrementalState::Retract(
   return true;
 }
 
+IncrementalState::WalkRow IncrementalState::StartWalk(int64_t now) const {
+  WalkRow w;
+  w.slots.assign(total_slots_, Value::Null());
+  for (size_t s : clock_slots_) w.slots[s] = Value(now);
+  return w;
+}
+
+bool IncrementalState::BindRow(const WalkSpec& spec, size_t level,
+                               const Table* table, size_t i, WalkRow* w,
+                               bool* pass) const {
+  const RelationState& r = rels_[level];
+  const Row& row = table->RowAt(i);
+  w->positions[level] = i;
+  size_t arity = std::min(r.arity, row.size());
+  for (size_t c = 0; c < arity; ++c) {
+    w->slots[r.slot_offset + c] = row[c];
+  }
+  ProgramInput in;
+  in.row = w->slots;
+  *pass = true;
+  for (const LevelConjunct& c : conjuncts_[level]) {
+    if ((c.reads & spec.unbound) != 0) continue;
+    if (!c.program.Test(in, pass).ok()) return false;
+    if (!*pass) return true;
+  }
+  return true;
+}
+
+template <typename Sink>
+IncrementalState::WalkEnd IncrementalState::Walk(const WalkSpec& spec,
+                                                 size_t level, WalkRow* w,
+                                                 Sink& sink) const {
+  if (level == rels_.size()) {
+    return sink(*w) ? WalkEnd::kDone : WalkEnd::kStopped;
+  }
+  const LevelRead read = spec.reads[level];
+  if (read == LevelRead::kSkip) return Walk(spec, level + 1, w, sink);
+  const RelationState& r = rels_[level];
+  auto visit = [&](const Table* table, size_t i) {
+    if (++w->steps > spec.cap) return WalkEnd::kCap;
+    bool pass = false;
+    if (!BindRow(spec, level, table, i, w, &pass)) return WalkEnd::kError;
+    return pass ? Walk(spec, level + 1, w, sink) : WalkEnd::kDone;
+  };
+  WalkEnd end = WalkEnd::kDone;
+  auto scan = [&](const Table* table, size_t begin, size_t stop) {
+    for (size_t i = begin; i < stop && end == WalkEnd::kDone; ++i) {
+      end = visit(table, i);
+    }
+  };
+  // The delta side is the small staged increment: a plain scan.
+  if (read == LevelRead::kDelta) {
+    scan(r.delta, 0, r.delta->NumRows());
+    return end;
+  }
+  // The main side can answer through an index probe (all conjuncts still
+  // re-apply).
+  size_t begin = read == LevelRead::kUnfolded ? r.folded_rows : 0;
+  size_t stop = read == LevelRead::kFolded ? r.folded_rows : r.main->NumRows();
+  std::vector<size_t> candidates;
+  bool fold_mode = (spec.unbound & kClockBit) != 0;
+  if (ProbePositions(level, fold_mode, spec.now, w->slots, &candidates)) {
+    for (size_t i : candidates) {
+      if (end != WalkEnd::kDone) break;
+      if (i >= begin && i < stop) end = visit(r.main, i);
+    }
+  } else {
+    scan(r.main, begin, stop);
+  }
+  if (read == LevelRead::kMainThenDelta && r.delta != nullptr) {
+    scan(r.delta, 0, r.delta->NumRows());
+  }
+  return end;
+}
+
 bool IncrementalState::FoldGrowth(int64_t now) {
   if (constant_false_) return true;
-  Row scratch(total_slots_, Value::Null());
+  // Delta-join decomposition: term t pairs relation t's new suffix with
+  // old rows before it and full tables after it, so the union over terms
+  // enumerates exactly the new tuples of the join, each once.
+  WalkSpec spec;
+  spec.unbound = kClockBit;  // windows become [enter, expire) intervals
+  spec.now = now;
+  spec.cap = kFoldStepCap;
+  WalkRow w = StartWalk(now);
+  auto emit = [&](const WalkRow& t) { return EmitContribution(t, now); };
   for (size_t t = 0; t < rels_.size(); ++t) {
     if (rels_[t].folded_rows >= rels_[t].main->NumRows()) continue;
-    if (!FoldTerm(0, t, now, &scratch)) return false;
+    std::fill_n(spec.reads.begin(), t, LevelRead::kFolded);
+    spec.reads[t] = LevelRead::kUnfolded;
+    std::fill(spec.reads.begin() + t + 1, spec.reads.end(), LevelRead::kMain);
+    if (Walk(spec, 0, &w, emit) != WalkEnd::kDone) return false;
   }
   return true;
 }
 
 bool IncrementalState::ProbePositions(size_t level, bool fold_mode,
-                                      int64_t now, Row* scratch,
+                                      int64_t now, const Row& slots,
                                       std::vector<size_t>* out) const {
   const RelationState& r = rels_[level];
   const Table* table = r.main;
   ProgramInput in;
-  in.row = *scratch;
+  in.row = slots;
   bool answered = false;
   // Hash probes first (typically the most selective). An evaluation error
   // just skips the probe: the plain scan re-raises it through the conjunct.
@@ -506,27 +568,28 @@ bool IncrementalState::ProbePositions(size_t level, bool fold_mode,
     // The hash index equates structurally, SQL `=` coerces numerics: probe
     // every structural representation a numerically-equal stored value can
     // take, so narrowing never drops a row the conjunct would keep.
-    std::vector<Value> variants;
-    variants.push_back(v);
+    // At most three: v, its int/double twin, and the other signed zero.
+    Value variants[3] = {v};
+    size_t n = 1;
     if (v.is_int64()) {
-      variants.push_back(Value(double(v.AsInt64())));
+      variants[n++] = Value(double(v.AsInt64()));
     } else if (v.is_double()) {
       double d = v.AsDouble();
       if (std::isfinite(d) && d == std::nearbyint(d) &&
           d >= -9223372036854774784.0 && d <= 9223372036854774784.0) {
-        variants.push_back(Value(int64_t(d)));
+        variants[n++] = Value(int64_t(d));
       }
     }
-    for (size_t k = variants.size(); k-- > 0;) {
+    for (size_t k = n; k-- > 0;) {
       // Signed-zero doubles are SQL-equal but structurally distinct.
       if (variants[k].is_double() && variants[k].AsDouble() == 0.0) {
-        variants.push_back(Value(-variants[k].AsDouble()));
+        variants[n++] = Value(-variants[k].AsDouble());
       }
     }
     std::vector<size_t> hits;
     bool usable = true;
-    for (const Value& variant : variants) {
-      if (!table->IndexLookup(p.col, variant, &hits)) {
+    for (size_t k = 0; k < n; ++k) {
+      if (!table->IndexLookup(p.col, variants[k], &hits)) {
         usable = false;
         break;
       }
@@ -553,23 +616,23 @@ bool IncrementalState::ProbePositions(size_t level, bool fold_mode,
     const Value* hi = nullptr;
     bool hi_inc = false;
     switch (w.op) {
-      case WindowOp::kGt:
+      case CompareOp::kGt:
         lo = &bound;
         break;
-      case WindowOp::kGe:
+      case CompareOp::kGe:
         lo = &bound;
         lo_inc = true;
         break;
-      case WindowOp::kLt:
+      case CompareOp::kLt:
         if (fold_mode) continue;
         hi = &bound;
         break;
-      case WindowOp::kLe:
+      case CompareOp::kLe:
         if (fold_mode) continue;
         hi = &bound;
         hi_inc = true;
         break;
-      case WindowOp::kEq:
+      case CompareOp::kEq:
         lo = &bound;
         lo_inc = true;
         if (!fold_mode) {
@@ -577,6 +640,8 @@ bool IncrementalState::ProbePositions(size_t level, bool fold_mode,
           hi_inc = true;
         }
         break;
+      case CompareOp::kNe:  // never a window bound
+        continue;
     }
     std::vector<size_t> hits;
     if (!table->RangeLookup(w.col, lo, lo_inc, hi, hi_inc, &hits)) continue;
@@ -586,64 +651,19 @@ bool IncrementalState::ProbePositions(size_t level, bool fold_mode,
   return answered;
 }
 
-bool IncrementalState::FoldTerm(size_t level, size_t term, int64_t now,
-                                Row* scratch) {
-  if (level == rels_.size()) return EmitContribution(*scratch, now);
-  const RelationState& r = rels_[level];
-  // Delta-join decomposition: term t pairs relation t's new suffix with
-  // old rows before it and full tables after it, so the union over terms
-  // enumerates exactly the new tuples of the join, each once.
-  size_t begin = 0;
-  size_t end = r.main->NumRows();
-  if (level < term) {
-    end = r.folded_rows;
-  } else if (level == term) {
-    begin = r.folded_rows;
-  }
-  ProgramInput in;
-  in.row = *scratch;
-  auto visit = [&](size_t i) -> bool {
-    if (++fold_steps_ > kFoldStepCap) return false;
-    const Row& row = r.main->RowAt(i);
-    fold_sources_[level] = r.main->RowIdAt(i);
-    size_t arity = std::min(r.arity, row.size());
-    for (size_t c = 0; c < arity; ++c) {
-      (*scratch)[r.slot_offset + c] = row[c];
-    }
-    for (const ExprProgram& e : level_conjuncts_[level]) {
-      bool pass = false;
-      if (!e.Test(in, &pass).ok()) return false;
-      if (!pass) return true;
-    }
-    return FoldTerm(level + 1, term, now, scratch);
-  };
-  std::vector<size_t> positions;
-  if (ProbePositions(level, /*fold_mode=*/true, now, scratch, &positions)) {
-    for (size_t i : positions) {
-      if (i < begin || i >= end) continue;
-      if (!visit(i)) return false;
-    }
-    return true;
-  }
-  for (size_t i = begin; i < end; ++i) {
-    if (!visit(i)) return false;
-  }
-  return true;
-}
-
-bool IncrementalState::EmitContribution(const Row& scratch, int64_t now) {
+bool IncrementalState::EmitContribution(const WalkRow& w, int64_t now) {
   int64_t enter_at = kNoEnter;
   int64_t expire_at = kNoExpire;
-  for (const WindowConjunct& w : windows_) {
-    const Value& v = scratch[w.slot];
+  for (const WindowConjunct& win : windows_) {
+    const Value& v = w.slots[win.slot];
     if (v.is_null()) return true;  // NULL comparisons never hold
     if (!v.is_int64()) return false;  // non-integer timestamp: poison
     int64_t ts = v.AsInt64();
-    if (w.has_enter) {
-      enter_at = std::max(enter_at, ts - w.base + w.enter_adj);
+    if (win.has_enter) {
+      enter_at = std::max(enter_at, ts - win.base + win.enter_adj);
     }
-    if (w.has_expire) {
-      expire_at = std::min(expire_at, ts - w.base + w.expire_adj);
+    if (win.has_expire) {
+      expire_at = std::min(expire_at, ts - win.base + win.expire_adj);
     }
   }
   if (enter_at >= expire_at) return true;  // empty window
@@ -654,25 +674,11 @@ bool IncrementalState::EmitContribution(const Row& scratch, int64_t now) {
   Contribution c;
   c.enter_at = enter_at;
   c.expire_at = expire_at;
-  c.sources = fold_sources_;
-  if (!exists_only_) {
-    c.key.reserve(group_slots_.size());
-    for (size_t s : group_slots_) c.key.push_back(scratch[s]);
-    c.args.resize(aggs_.size());
-    ProgramInput in;
-    in.row = scratch;
-    for (size_t i = 0; i < aggs_.size(); ++i) {
-      const AggSpec& a = aggs_[i];
-      if (a.kind == AggKind::kCountStar) continue;
-      Value& v = c.args[i];
-      if (!a.arg.Evaluate(in, &v).ok()) return false;
-      // SUM mixes int and double accumulation in the executor; mirror only
-      // the pure-integer case and fall back on anything else.
-      if (a.kind == AggKind::kSum && !v.is_null() && !v.is_int64()) {
-        return false;
-      }
-    }
+  c.sources.resize(rels_.size());
+  for (size_t j = 0; j < rels_.size(); ++j) {
+    c.sources[j] = rels_[j].main->RowIdAt(w.positions[j]);
   }
+  if (!exists_only_ && !TupleGroup(w.slots, &c.key, &c.args)) return false;
   if (enter_at > now) {
     pending_.emplace(enter_at, std::move(c));
     return true;
@@ -681,8 +687,31 @@ bool IncrementalState::EmitContribution(const Row& scratch, int64_t now) {
   return true;
 }
 
+bool IncrementalState::TupleGroup(const Row& slots, Row* key,
+                                  std::vector<Value>* args) const {
+  key->clear();
+  for (size_t s : group_slots_) key->push_back(slots[s]);
+  args->resize(aggs_.size());
+  ProgramInput in;
+  in.row = slots;
+  for (size_t i = 0; i < aggs_.size(); ++i) {
+    const AggSpec& a = aggs_[i];
+    if (a.kind == AggKind::kCountStar) continue;
+    Value& v = (*args)[i];
+    if (!a.arg.Evaluate(in, &v).ok()) return false;
+    if (a.kind == AggKind::kSum && !v.is_null() && !v.is_int64()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void IncrementalState::Activate(Contribution c) {
-  ApplyContribution(c);
+  ++total_active_;
+  if (!exists_only_ && !ApplyTuple(c.args, &groups_[c.key])) {
+    Poison();
+    return;
+  }
   if (c.expire_at < kNoExpire) {
     active_.emplace(c.expire_at, std::move(c));
     return;
@@ -692,57 +721,47 @@ void IncrementalState::Activate(Contribution c) {
   }
 }
 
-void IncrementalState::ApplyContribution(const Contribution& c) {
-  ++total_active_;
-  if (exists_only_) return;
-  GroupState& g = groups_[c.key];
-  if (g.aggs.size() != aggs_.size()) g.aggs.resize(aggs_.size());
-  ++g.active;
+bool IncrementalState::ApplyTuple(const std::vector<Value>& args,
+                                  GroupState* g) const {
+  if (g->aggs.size() != aggs_.size()) g->aggs.resize(aggs_.size());
+  ++g->active;
   for (size_t i = 0; i < aggs_.size(); ++i) {
-    if (!ApplyAgg(aggs_[i], c.args[i], &g.aggs[i])) {
-      Poison();
-      return;
-    }
-  }
-}
-
-bool IncrementalState::ApplyAgg(const AggSpec& spec, const Value& v,
-                                AggState* s) {
-  switch (spec.kind) {
-    case AggKind::kCountStar:
+    const AggSpec& spec = aggs_[i];
+    const Value& v = args[i];
+    AggState* s = &g->aggs[i];
+    if (spec.kind == AggKind::kCountStar) {
       ++s->count;
-      return true;
-    case AggKind::kCount:
-      if (v.is_null()) return true;
-      if (spec.distinct) {
-        ++s->distinct[v];
-      } else {
-        ++s->count;
+      continue;
+    }
+    if (v.is_null()) continue;
+    switch (spec.kind) {
+      case AggKind::kCountStar:
+        break;
+      case AggKind::kCount:
+      case AggKind::kSum: {
+        int64_t add = spec.kind == AggKind::kSum ? v.AsInt64() : 0;
+        if (spec.distinct) {
+          if (++s->distinct[v] == 1) s->sum_int += add;
+        } else {
+          ++s->count;
+          s->sum_int += add;
+        }
+        break;
       }
-      return true;
-    case AggKind::kSum:
-      if (v.is_null()) return true;
-      if (spec.distinct) {
-        if (++s->distinct[v] == 1) s->sum_int += v.AsInt64();
-      } else {
-        ++s->count;
-        s->sum_int += v.AsInt64();
+      case AggKind::kMin:
+      case AggKind::kMax: {
+        if (v.is_double() && !std::isfinite(v.AsDouble())) return false;
+        // The executor keeps the first-seen value among order-equal ones;
+        // with deletions that choice is order-dependent, so a tie between
+        // structurally different values (1 vs 1.0) is not mirrorable.
+        auto range = s->ordered.equal_range(v);
+        if (range.first != range.second && *range.first != v) return false;
+        s->ordered.insert(v);
+        break;
       }
-      return true;
-    case AggKind::kMin:
-    case AggKind::kMax: {
-      if (v.is_null()) return true;
-      if (v.is_double() && !std::isfinite(v.AsDouble())) return false;
-      // The executor keeps the first-seen value among order-equal ones;
-      // with deletions that choice is order-dependent, so a tie between
-      // structurally different values (1 vs 1.0) is not mirrorable.
-      auto range = s->ordered.equal_range(v);
-      if (range.first != range.second && *range.first != v) return false;
-      s->ordered.insert(v);
-      return true;
     }
   }
-  return false;
+  return true;
 }
 
 void IncrementalState::UnapplyContribution(const Contribution& c) {
@@ -825,19 +844,36 @@ IncrementalState::Verdict IncrementalState::Evaluate(int64_t now) const {
   }
 
   bool any_tuple = false;
-  std::unordered_map<Row, OverlayGroup, RowHash> overlay;
+  Groups overlay;
   if (any_delta && !constant_false_) {
-    Row scratch(total_slots_, Value::Null());
-    for (size_t s : clock_slots_) scratch[s] = Value(now);
-    size_t steps = 0;
+    // Same decomposition as the fold, with "old" = the committed main and
+    // "new" = the staged delta: term t pairs relation t's delta with mains
+    // before it and main + delta after it.
+    WalkSpec spec;
+    spec.now = now;
+    spec.cap = kEvalStepCap;
+    WalkRow w = StartWalk(now);
+    Row key;
+    std::vector<Value> args;
+    auto accumulate = [&](const WalkRow& t) {
+      any_tuple = true;
+      if (exists_only_) return true;  // existence suffices
+      return TupleGroup(t.slots, &key, &args) &&
+             ApplyTuple(args, &overlay[key]);
+    };
     for (size_t t = 0; t < rels_.size(); ++t) {
       if (rels_[t].delta == nullptr || rels_[t].delta->NumRows() == 0) {
         continue;
       }
-      if (!OverlayTerm(0, t, now, &scratch,
-                       exists_only_ ? nullptr : &overlay, &any_tuple,
-                       &steps)) {
-        return out;  // cap exceeded (fallback) or error (poisoned)
+      std::fill_n(spec.reads.begin(), t, LevelRead::kMain);
+      spec.reads[t] = LevelRead::kDelta;
+      std::fill(spec.reads.begin() + t + 1, spec.reads.end(),
+                LevelRead::kMainThenDelta);
+      WalkEnd end = Walk(spec, 0, &w, accumulate);
+      if (end == WalkEnd::kCap) return out;  // fallback for this query
+      if (end != WalkEnd::kDone) {
+        Poison();
+        return out;
       }
     }
   }
@@ -868,238 +904,67 @@ IncrementalState::Verdict IncrementalState::Evaluate(int64_t now) const {
   return out;
 }
 
-bool IncrementalState::OverlayTerm(
-    size_t level, size_t term, int64_t now, Row* scratch,
-    std::unordered_map<Row, OverlayGroup, RowHash>* groups, bool* any_tuple,
-    size_t* steps) const {
-  if (level == rels_.size()) {
-    if (!AccumulateOverlay(*scratch, groups, any_tuple)) {
-      Poison();
-      return false;
-    }
-    return true;
-  }
-  const RelationState& r = rels_[level];
-  ProgramInput in;
-  in.row = *scratch;
-  auto visit = [&](const Table* table, size_t i) -> bool {
-    if (++*steps > kEvalStepCap) return false;
-    const Row& row = table->RowAt(i);
-    size_t arity = std::min(r.arity, row.size());
-    for (size_t c = 0; c < arity; ++c) {
-      (*scratch)[r.slot_offset + c] = row[c];
-    }
-    for (const LevelConjunct& c : overlay_conjuncts_[level]) {
-      bool pass = false;
-      if (!c.program.Test(in, &pass).ok()) {
-        Poison();
-        return false;
-      }
-      if (!pass) return true;
-    }
-    return OverlayTerm(level + 1, term, now, scratch, groups, any_tuple,
-                       steps);
-  };
-  // The main side can answer through an index probe (all conjuncts still
-  // re-apply); the delta side is the small staged increment — plain scan.
-  auto scan_main = [&]() -> bool {
-    std::vector<size_t> positions;
-    if (ProbePositions(level, /*fold_mode=*/false, now, scratch,
-                       &positions)) {
-      for (size_t i : positions) {
-        if (!visit(r.main, i)) return false;
-      }
-      return true;
-    }
-    size_t n = r.main->NumRows();
-    for (size_t i = 0; i < n; ++i) {
-      if (!visit(r.main, i)) return false;
-    }
-    return true;
-  };
-  auto scan_delta = [&]() -> bool {
-    if (r.delta == nullptr) return true;
-    size_t n = r.delta->NumRows();
-    for (size_t i = 0; i < n; ++i) {
-      if (!visit(r.delta, i)) return false;
-    }
-    return true;
-  };
-  // Same decomposition as the fold, with "old" = the committed main and
-  // "new" = the staged delta: term t pairs relation t's delta with mains
-  // before it and main + delta after it.
-  if (level < term) return scan_main();
-  if (level == term) return scan_delta();
-  if (!scan_main()) return false;
-  return scan_delta();
-}
-
 bool IncrementalState::IncrementMayJoin(const std::set<std::string>& generated,
                                         int64_t now) const {
   if (constant_false_) return false;
-  std::vector<bool> live(rels_.size(), false);
+  // Only the delta tables of the generated log relations are bound; a
+  // conjunct reading any other level is dropped, which only enlarges the
+  // join.
+  WalkSpec spec;
+  spec.now = now;
+  spec.cap = kEvalStepCap;
   for (size_t j = 0; j < rels_.size(); ++j) {
-    live[j] = rels_[j].is_log && generated.count(rels_[j].name) > 0;
+    bool live = rels_[j].is_log && generated.count(rels_[j].name) > 0;
+    spec.reads[j] = live ? LevelRead::kDelta : LevelRead::kSkip;
+    if (!live) spec.unbound |= uint64_t(1) << j;
   }
-  Row scratch(total_slots_, Value::Null());
-  for (size_t s : clock_slots_) scratch[s] = Value(now);
-  size_t steps = 0;
-  return DeltaTerm(0, live, &scratch, &steps);
-}
-
-bool IncrementalState::DeltaTerm(size_t level, const std::vector<bool>& live,
-                                 Row* scratch, size_t* steps) const {
-  if (level == rels_.size()) return true;
-  if (!live[level]) return DeltaTerm(level + 1, live, scratch, steps);
-  const RelationState& r = rels_[level];
-  ProgramInput in;
-  in.row = *scratch;
-  for (size_t i = 0; i < r.delta->NumRows(); ++i) {
-    if (++*steps > kEvalStepCap) return true;
-    const Row& row = r.delta->RowAt(i);
-    size_t arity = std::min(r.arity, row.size());
-    for (size_t c = 0; c < arity; ++c) {
-      (*scratch)[r.slot_offset + c] = row[c];
-    }
-    bool pass = true;
-    for (const LevelConjunct& c : overlay_conjuncts_[level]) {
-      bool applies = true;
-      for (size_t l : c.levels) applies = applies && live[l];
-      if (!applies) continue;
-      if (!c.program.Test(in, &pass).ok()) return true;
-      if (!pass) break;
-    }
-    if (pass && DeltaTerm(level + 1, live, scratch, steps)) return true;
-  }
-  return false;
-}
-
-bool IncrementalState::AccumulateOverlay(
-    const Row& scratch, std::unordered_map<Row, OverlayGroup, RowHash>* groups,
-    bool* any_tuple) const {
-  *any_tuple = true;
-  if (groups == nullptr) return true;  // exists-only: existence suffices
-  Row key;
-  key.reserve(group_slots_.size());
-  for (size_t s : group_slots_) key.push_back(scratch[s]);
-  OverlayGroup& og = (*groups)[std::move(key)];
-  if (og.aggs.size() != aggs_.size()) og.aggs.resize(aggs_.size());
-  ++og.hits;
-  ProgramInput in;
-  in.row = scratch;
-  for (size_t i = 0; i < aggs_.size(); ++i) {
-    const AggSpec& a = aggs_[i];
-    OverlayAgg& s = og.aggs[i];
-    if (a.kind == AggKind::kCountStar) {
-      ++s.count;
-      continue;
-    }
-    Value v;
-    if (!a.arg.Evaluate(in, &v).ok()) return false;
-    if (v.is_null()) continue;
-    switch (a.kind) {
-      case AggKind::kCount:
-        if (a.distinct) {
-          ++s.distinct[v];
-        } else {
-          ++s.count;
-        }
-        break;
-      case AggKind::kSum:
-        if (!v.is_int64()) return false;
-        if (a.distinct) {
-          if (++s.distinct[v] == 1) s.sum_int += v.AsInt64();
-        } else {
-          ++s.count;
-          s.sum_int += v.AsInt64();
-        }
-        break;
-      case AggKind::kMin:
-      case AggKind::kMax: {
-        if (v.is_double() && !std::isfinite(v.AsDouble())) return false;
-        bool want_min = a.kind == AggKind::kMin;
-        bool& has = want_min ? s.has_min : s.has_max;
-        Value& cur = want_min ? s.min : s.max;
-        if (!has) {
-          cur = std::move(v);
-          has = true;
-          break;
-        }
-        bool better = want_min ? (v < cur) : (cur < v);
-        bool worse = want_min ? (cur < v) : (v < cur);
-        if (!better && !worse && cur != v) return false;  // structural tie
-        if (better) cur = std::move(v);
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  return true;
+  WalkRow w = StartWalk(now);
+  auto found = [](const WalkRow&) { return false; };
+  // A tuple, the work cap, or an expression error: conservatively "may".
+  return Walk(spec, 0, &w, found) != WalkEnd::kDone;
 }
 
 bool IncrementalState::MergedAggValue(size_t i, const AggState* s,
-                                      const OverlayAgg* o, Value* out) const {
+                                      const AggState* o, Value* out) const {
   const AggSpec& spec = aggs_[i];
   int64_t count = (s != nullptr ? s->count : 0) + (o != nullptr ? o->count : 0);
-  int64_t distinct_total = s != nullptr ? int64_t(s->distinct.size()) : 0;
-  if (o != nullptr) {
-    for (const auto& [k, n] : o->distinct) {
-      if (s == nullptr || s->distinct.count(k) == 0) ++distinct_total;
+  int64_t sum =
+      (s != nullptr ? s->sum_int : 0) + (o != nullptr ? o->sum_int : 0);
+  if (spec.distinct) {
+    // A value both halves hold counts, and sums, once.
+    count = s != nullptr ? int64_t(s->distinct.size()) : 0;
+    sum = s != nullptr ? s->sum_int : 0;
+    if (o != nullptr) {
+      for (const auto& [k, n] : o->distinct) {
+        if (s != nullptr && s->distinct.count(k) > 0) continue;
+        ++count;
+        if (spec.kind == AggKind::kSum) sum += k.AsInt64();
+      }
     }
   }
   switch (spec.kind) {
     case AggKind::kCountStar:
+    case AggKind::kCount:
       *out = Value(count);
       return true;
-    case AggKind::kCount:
-      *out = Value(spec.distinct ? distinct_total : count);
+    case AggKind::kSum:
+      *out = count > 0 ? Value(sum) : Value::Null();
       return true;
-    case AggKind::kSum: {
-      bool saw_any = spec.distinct ? distinct_total > 0 : count > 0;
-      if (!saw_any) {
-        *out = Value::Null();
-        return true;
-      }
-      int64_t sum = s != nullptr ? s->sum_int : 0;
-      if (spec.distinct) {
-        if (o != nullptr) {
-          for (const auto& [k, n] : o->distinct) {
-            if (s == nullptr || s->distinct.count(k) == 0) sum += k.AsInt64();
-          }
-        }
-      } else if (o != nullptr) {
-        sum += o->sum_int;
-      }
-      *out = Value(sum);
-      return true;
-    }
     case AggKind::kMin:
     case AggKind::kMax: {
       bool want_min = spec.kind == AggKind::kMin;
-      bool have = false;
-      Value best;
-      if (s != nullptr && !s->ordered.empty()) {
-        best = want_min ? *s->ordered.begin() : *s->ordered.rbegin();
-        have = true;
-      }
-      const Value* ov = nullptr;
-      if (o != nullptr) {
-        if (want_min && o->has_min) ov = &o->min;
-        if (!want_min && o->has_max) ov = &o->max;
-      }
-      if (ov != nullptr) {
-        if (!have) {
-          best = *ov;
-          have = true;
-        } else {
-          bool better = want_min ? (*ov < best) : (best < *ov);
-          bool worse = want_min ? (best < *ov) : (*ov < best);
-          if (!better && !worse && best != *ov) return false;
-          if (better) best = *ov;
+      const Value* best = nullptr;
+      for (const AggState* half : {s, o}) {
+        if (half == nullptr || half->ordered.empty()) continue;
+        const Value& v =
+            want_min ? *half->ordered.begin() : *half->ordered.rbegin();
+        if (best == nullptr || (want_min ? v < *best : *best < v)) {
+          best = &v;
+        } else if (!(v < *best) && !(*best < v) && v != *best) {
+          return false;  // structural tie
         }
       }
-      *out = have ? best : Value::Null();
+      *out = best != nullptr ? *best : Value::Null();
       return true;
     }
   }
@@ -1107,13 +972,12 @@ bool IncrementalState::MergedAggValue(size_t i, const AggState* s,
 }
 
 bool IncrementalState::CheckGroup(const Row& key, const GroupState* s,
-                                  const OverlayGroup* o,
-                                  bool* violated) const {
+                                  const GroupState* o, bool* violated) const {
   std::vector<Value> agg_values(aggs_.size());
   for (size_t i = 0; i < aggs_.size(); ++i) {
     const AggState* as =
         s != nullptr && !s->aggs.empty() ? &s->aggs[i] : nullptr;
-    const OverlayAgg* oa = o != nullptr ? &o->aggs[i] : nullptr;
+    const AggState* oa = o != nullptr ? &o->aggs[i] : nullptr;
     if (!MergedAggValue(i, as, oa, &agg_values[i])) {
       Poison();
       return false;

@@ -1,6 +1,7 @@
 #ifndef DATALAWYER_POLICY_INCREMENTAL_H_
 #define DATALAWYER_POLICY_INCREMENTAL_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -29,9 +30,26 @@ namespace datalawyer {
 /// statement shape (see Build) this class keeps the policy's *contributions*
 /// — the joined tuples that pass every non-window conjunct, tagged with the
 /// [enter, expire) clock interval their window conjuncts admit — folded into
-/// removable per-group aggregate accumulators. Each query then costs
-/// O(delta): fold the committed growth, expire/activate window edges, and
-/// overlay the staged increment at evaluation time.
+/// removable per-group aggregate accumulators (GroupState).
+///
+/// One const nested-loop join walk (Walk) serves every read of the join.
+/// It visits the relations in FROM order and takes, per level, main rows
+/// below or from the fold watermark, all main rows, the staged delta, main
+/// then delta, or nothing; each caller maps the walk's end (done, stopped
+/// by its sink, work cap, expression error) to its own policy:
+///
+///  * the fold (Advance) joins the committed growth by the delta-join
+///    decomposition and turns each new tuple into a contribution; a cap or
+///    an error poisons;
+///  * the overlay (Evaluate) joins the staged increment the same way with
+///    main = old and delta = new, accumulating its tuples into per-eval
+///    GroupStates merged with the maintained ones; a cap declines, an error
+///    poisons. The levels before a delta level walk all of main, so the
+///    overlay costs O(window) per query for P5/P6-shaped policies, not
+///    O(delta);
+///  * the §4.4 increment check (IncrementMayJoin) joins the staged deltas
+///    of the generated relations alone; a cap or an error answers "may
+///    join".
 ///
 /// Each contribution remembers the main-table row id it took from every
 /// relation. A compaction delete (Table::EraseIds) publishes the removed
@@ -51,8 +69,9 @@ namespace datalawyer {
 ///
 /// Threading follows the repo's phasing discipline: Build and Advance run
 /// only in serial sections (plan-cache warm, the head of ExecuteChecked);
-/// Evaluate is const and safe from the policy-evaluation fan-out, whose
-/// only write is the relaxed poisoned flag.
+/// Evaluate and IncrementMayJoin are const and safe from the
+/// policy-evaluation fan-out, whose only write is the relaxed poisoned
+/// flag.
 class IncrementalState {
  public:
   /// Classifies `stmt` (with its cache-entry binding `bq`) and returns
@@ -159,15 +178,18 @@ class IncrementalState {
     ExprProgram other;  ///< side bound by outer levels / constants
   };
 
-  /// A WHERE conjunct filed under the deepest fold level it references,
-  /// with every level it references (IncrementMayJoin skips the conjunct
-  /// when one of them is dropped).
+  /// A WHERE conjunct filed under the deepest fold level it references. It
+  /// applies at that level when every level it reads is bound. Window
+  /// conjuncts also read the clock, which a fold leaves unbound: there they
+  /// become [enter, expire) intervals instead.
   struct LevelConjunct {
     ExprProgram program;
-    std::vector<size_t> levels;
+    uint64_t reads = 0;  ///< bit j: fold level j; kClockBit: the clock
   };
-
-  enum class WindowOp { kGt, kGe, kLt, kLe, kEq };
+  /// Level masks hold one bit per fold level and one for the clock, so
+  /// Build admits at most kMaxLevels relations.
+  static constexpr size_t kMaxLevels = 63;
+  static constexpr uint64_t kClockBit = uint64_t(1) << kMaxLevels;
 
   /// Window-derived range bound for the scan at one join level: at clock
   /// `now` the window conjunct compares the column against base + now, so
@@ -177,7 +199,7 @@ class IncrementalState {
   struct WindowBound {
     size_t col = 0;
     int64_t base = 0;  ///< clock-side value at clock = 0 (slope 1)
-    WindowOp op = WindowOp::kGt;
+    CompareOp op = CompareOp::kGt;
   };
 
   enum class AggKind { kCountStar, kCount, kSum, kMin, kMax };
@@ -199,10 +221,13 @@ class IncrementalState {
     std::multiset<Value> ordered;  ///< min/max candidates
   };
 
+  /// Per-group accumulators: the maintained state's, or one query's
+  /// overlay, which Evaluate merges with them.
   struct GroupState {
-    int64_t active = 0;  ///< active contributions; group erased at 0
+    int64_t active = 0;  ///< applied tuples; a maintained group erased at 0
     std::vector<AggState> aggs;
   };
+  using Groups = std::unordered_map<Row, GroupState, RowHash>;
 
   /// One joined tuple that passed every non-window conjunct.
   struct Contribution {
@@ -213,21 +238,36 @@ class IncrementalState {
     std::vector<int64_t> sources;  ///< main row id per fold level
   };
 
-  /// Per-eval additive accumulator for overlay (staged-increment) tuples.
-  struct OverlayAgg {
-    int64_t count = 0;
-    int64_t sum_int = 0;
-    std::unordered_map<Value, int64_t, ValueHash> distinct;
-    bool has_min = false;
-    Value min;
-    bool has_max = false;
-    Value max;
+  /// What one level of a join walk reads.
+  enum class LevelRead {
+    kFolded,         ///< main rows below the fold watermark
+    kUnfolded,       ///< main rows from the fold watermark on
+    kMain,           ///< every main row
+    kDelta,          ///< the staged delta
+    kMainThenDelta,  ///< every main row, then the staged delta
+    kSkip,           ///< nothing: the level stays unbound
   };
 
-  struct OverlayGroup {
-    int64_t hits = 0;
-    std::vector<OverlayAgg> aggs;
+  /// One join walk: per fold level what it reads, and what stays unbound.
+  struct WalkSpec {
+    std::array<LevelRead, kMaxLevels> reads{};
+    /// Bit j: reads[j] is kSkip. kClockBit: a fold, which skips window
+    /// conjuncts and probes in fold mode.
+    uint64_t unbound = 0;
+    int64_t now = 0;
+    size_t cap = 0;  ///< WalkRow::steps that end the walk (kCap)
   };
+
+  /// The running tuple of a walk: flat slots, and the position each bound
+  /// level took in the table it read (a fold reads main tables only, so
+  /// its sink maps them to the contribution's source row ids).
+  struct WalkRow {
+    Row slots;
+    std::array<size_t, kMaxLevels> positions{};
+    size_t steps = 0;  ///< rows visited, across the walks that share it
+  };
+
+  enum class WalkEnd { kDone, kStopped, kCap, kError };
 
   IncrementalState() = default;
 
@@ -243,51 +283,60 @@ class IncrementalState {
   /// never-expiring contribution, which is not kept and forces a rebuild.
   bool Retract(const std::vector<const std::vector<int64_t>*>& retracted);
 
+  /// A walk whose clock slots hold `now` and whose steps start at 0.
+  WalkRow StartWalk(int64_t now) const;
+
+  /// Binds row `i` of `table` at `level` into `w`; *pass tells whether the
+  /// level's applicable conjuncts hold. False on an expression error.
+  bool BindRow(const WalkSpec& spec, size_t level, const Table* table,
+               size_t i, WalkRow* w, bool* pass) const;
+
+  /// Walks the join from fold level `level` on, handing every tuple that
+  /// passes the applicable conjuncts to `sink(const WalkRow&)`, which
+  /// returns false to stop the walk (kStopped). kCap once w->steps
+  /// exceeds spec.cap; kError on a conjunct error.
+  template <typename Sink>
+  WalkEnd Walk(const WalkSpec& spec, size_t level, WalkRow* w,
+               Sink& sink) const;
+
   /// Folds the committed growth of every relation's main table via the
   /// delta-join decomposition. Returns false (caller poisons) on an
   /// expression error, a non-integer window timestamp, or the work cap.
   bool FoldGrowth(int64_t now);
-  bool FoldTerm(size_t level, size_t term, int64_t now, Row* scratch);
-  bool EmitContribution(const Row& scratch, int64_t now);
+  bool EmitContribution(const WalkRow& w, int64_t now);
+
+  /// The group key and aggregate arguments of a joined tuple. False on an
+  /// expression error or a non-integer SUM argument (the executor mixes
+  /// int and double sums; only the pure-integer case is mirrored).
+  bool TupleGroup(const Row& slots, Row* key, std::vector<Value>* args) const;
 
   /// Tries to answer the scan of rels_[level].main through a hash or
   /// ordered-index probe; true with the (ascending) candidate positions
   /// when an index answered, false to mean "walk the table". Fold mode
   /// restricts window bounds to expire-type ones (enter-type bounds would
   /// drop rows that belong in pending_).
-  bool ProbePositions(size_t level, bool fold_mode, int64_t now, Row* scratch,
-                      std::vector<size_t>* out) const;
+  bool ProbePositions(size_t level, bool fold_mode, int64_t now,
+                      const Row& slots, std::vector<size_t>* out) const;
 
   /// Applies an active contribution and keeps it for its expiry, or only
   /// its sources when it never expires.
   void Activate(Contribution c);
-  void ApplyContribution(const Contribution& c);
-  bool ApplyAgg(const AggSpec& spec, const Value& v, AggState* s);
+  /// Adds one tuple's arguments to group `g`; false on a value the
+  /// accumulators cannot mirror (non-finite MIN/MAX, structural tie).
+  bool ApplyTuple(const std::vector<Value>& args, GroupState* g) const;
   void UnapplyContribution(const Contribution& c);
   void ActivatePending(int64_t now);
   void ExpireActive(int64_t now);
 
-  /// Overlay join over the staged deltas; accumulates into *groups (or
-  /// just reports existence for exists-only policies). Returns false on
-  /// cap/error (sets *supported_out accordingly via the caller).
-  bool OverlayTerm(size_t level, size_t term, int64_t now, Row* scratch,
-                   std::unordered_map<Row, OverlayGroup, RowHash>* groups,
-                   bool* any_tuple, size_t* steps) const;
-  /// IncrementMayJoin's join over the delta tables of the `live` levels.
-  bool DeltaTerm(size_t level, const std::vector<bool>& live, Row* scratch,
-                 size_t* steps) const;
-  bool AccumulateOverlay(const Row& scratch,
-                         std::unordered_map<Row, OverlayGroup, RowHash>* g,
-                         bool* any_tuple) const;
-
-  /// Finish-equivalent merged aggregate value (state + overlay halves,
-  /// either may be null). Returns false on a MIN/MAX structural tie.
-  bool MergedAggValue(size_t i, const AggState* s, const OverlayAgg* o,
+  /// Finish-equivalent value of aggregate `i` over the union of two
+  /// accumulators (either may be null). False on a MIN/MAX structural tie.
+  bool MergedAggValue(size_t i, const AggState* s, const AggState* o,
                       Value* out) const;
 
-  /// Evaluates HAVING over one merged group; appends to *violated. The
-  /// synthetic empty global group is the call with null state and overlay.
-  bool CheckGroup(const Row& key, const GroupState* s, const OverlayGroup* o,
+  /// Evaluates HAVING over one merged group (maintained `s`, overlay `o`);
+  /// sets *violated. The synthetic empty global group is the call with
+  /// both null.
+  bool CheckGroup(const Row& key, const GroupState* s, const GroupState* o,
                   bool* violated) const;
 
   const BoundQuery* bq_ = nullptr;
@@ -299,11 +348,8 @@ class IncrementalState {
   std::vector<RelationState> rels_;
   std::vector<size_t> clock_slots_;
   std::vector<const Expr*> constant_conjuncts_;
-  /// Non-window conjuncts by deepest referenced fold level.
-  std::vector<std::vector<ExprProgram>> level_conjuncts_;
-  /// All conjuncts (windows included) by level, for overlay evaluation
-  /// where the clock slots are prefilled with `now`.
-  std::vector<std::vector<LevelConjunct>> overlay_conjuncts_;
+  /// WHERE conjuncts by deepest referenced fold level.
+  std::vector<std::vector<LevelConjunct>> conjuncts_;
   /// Index-probe candidates by fold level (see EqProbe / WindowBound).
   std::vector<std::vector<EqProbe>> eq_probes_;
   std::vector<std::vector<WindowBound>> window_bounds_;
@@ -313,15 +359,13 @@ class IncrementalState {
   ExprProgram having_;  ///< grouped program; empty when exists_only_
 
   // --- Maintained state (serial sections only) ---
-  std::unordered_map<Row, GroupState, RowHash> groups_;
+  Groups groups_;
   std::multimap<int64_t, Contribution> pending_;  ///< keyed by enter_at
   std::multimap<int64_t, Contribution> active_;   ///< keyed by expire_at
   /// Per fold level: source row ids of applied never-expiring
   /// contributions, which are not kept in active_.
   std::vector<std::unordered_set<int64_t>> permanent_sources_;
   int64_t total_active_ = 0;
-  /// Source row id per fold level of the tuple FoldTerm is building.
-  std::vector<int64_t> fold_sources_;
 
   bool ready_ = false;       ///< Advance completed for current_now_
   bool built_ = false;       ///< state reflects the folded rows
@@ -331,7 +375,6 @@ class IncrementalState {
   uint64_t cooldown_until_ = 0;  ///< advance_count_ gate for rebuilds
   uint64_t last_invalid_at_ = 0;
   int backoff_ = 0;
-  size_t fold_steps_ = 0;
 
   mutable std::atomic<bool> poisoned_{false};
 };

@@ -9,7 +9,6 @@
 #include "analysis/join_graph.h"
 #include "common/strings.h"
 #include "common/trace.h"
-#include "exec/executor.h"
 #include "policy/policy_analyzer.h"
 #include "storage/catalog_view.h"
 
@@ -528,17 +527,10 @@ Result<WitnessSet> WitnessBuilder::BuildForMember(
   return out;
 }
 
-Result<WitnessCaptureResult> CaptureViolationWitnesses(
-    const SelectStmt& stmt, const CatalogView* catalog, const UsageLog& log,
-    size_t limit, bool naive, bool enable_stats_costing) {
-  ScopedSpan span("decision.witness", "policy");
-  ExecOptions options;
-  options.capture_lineage = true;
-  options.enable_optimizer = !naive;
-  options.enable_stats_costing = enable_stats_costing && !naive;
-  Executor executor(catalog, options);
-  DL_ASSIGN_OR_RETURN(QueryResult result, executor.Execute(stmt));
-
+WitnessCaptureResult CaptureViolationWitnesses(const QueryResult& result,
+                                               const CatalogView* catalog,
+                                               const UsageLog& log,
+                                               size_t limit) {
   // Distinct usage-log tuples across every violating output row. std::set
   // gives the deterministic (relation, row id) order — concatenated ids
   // sort main-part rows before increment rows within a relation.

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "exec/query_result.h"
 #include "log/usage_log.h"
 #include "sql/ast.h"
 
@@ -116,16 +117,17 @@ struct WitnessCaptureResult {
   uint64_t truncated = 0;  ///< violating rows beyond the capture limit
 };
 
-/// Re-evaluates a rejecting policy statement over `catalog` with lineage
-/// capture and returns the usage-log rows that contributed to its non-empty
-/// answer — the tuples "on the strength of which" the query was rejected.
-/// Must run before the staged increment is discarded (the reject path calls
-/// it ahead of DiscardStaged). Deterministic: rows are deduplicated and
-/// sorted, so the planned and naive (`naive` = optimizer off) evaluations
+/// The usage-log rows in the lineage of a rejecting policy's answer
+/// (`result`, evaluated over `catalog` with lineage capture) — the tuples
+/// "on the strength of which" the query was rejected. Must run before the
+/// staged increment is discarded (the reject path calls it ahead of
+/// DiscardStaged). Deterministic: rows are deduplicated and sorted, so any
+/// two evaluations of one statement (planned, cached or optimizer-off)
 /// return byte-identical captures.
-Result<WitnessCaptureResult> CaptureViolationWitnesses(
-    const SelectStmt& stmt, const CatalogView* catalog, const UsageLog& log,
-    size_t limit, bool naive, bool enable_stats_costing);
+WitnessCaptureResult CaptureViolationWitnesses(const QueryResult& result,
+                                               const CatalogView* catalog,
+                                               const UsageLog& log,
+                                               size_t limit);
 
 /// Synthesizes absolute-witness queries per Lemmas 4.1–4.3:
 ///

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/trace.h"
 #include "core/datalawyer.h"
 #include "core/decision.h"
 #include "workload/mimic.h"
@@ -263,6 +264,37 @@ TEST_F(DecisionIntegrationTest, WitnessesMatchNaiveReEvaluationExactly) {
     return dump;
   };
   EXPECT_EQ(run(/*naive=*/false), run(/*naive=*/true));
+}
+
+// Witnesses come from the violated policy's cached plan: a rejected query
+// binds once (the user query) and plans no more with decisions on than off.
+TEST_F(DecisionIntegrationTest, RejectBindsAndPlansOnce) {
+  auto spans = [&](bool decisions) {
+    DataLawyerOptions options;
+    options.enable_decisions = decisions;
+    options.enable_tracing = true;
+    auto dl = Make(options);
+    QueryContext ctx;
+    ctx.uid = 0;
+    EXPECT_TRUE(dl->Execute(join_sql_, ctx).ok());  // prepares, warms
+    Tracer::Global().Clear();
+    ctx.uid = 1;
+    EXPECT_TRUE(dl->Execute(join_sql_, ctx).status().IsPolicyViolation());
+    EXPECT_EQ(dl->decision_store().records().empty(), !decisions);
+    std::pair<size_t, size_t> bind_planning{0, 0};
+    for (const TraceEvent& e : Tracer::Global().Snapshot()) {
+      if (e.name == "analysis.bind") ++bind_planning.first;
+      if (e.name == "planning") ++bind_planning.second;
+    }
+    Tracer::Global().set_enabled(false);
+    Tracer::Global().Clear();
+    return bind_planning;
+  };
+  std::pair<size_t, size_t> on = spans(true);
+  std::pair<size_t, size_t> off = spans(false);
+  EXPECT_EQ(on.first, 1u);
+  EXPECT_EQ(off.first, 1u);
+  EXPECT_EQ(on.second, off.second);
 }
 
 TEST_F(DecisionIntegrationTest, WitnessLimitTruncatesAndCounts) {
