@@ -87,18 +87,26 @@ size_t Value::Hash() const {
   return 0;
 }
 
+constexpr std::pair<const char*, CompareOp> kCompareOps[] = {
+    {"=", CompareOp::kEq}, {"!=", CompareOp::kNe}, {"<>", CompareOp::kNe},
+    {"<", CompareOp::kLt}, {"<=", CompareOp::kLe}, {">", CompareOp::kGt},
+    {">=", CompareOp::kGe}};
+
 bool ParseCompareOp(const std::string& op, CompareOp* out) {
-  static const std::pair<const char*, CompareOp> kOps[] = {
-      {"=", CompareOp::kEq}, {"!=", CompareOp::kNe}, {"<>", CompareOp::kNe},
-      {"<", CompareOp::kLt}, {"<=", CompareOp::kLe}, {">", CompareOp::kGt},
-      {">=", CompareOp::kGe}};
-  for (const auto& [text, value] : kOps) {
+  for (const auto& [text, value] : kCompareOps) {
     if (op == text) {
       *out = value;
       return true;
     }
   }
   return false;
+}
+
+const char* CompareOpText(CompareOp op) {
+  for (const auto& [text, value] : kCompareOps) {
+    if (value == op) return text;
+  }
+  return "?";
 }
 
 CompareOp MirrorCompareOp(CompareOp op) {

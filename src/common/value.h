@@ -33,6 +33,9 @@ enum class ArithOp { kAdd, kSub, kMul, kDiv, kMod };
 /// false for anything else.
 bool ParseCompareOp(const std::string& op, CompareOp* out);
 
+/// The operator's text, as ParseCompareOp reads it ("!=" for kNe).
+const char* CompareOpText(CompareOp op);
+
 /// The operator with its operands swapped: `a OP b` is `b MIRROR(OP) a`.
 CompareOp MirrorCompareOp(CompareOp op);
 

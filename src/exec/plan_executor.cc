@@ -54,6 +54,10 @@ Status TestAll(const std::vector<ExprProgram>& filters, const ProgramInput& in,
   return Status::OK();
 }
 
+/// The fragment of a morselized operator that writes into shared,
+/// index-addressed arrays instead (the hash join's key precomputation).
+struct NoFragment {};
+
 }  // namespace
 
 const char* MorselClassName(MorselClass cls) {
@@ -147,51 +151,43 @@ double MorselTiming::Percentile(double q) const {
                              max_us, q);
 }
 
-bool PlanExecutor::MorselsEnabled() const {
-  return options_.scheduler != nullptr &&
-         options_.scheduler->num_threads() > 0;
-}
-
-PlanExecutor::MorselSplit PlanExecutor::PlanMorselSplit(
-    size_t n, MorselClass cls) const {
-  MorselSplit split;
-  split.cls = cls;
-  split.step = options_.morsel_size;
-  if (!MorselsEnabled() || split.step == 0) return split;
-  if (options_.morsel_feedback != nullptr) {
+template <typename Frag, typename Span, typename Merge>
+Status PlanExecutor::DriveMorsels(size_t n, MorselClass cls, Frag* out,
+                                  const Span& span, const Merge& merge,
+                                  MorselRun* run) {
+  // The suggestion is read once: dispatch must use the step the split was
+  // planned with even if a new suggestion lands mid-query.
+  size_t step = options_.morsel_size;
+  if (step != 0 && options_.morsel_feedback != nullptr) {
     size_t suggested = options_.morsel_feedback->SuggestedSize(cls);
-    if (suggested != 0) split.step = suggested;
+    if (suggested != 0) step = suggested;
   }
-  size_t morsels = (n + split.step - 1) / split.step;
-  if (morsels >= 2) split.morsels = morsels;
-  return split;
-}
-
-Status PlanExecutor::RunMorsels(
-    const MorselSplit& split, size_t n,
-    const std::function<Status(size_t lo, size_t hi, size_t m)>& span,
-    double* cpu_us, MorselTiming* timing) {
-  size_t morsels = split.morsels;
+  size_t morsels = step == 0 ? 1 : (n + step - 1) / step;
+  if (options_.scheduler == nullptr ||
+      options_.scheduler->num_threads() == 0 || morsels <= 1) {
+    return span(size_t{0}, n, out);
+  }
   bool timed = profiling_ || options_.morsel_feedback != nullptr;
+  std::vector<Frag> frags(morsels);
   std::vector<Status> statuses(morsels);
   std::vector<double> morsel_us(timed ? morsels : 0);
-  size_t step = split.step;
   options_.scheduler->ParallelFor(morsels, [&](size_t m) {
     double t0 = timed ? ProfNowUs() : 0;
     size_t lo = m * step;
-    size_t hi = std::min(n, lo + step);
-    statuses[m] = span(lo, hi, m);
+    Frag local;
+    statuses[m] = span(lo, std::min(n, lo + step), &local);
+    frags[m] = std::move(local);
     if (timed) morsel_us[m] = ProfNowUs() - t0;
   });
   scan_stats_.morsels += morsels;
   double total_us = 0;
   for (double us : morsel_us) total_us += us;
-  if (cpu_us != nullptr) *cpu_us += total_us;
+  run->cpu_us += total_us;
   if (options_.morsel_feedback != nullptr) {
-    options_.morsel_feedback->Record(split.cls, total_us, n);
+    options_.morsel_feedback->Record(cls, total_us, n);
   }
-  if (timing != nullptr) {
-    for (double us : morsel_us) timing->Observe(us);
+  if (profiling_) {
+    for (double us : morsel_us) run->timing.Observe(us);
   }
   // Morsels are contiguous spans processed in row order and a span stops at
   // its first failing row, so the first failing morsel's error is the
@@ -201,15 +197,29 @@ Status PlanExecutor::RunMorsels(
   for (const Status& st : statuses) {
     if (!st.ok()) return st;
   }
+  for (Frag& frag : frags) {
+    if (!merge(out, std::move(frag))) {
+      *out = Frag{};
+      return span(size_t{0}, n, out);
+    }
+  }
+  run->morsels += morsels;
   return Status::OK();
 }
 
-void PlanExecutor::AppendFragment(Intermediate* dst,
-                                  Intermediate&& src) const {
+bool PlanExecutor::AppendFragment(Intermediate* dst, Intermediate&& src) {
   for (Row& row : src.rows) dst->rows.push_back(std::move(row));
   for (LineageSet& l : src.lineage) dst->lineage.push_back(std::move(l));
   for (std::vector<uint32_t>& o : src.order) {
     dst->order.push_back(std::move(o));
+  }
+  return true;
+}
+
+void PlanExecutor::NumberScanOrder(Intermediate* scanned) {
+  scanned->order.resize(scanned->rows.size());
+  for (size_t i = 0; i < scanned->order.size(); ++i) {
+    scanned->order[i] = {uint32_t(i)};
   }
 }
 
@@ -221,13 +231,19 @@ double PlanExecutor::ProfNowUs() {
 }
 
 OperatorProfile& PlanExecutor::RecordOp(std::string label, double start_us,
-                                        uint64_t rows_in, uint64_t rows_out) {
+                                        uint64_t rows_in, uint64_t rows_out,
+                                        const MorselRun* run) {
   OperatorProfile& op = profile_.emplace_back();
   op.label = std::move(label);
   op.depth = profile_depth_;
   op.rows_in = rows_in;
   op.rows_out = rows_out;
   op.wall_us = ProfNowUs() - start_us;
+  if (run != nullptr) {
+    op.morsels = run->morsels;
+    op.par_cpu_us = run->cpu_us;
+    op.morsel_timing = run->timing;
+  }
   return op;
 }
 
@@ -426,17 +442,7 @@ Result<PlanExecutor::Intermediate> PlanExecutor::ScanRelation(
   size_t offset = bq.slot_offsets[ps.rel_idx];
   size_t width = rel.schema.NumColumns();
   double prof_start = profiling_ ? ProfNowUs() : 0;
-  double scan_cpu_us = 0;
   Intermediate out;
-
-  // Fragment-local emission: morsel tasks each fill their own fragment and
-  // the fragments concatenate in morsel order (order positions renumbered
-  // afterwards), so the serial path is just "one fragment, `out` itself".
-  auto emit = [&](Row&& full_row, LineageSet&& lineage, Intermediate* frag) {
-    if (track_order) frag->order.push_back({uint32_t(frag->rows.size())});
-    frag->rows.push_back(std::move(full_row));
-    if (options_.capture_lineage) frag->lineage.push_back(std::move(lineage));
-  };
 
   if (ps.subplan == nullptr) {
     // Re-resolve the base relation by name: a cached plan runs against a
@@ -453,245 +459,71 @@ Result<PlanExecutor::Intermediate> PlanExecutor::ScanRelation(
     uint32_t rel_id =
         options_.capture_lineage ? InternRelation(rel.table_name) : 0;
 
-    // Index pushdown. Hash probes answer `col = const` equalities; range
-    // probes answer `col OP bound` comparisons through ordered indexes,
-    // with bounds either plan-time constants or expressions evaluated
-    // against the accumulated left side (usable only when every left row
-    // yields the same bound value — the single-row clock always does,
-    // which is what makes sliding-window narrowing sound: the originating
-    // conjunct is re-applied downstream, so narrowing never changes the
-    // result, and a unanimous bound means no join partner is lost). The
-    // cost model's chosen path is honored when its index is available;
-    // kUnknown probes every candidate and the smallest hit set wins.
-    bool have_probe = false;   // hash path answered
-    bool have_range = false;   // range path answered
-    size_t probes_issued = 0;
-    size_t range_probes_issued = 0;
-    const Expr* best_conjunct = nullptr;
-    std::vector<size_t> positions;
-
-    auto try_hash = [&]() {
-      for (const PhysicalProbe& c : ps.probes) {
-        std::vector<size_t> hits;
-        if (!data->IndexLookup(c.col, c.value, &hits)) continue;
-        ++scan_stats_.index_probes;
-        ++probes_issued;
-        if ((!have_probe && !have_range) || hits.size() < positions.size()) {
-          positions = std::move(hits);
-          best_conjunct = c.conjunct;
-          have_probe = true;
-          have_range = false;
-        }
-      }
-    };
-
-    // Resolves one probe's bound; false = probe unusable this execution.
-    auto resolve_bound = [&](const PhysicalRangeProbe& probe,
-                             Value* out) -> bool {
-      if (probe.has_const) {
-        *out = probe.value;
-        return true;
-      }
-      if (left == nullptr || left->rows.empty()) return false;
-      for (size_t i = 0; i < left->rows.size(); ++i) {
-        ProgramInput in;
-        in.row = left->rows[i];
-        Value v;
-        if (!probe.bound_program.Evaluate(in, &v).ok()) return false;
-        if (i == 0) {
-          *out = std::move(v);
-        } else if (*out != v) {
-          return false;  // left rows disagree: narrowing would drop matches
-        }
-      }
-      return true;
-    };
-
-    auto try_range = [&]() {
-      // Combine the probes per column into one [lo, hi] interval; a bound
-      // that fails to resolve or compare just drops out (the conjunct is
-      // still re-applied, so a looser interval is always safe).
-      for (size_t p = 0; p < ps.range_probes.size(); ++p) {
-        size_t col = ps.range_probes[p].col;
-        bool first_for_col = true;
-        for (size_t q = 0; q < p; ++q) {
-          if (ps.range_probes[q].col == col) first_for_col = false;
-        }
-        if (!first_for_col) continue;
-
-        bool has_lo = false, has_hi = false;
-        bool lo_inc = true, hi_inc = true;
-        Value lo, hi;
-        const Expr* conjunct = nullptr;
-        for (const PhysicalRangeProbe& probe : ps.range_probes) {
-          if (probe.col != col) continue;
-          Value bound;
-          if (!resolve_bound(probe, &bound)) continue;
-          bool is_lower = probe.op == ">" || probe.op == ">=";
-          bool inclusive = probe.op == ">=" || probe.op == "<=";
-          if (conjunct == nullptr) conjunct = probe.conjunct;
-          if (bound.is_null()) {
-            // `col OP NULL` never holds: this interval alone is exact.
-            has_lo = true;
-            has_hi = false;
-            lo = Value::Null();
-            conjunct = probe.conjunct;
-            break;
-          }
-          if (is_lower) {
-            bool replace = !has_lo;
-            if (has_lo) {
-              Result<Value> gt = Value::Compare(bound, CompareOp::kGt, lo);
-              if (!gt.ok() || gt->is_null()) continue;
-              if (gt->AsBool()) {
-                replace = true;
-              } else {
-                Result<Value> eq = Value::Compare(bound, CompareOp::kEq, lo);
-                if (eq.ok() && !eq->is_null() && eq->AsBool() && !inclusive) {
-                  lo_inc = false;  // same bound, stricter inclusivity
-                }
-              }
-            }
-            if (replace) {
-              lo = std::move(bound);
-              lo_inc = inclusive;
-              has_lo = true;
-              conjunct = probe.conjunct;
-            }
-          } else {
-            bool replace = !has_hi;
-            if (has_hi) {
-              Result<Value> lt = Value::Compare(bound, CompareOp::kLt, hi);
-              if (!lt.ok() || lt->is_null()) continue;
-              if (lt->AsBool()) {
-                replace = true;
-              } else {
-                Result<Value> eq = Value::Compare(bound, CompareOp::kEq, hi);
-                if (eq.ok() && !eq->is_null() && eq->AsBool() && !inclusive) {
-                  hi_inc = false;
-                }
-              }
-            }
-            if (replace) {
-              hi = std::move(bound);
-              hi_inc = inclusive;
-              has_hi = true;
-              conjunct = probe.conjunct;
+    // Index pushdown. A left-bound range probe is usable only when every
+    // left row yields the same bound value (the single-row clock always
+    // does): the originating conjunct is re-applied downstream, so a
+    // unanimous bound narrows without losing a join partner.
+    ResolvedAccess access = ResolveAccessPath(
+        ps, *data, [&](const PhysicalRangeProbe& probe, Value* bound) {
+          if (left == nullptr || left->rows.empty()) return false;
+          for (size_t i = 0; i < left->rows.size(); ++i) {
+            ProgramInput in;
+            in.row = left->rows[i];
+            Value v;
+            if (!probe.bound_program.Evaluate(in, &v).ok()) return false;
+            if (i == 0) {
+              *bound = std::move(v);
+            } else if (*bound != v) {
+              return false;
             }
           }
-        }
-        if (!has_lo && !has_hi) continue;
-
-        std::vector<size_t> hits;
-        if (!data->RangeLookup(col, has_lo ? &lo : nullptr, lo_inc,
-                               has_hi ? &hi : nullptr, hi_inc, &hits)) {
-          continue;
-        }
-        ++scan_stats_.range_probes;
-        ++range_probes_issued;
-        if ((!have_probe && !have_range) || hits.size() < positions.size()) {
-          positions = std::move(hits);
-          best_conjunct = conjunct;
-          have_range = true;
-          have_probe = false;
-        }
-      }
-    };
-
-    switch (ps.chosen_path) {
-      case AccessPath::kSeqScan:
-        break;
-      case AccessPath::kHashProbe:
-        try_hash();
-        break;
-      case AccessPath::kRangeScan:
-        try_range();
-        if (!have_range) try_hash();  // chosen index gone: adapt
-        break;
-      case AccessPath::kUnknown:
-        try_hash();
-        try_range();
-        break;
-    }
-    if (have_probe) ++scan_stats_.index_hits;
-    if (have_range) ++scan_stats_.range_hits;
+          return true;
+        });
+    bool narrowed = access.path != AccessPath::kSeqScan;
+    scan_stats_.index_probes += access.hash_probes;
+    scan_stats_.range_probes += access.range_probes;
+    if (access.path == AccessPath::kHashProbe) ++scan_stats_.index_hits;
+    if (access.path == AccessPath::kRangeScan) ++scan_stats_.range_hits;
 
     // The filters test the stored row itself; only a row that passes is
     // copied into a full-width row and given its lineage entry.
-    auto emit_position = [&](size_t i, Intermediate* frag) -> Status {
-      const Row& src = data->RowAt(i);
-      ProgramInput in;
-      in.window = src;
-      bool keep = true;
-      DL_RETURN_NOT_OK(TestAll(ps.filter_programs, in, &keep));
-      if (!keep) return Status::OK();
-      Row full_row(bq.total_slots);
-      std::copy(src.begin(), src.begin() + width, full_row.begin() + offset);
-      LineageSet lineage;
-      if (options_.capture_lineage) {
-        // Room for one entry per FROM item: the joins that take this row
-        // over append theirs without reallocating.
-        lineage.reserve(pm.scans.size());
-        lineage.push_back(LineageEntry{rel_id, data->RowIdAt(i)});
-      }
-      emit(std::move(full_row), std::move(lineage), frag);
-      return Status::OK();
-    };
-
-    bool narrowed = have_probe || have_range;
-    size_t total = narrowed ? positions.size() : data->NumRows();
-    MorselSplit split = PlanMorselSplit(total, MorselClass::kScan);
-    size_t morsels = split.morsels;
-    MorselTiming scan_timing;
-    if (morsels > 1) {
-      std::vector<Intermediate> frags(morsels);
-      DL_RETURN_NOT_OK(RunMorsels(
-          split, total,
-          [&](size_t lo, size_t hi, size_t m) -> Status {
-            Intermediate local;
-            for (size_t k = lo; k < hi; ++k) {
-              DL_RETURN_NOT_OK(
-                  emit_position(narrowed ? positions[k] : k, &local));
+    size_t total = narrowed ? access.positions.size() : data->NumRows();
+    MorselRun run;
+    DL_RETURN_NOT_OK(DriveMorsels(
+        total, MorselClass::kScan, &out,
+        [&](size_t lo, size_t hi, Intermediate* frag) -> Status {
+          for (size_t k = lo; k < hi; ++k) {
+            size_t i = narrowed ? access.positions[k] : k;
+            const Row& src = data->RowAt(i);
+            ProgramInput in;
+            in.window = src;
+            bool keep = true;
+            DL_RETURN_NOT_OK(TestAll(ps.filter_programs, in, &keep));
+            if (!keep) continue;
+            Row full_row(bq.total_slots);
+            std::copy(src.begin(), src.begin() + width,
+                      full_row.begin() + offset);
+            frag->rows.push_back(std::move(full_row));
+            if (options_.capture_lineage) {
+              // Room for one entry per FROM item: the joins that take this
+              // row over append theirs without reallocating.
+              LineageSet& lineage = frag->lineage.emplace_back();
+              lineage.reserve(pm.scans.size());
+              lineage.push_back(LineageEntry{rel_id, data->RowIdAt(i)});
             }
-            frags[m] = std::move(local);
-            return Status::OK();
-          },
-          &scan_cpu_us, profiling_ ? &scan_timing : nullptr));
-      for (Intermediate& frag : frags) AppendFragment(&out, std::move(frag));
-      // Fragment-local scan positions become global emission order.
-      for (size_t i = 0; i < out.order.size(); ++i) {
-        out.order[i] = {uint32_t(i)};
-      }
-    } else if (narrowed) {
-      for (size_t i : positions) {
-        DL_RETURN_NOT_OK(emit_position(i, &out));
-      }
-    } else {
-      for (size_t i = 0; i < total; ++i) {
-        DL_RETURN_NOT_OK(emit_position(i, &out));
-      }
-    }
+          }
+          return Status::OK();
+        },
+        &PlanExecutor::AppendFragment, &run));
+    if (track_order) NumberScanOrder(&out);
     if (profiling_) {
-      std::string label = "scan " + rel.table_name + " (" +
-                          std::to_string(data->NumRows()) + " rows) as " +
-                          rel.binding_name;
-      if (have_range && best_conjunct != nullptr) {
-        label += " [range scan " + best_conjunct->ToString() + "]";
-      } else if (have_probe && best_conjunct != nullptr) {
-        label += " [index probe " + best_conjunct->ToString() + "]";
-      } else {
-        label += " [full scan]";
-      }
-      uint64_t rows_in =
-          have_probe || have_range ? positions.size() : data->NumRows();
-      OperatorProfile& op =
-          RecordOp(std::move(label), prof_start, rows_in, out.rows.size());
-      op.index_probes = probes_issued + range_probes_issued;
-      op.index_hits = have_probe || have_range ? 1 : 0;
+      OperatorProfile& op = RecordOp(
+          "scan " + rel.table_name + " (" + std::to_string(data->NumRows()) +
+              " rows) as " + rel.binding_name + AccessToken(access),
+          prof_start, total, out.rows.size(), &run);
+      op.index_probes = access.hash_probes + access.range_probes;
+      op.index_hits = narrowed ? 1 : 0;
       op.est_rows = ps.est_rows;
-      op.morsels = morsels > 1 ? morsels : 0;
-      op.par_cpu_us = scan_cpu_us;
-      op.morsel_timing = scan_timing;
     }
     return out;
   }
@@ -712,10 +544,10 @@ Result<PlanExecutor::Intermediate> PlanExecutor::ScanRelation(
     bool keep = true;
     DL_RETURN_NOT_OK(TestAll(ps.filter_programs, in, &keep));
     if (!keep) continue;
-    LineageSet lineage;
-    if (options_.capture_lineage) lineage = std::move(sub.lineage[i]);
-    emit(std::move(full_row), std::move(lineage), &out);
+    out.rows.push_back(std::move(full_row));
+    if (options_.capture_lineage) out.lineage.push_back(std::move(sub.lineage[i]));
   }
+  if (track_order) NumberScanOrder(&out);
   if (profiling_) {
     RecordOp("scan subquery " + rel.binding_name + " as " + rel.binding_name,
              prof_start, sub.rows.size(), out.rows.size());
@@ -730,24 +562,8 @@ Result<PlanExecutor::Intermediate> PlanExecutor::JoinStep(
   size_t offset = bq.slot_offsets[rel_idx];
   size_t width = bq.relations[rel_idx].schema.NumColumns();
   double prof_start = profiling_ ? ProfNowUs() : 0;
-  double join_cpu_us = 0;
-  MorselTiming join_timing;
-  MorselTiming* join_timing_ptr = profiling_ ? &join_timing : nullptr;
+  MorselRun run;
   Intermediate out;
-
-  auto join_label = [&]() {
-    const BoundRelation& rel = bq.relations[rel_idx];
-    std::string source =
-        rel.table_name.empty() ? "subquery " + rel.binding_name
-                               : rel.table_name;
-    if (pj.algo == JoinAlgo::kHashJoin) {
-      std::vector<std::string> keys;
-      for (const Expr* e : pj.equi_conjuncts) keys.push_back(e->ToString());
-      return "hash join " + source + " as " + rel.binding_name + " on " +
-             Join(keys, " AND ");
-    }
-    return "nested loop join " + source + " as " + rel.binding_name;
-  };
 
   // The residuals read the incoming relation's slots from the right row and
   // the rest from the left row; only a pair that passes is combined. The
@@ -783,6 +599,8 @@ Result<PlanExecutor::Intermediate> PlanExecutor::JoinStep(
     return Status::OK();
   };
 
+  size_t build_entries = 0;
+  size_t parts = 1;
   if (pj.algo == JoinAlgo::kHashJoin) {
     // Hash join: build on the incoming relation, probe with the left side.
     // Both phases morselize. Keys are precomputed (with their hashes, so
@@ -793,34 +611,29 @@ Result<PlanExecutor::Intermediate> PlanExecutor::JoinStep(
     size_t rn = right.rows.size();
     std::vector<std::optional<Row>> keys(rn);  // nullopt = NULL key
     std::vector<size_t> key_hashes(rn, 0);
-    auto key_span = [&](size_t lo, size_t hi, size_t) -> Status {
-      for (size_t ri = lo; ri < hi; ++ri) {
-        Row key;
-        bool null_key = false;
-        DL_RETURN_NOT_OK(EvalJoinKey(pj.right_key_programs, right.rows[ri],
-                                     &key, &null_key));
-        if (null_key) continue;
-        key_hashes[ri] = RowHash()(key);
-        keys[ri] = std::move(key);
-      }
-      return Status::OK();
-    };
-    MorselSplit build_split = PlanMorselSplit(rn, MorselClass::kJoinBuild);
-    size_t build_morsels = build_split.morsels;
-    if (build_morsels > 1) {
-      DL_RETURN_NOT_OK(
-          RunMorsels(build_split, rn, key_span, &join_cpu_us,
-                     join_timing_ptr));
-    } else {
-      DL_RETURN_NOT_OK(key_span(0, rn, 0));
-    }
+    NoFragment none;
+    DL_RETURN_NOT_OK(DriveMorsels(
+        rn, MorselClass::kJoinBuild, &none,
+        [&](size_t lo, size_t hi, NoFragment*) -> Status {
+          for (size_t ri = lo; ri < hi; ++ri) {
+            Row key;
+            bool null_key = false;
+            DL_RETURN_NOT_OK(EvalJoinKey(pj.right_key_programs,
+                                         right.rows[ri], &key, &null_key));
+            if (null_key) continue;
+            key_hashes[ri] = RowHash()(key);
+            keys[ri] = std::move(key);
+          }
+          return Status::OK();
+        },
+        [](NoFragment*, NoFragment&&) { return true; }, &run));
 
-    size_t parts =
-        build_morsels > 1
-            ? std::min<size_t>(options_.scheduler->num_threads() + 1, 16)
-            : 1;
-    std::vector<std::unordered_map<Row, std::vector<size_t>, RowHash>> build(
-        parts);
+    if (run.morsels > 0) {
+      parts = std::min<size_t>(options_.scheduler->num_threads() + 1, 16);
+    }
+    std::vector<std::unordered_map<Row, std::vector<size_t>, RowHash,
+                                   RowKeyEq>>
+        build(parts);
     auto build_part = [&](size_t p) {
       for (size_t ri = 0; ri < rn; ++ri) {
         if (!keys[ri].has_value()) continue;
@@ -833,96 +646,65 @@ Result<PlanExecutor::Intermediate> PlanExecutor::JoinStep(
     } else {
       build_part(0);
     }
-    size_t build_entries = 0;
     for (const auto& part : build) build_entries += part.size();
 
-    auto probe_span = [&](size_t lo, size_t hi, Intermediate* frag) -> Status {
-      Row key;
-      for (size_t li = lo; li < hi; ++li) {
-        bool null_key = false;
-        DL_RETURN_NOT_OK(
-            EvalJoinKey(pj.left_key_programs, left.rows[li], &key, &null_key));
-        if (null_key) continue;
-        const auto& part = build[parts == 1 ? 0 : RowHash()(key) % parts];
-        auto it = part.find(key);
-        if (it == part.end()) continue;
-        const std::vector<size_t>& matches = it->second;
-        for (size_t k = 0; k < matches.size(); ++k) {
-          DL_RETURN_NOT_OK(emit(li, matches[k], k + 1 == matches.size(), frag));
-        }
-      }
-      return Status::OK();
-    };
-    MorselSplit probe_split =
-        PlanMorselSplit(left.rows.size(), MorselClass::kJoinProbe);
-    size_t probe_morsels = probe_split.morsels;
-    if (probe_morsels > 1) {
-      std::vector<Intermediate> frags(probe_morsels);
-      DL_RETURN_NOT_OK(RunMorsels(
-          probe_split, left.rows.size(),
-          [&](size_t lo, size_t hi, size_t m) {
-            Intermediate local;
-            DL_RETURN_NOT_OK(probe_span(lo, hi, &local));
-            frags[m] = std::move(local);
-            return Status::OK();
-          },
-          &join_cpu_us, join_timing_ptr));
-      for (Intermediate& frag : frags) AppendFragment(&out, std::move(frag));
-    } else {
-      DL_RETURN_NOT_OK(probe_span(0, left.rows.size(), &out));
-    }
-    if (profiling_) {
-      OperatorProfile& op =
-          RecordOp(join_label(), prof_start,
-                   left.rows.size() + right.rows.size(), out.rows.size());
-      op.peak_hash_entries = build_entries;
-      op.est_rows = pj.est_rows;
-      op.morsels = (build_morsels > 1 ? build_morsels : 0) +
-                   (probe_morsels > 1 ? probe_morsels : 0);
-      if (parts > 1) op.partitions = parts;
-      op.par_cpu_us = join_cpu_us;
-      op.morsel_timing = join_timing;
-    }
-    return out;
-  }
-
-  // Nested loop (cross product with residual filters), morselized over the
-  // left side: each morsel is a contiguous li range, so concatenating
-  // fragments in morsel order reproduces the serial (li, ri) emission order.
-  auto nl_span = [&](size_t lo, size_t hi, Intermediate* frag) -> Status {
-    for (size_t li = lo; li < hi; ++li) {
-      for (size_t ri = 0; ri < right.rows.size(); ++ri) {
-        DL_RETURN_NOT_OK(emit(li, ri, ri + 1 == right.rows.size(), frag));
-      }
-    }
-    return Status::OK();
-  };
-  MorselSplit nl_split =
-      PlanMorselSplit(left.rows.size(), MorselClass::kNestedLoop);
-  size_t nl_morsels = nl_split.morsels;
-  if (nl_morsels > 1) {
-    std::vector<Intermediate> frags(nl_morsels);
-    DL_RETURN_NOT_OK(RunMorsels(
-        nl_split, left.rows.size(),
-        [&](size_t lo, size_t hi, size_t m) {
-          Intermediate local;
-          DL_RETURN_NOT_OK(nl_span(lo, hi, &local));
-          frags[m] = std::move(local);
+    DL_RETURN_NOT_OK(DriveMorsels(
+        left.rows.size(), MorselClass::kJoinProbe, &out,
+        [&](size_t lo, size_t hi, Intermediate* frag) -> Status {
+          Row key;
+          for (size_t li = lo; li < hi; ++li) {
+            bool null_key = false;
+            DL_RETURN_NOT_OK(EvalJoinKey(pj.left_key_programs, left.rows[li],
+                                         &key, &null_key));
+            if (null_key) continue;
+            const auto& part = build[parts == 1 ? 0 : RowHash()(key) % parts];
+            auto it = part.find(key);
+            if (it == part.end()) continue;
+            const std::vector<size_t>& matches = it->second;
+            for (size_t k = 0; k < matches.size(); ++k) {
+              DL_RETURN_NOT_OK(
+                  emit(li, matches[k], k + 1 == matches.size(), frag));
+            }
+          }
           return Status::OK();
         },
-        &join_cpu_us, join_timing_ptr));
-    for (Intermediate& frag : frags) AppendFragment(&out, std::move(frag));
+        &PlanExecutor::AppendFragment, &run));
   } else {
-    DL_RETURN_NOT_OK(nl_span(0, left.rows.size(), &out));
+    // Nested loop (cross product with residual filters), morselized over
+    // the left side: each morsel is a contiguous li range, so concatenating
+    // fragments in morsel order reproduces the serial (li, ri) order.
+    DL_RETURN_NOT_OK(DriveMorsels(
+        left.rows.size(), MorselClass::kNestedLoop, &out,
+        [&](size_t lo, size_t hi, Intermediate* frag) -> Status {
+          for (size_t li = lo; li < hi; ++li) {
+            for (size_t ri = 0; ri < right.rows.size(); ++ri) {
+              DL_RETURN_NOT_OK(
+                  emit(li, ri, ri + 1 == right.rows.size(), frag));
+            }
+          }
+          return Status::OK();
+        },
+        &PlanExecutor::AppendFragment, &run));
   }
   if (profiling_) {
+    const BoundRelation& rel = bq.relations[rel_idx];
+    std::string label =
+        (rel.table_name.empty() ? "subquery " + rel.binding_name
+                                : rel.table_name) +
+        " as " + rel.binding_name;
+    if (pj.algo == JoinAlgo::kHashJoin) {
+      std::vector<std::string> keys;
+      for (const Expr* e : pj.equi_conjuncts) keys.push_back(e->ToString());
+      label = "hash join " + label + " on " + Join(keys, " AND ");
+    } else {
+      label = "nested loop join " + label;
+    }
     OperatorProfile& op =
-        RecordOp(join_label(), prof_start,
-                 left.rows.size() + right.rows.size(), out.rows.size());
+        RecordOp(std::move(label), prof_start,
+                 left.rows.size() + right.rows.size(), out.rows.size(), &run);
+    op.peak_hash_entries = build_entries;
     op.est_rows = pj.est_rows;
-    op.morsels = nl_morsels > 1 ? nl_morsels : 0;
-    op.par_cpu_us = join_cpu_us;
-    op.morsel_timing = join_timing;
+    if (parts > 1) op.partitions = parts;
   }
   return out;
 }
@@ -971,71 +753,43 @@ Result<QueryResult> PlanExecutor::ProjectUngrouped(const PhysicalMember& pm,
                                                    Intermediate input) {
   const BoundQuery& bq = *pm.bq;
   double prof_start = profiling_ ? ProfNowUs() : 0;
-  double cpu_us = 0;
+  // Row-wise and side-effect-free, so morsels fill disjoint fragments (a
+  // morsel normalizes and moves only its own rows' lineage).
+  Intermediate projected;
+  MorselRun run;
+  DL_RETURN_NOT_OK(DriveMorsels(
+      input.rows.size(), MorselClass::kProject, &projected,
+      [&](size_t lo, size_t hi, Intermediate* frag) -> Status {
+        frag->rows.reserve(frag->rows.size() + (hi - lo));
+        for (size_t i = lo; i < hi; ++i) {
+          ProgramInput in;
+          in.row = input.rows[i];
+          Row out(bq.output_columns.size());
+          for (size_t c = 0; c < out.size(); ++c) {
+            const OutputColumn& col = bq.output_columns[c];
+            if (col.expr != nullptr) {
+              DL_RETURN_NOT_OK(pm.output_programs[c].Evaluate(in, &out[c]));
+            } else {
+              out[c] = input.rows[i][col.slot];
+            }
+          }
+          frag->rows.push_back(std::move(out));
+          if (options_.capture_lineage) {
+            NormalizeLineage(&input.lineage[i]);
+            frag->lineage.push_back(std::move(input.lineage[i]));
+          }
+        }
+        return Status::OK();
+      },
+      &PlanExecutor::AppendFragment, &run));
   QueryResult result;
   result.schema = bq.output_schema;
-
-  // Row-wise and side-effect-free, so morsels fill disjoint fragments (a
-  // morsel normalizes and moves only its own rows' lineage) and
-  // concatenate in morsel order.
-  auto project_span = [&](size_t lo, size_t hi, std::vector<Row>* rows,
-                          std::vector<LineageSet>* lineage) -> Status {
-    for (size_t i = lo; i < hi; ++i) {
-      ProgramInput in;
-      in.row = input.rows[i];
-      Row out(bq.output_columns.size());
-      for (size_t c = 0; c < out.size(); ++c) {
-        const OutputColumn& col = bq.output_columns[c];
-        if (col.expr != nullptr) {
-          DL_RETURN_NOT_OK(pm.output_programs[c].Evaluate(in, &out[c]));
-        } else {
-          out[c] = input.rows[i][col.slot];
-        }
-      }
-      rows->push_back(std::move(out));
-      if (options_.capture_lineage) {
-        NormalizeLineage(&input.lineage[i]);
-        lineage->push_back(std::move(input.lineage[i]));
-      }
-    }
-    return Status::OK();
-  };
-
-  MorselSplit split = PlanMorselSplit(input.rows.size(), MorselClass::kProject);
-  size_t morsels = split.morsels;
-  MorselTiming proj_timing;
-  if (morsels > 1) {
-    std::vector<std::vector<Row>> row_frags(morsels);
-    std::vector<std::vector<LineageSet>> lineage_frags(morsels);
-    DL_RETURN_NOT_OK(RunMorsels(
-        split, input.rows.size(),
-        [&](size_t lo, size_t hi, size_t m) {
-          std::vector<Row> rows;
-          std::vector<LineageSet> lineage;
-          DL_RETURN_NOT_OK(project_span(lo, hi, &rows, &lineage));
-          row_frags[m] = std::move(rows);
-          lineage_frags[m] = std::move(lineage);
-          return Status::OK();
-        },
-        &cpu_us, profiling_ ? &proj_timing : nullptr));
-    for (size_t m = 0; m < morsels; ++m) {
-      for (Row& r : row_frags[m]) result.rows.push_back(std::move(r));
-      for (LineageSet& l : lineage_frags[m]) {
-        result.lineage.push_back(std::move(l));
-      }
-    }
-  } else {
-    result.rows.reserve(input.rows.size());
-    DL_RETURN_NOT_OK(project_span(0, input.rows.size(), &result.rows,
-                                  &result.lineage));
-  }
+  result.rows = std::move(projected.rows);
+  result.lineage = std::move(projected.lineage);
   if (profiling_) {
-    OperatorProfile& op = RecordOp(
+    RecordOp(
         "project " + std::to_string(bq.output_columns.size()) + " columns",
-        prof_start, input.rows.size(), result.rows.size());
-    op.morsels = morsels > 1 ? morsels : 0;
-    op.par_cpu_us = cpu_us;
-    op.morsel_timing = proj_timing;
+        prof_start, input.rows.size(), result.rows.size(), &run);
   }
   return result;
 }
@@ -1044,7 +798,6 @@ Result<QueryResult> PlanExecutor::ProjectGrouped(const PhysicalMember& pm,
                                                  Intermediate input) {
   const BoundQuery& bq = *pm.bq;
   double prof_start = profiling_ ? ProfNowUs() : 0;
-  double cpu_us = 0;
   const SelectStmt& stmt = *bq.stmt;
 
   struct GroupState {
@@ -1104,67 +857,42 @@ Result<QueryResult> PlanExecutor::ProjectGrouped(const PhysicalMember& pm,
     return Status::OK();
   };
 
+  // Partials merge in morsel order: a group's representative, position in
+  // group_order, and lineage sequence all come from its earliest morsel —
+  // the same row serial processing would have picked. A merge an
+  // accumulator cannot prove exact (float partial sums) makes DriveMorsels
+  // redo the whole aggregation serially; `input` was only read, so the
+  // redo sees exactly what the serial path would have.
   GroupAcc acc;
-  MorselSplit split =
-      PlanMorselSplit(input.rows.size(), MorselClass::kAggregate);
-  size_t morsels = split.morsels;
-  MorselTiming agg_timing;
-  size_t partials_merged = 0;
-  if (morsels > 1) {
-    std::vector<GroupAcc> partials(morsels);
-    DL_RETURN_NOT_OK(RunMorsels(
-        split, input.rows.size(),
-        [&](size_t lo, size_t hi, size_t m) {
-          GroupAcc local;
-          DL_RETURN_NOT_OK(accumulate_span(lo, hi, &local));
-          partials[m] = std::move(local);
-          return Status::OK();
-        },
-        &cpu_us, profiling_ ? &agg_timing : nullptr));
-    // Merge in morsel order: a group's representative, position in
-    // group_order, and lineage sequence all come from its earliest morsel
-    // — the same row serial processing would have picked. A merge an
-    // accumulator cannot prove exact (float partial sums) abandons the
-    // partials and redoes the whole aggregation serially; `input` was only
-    // read, so the redo sees exactly what the serial path would have.
-    // The first partial is taken over whole (its groups come first anyway).
-    size_t total_groups = 0;
-    for (const GroupAcc& partial : partials) {
-      total_groups += partial.groups.size();
-    }
-    acc = std::move(partials[0]);
-    acc.groups.reserve(total_groups);
-    bool merged = true;
-    for (size_t m = 1; m < morsels && merged; ++m) {
-      for (GroupEntry* entry : partials[m].group_order) {
-        GroupState& src = entry->second;
-        auto [it, inserted] = acc.groups.try_emplace(entry->first);
-        if (inserted) {
-          it->second = std::move(src);
-          acc.group_order.push_back(&*it);
-          continue;
+  MorselRun run;
+  DL_RETURN_NOT_OK(DriveMorsels(
+      input.rows.size(), MorselClass::kAggregate, &acc, accumulate_span,
+      [&](GroupAcc* dst, GroupAcc&& part) {
+        if (dst->groups.empty()) {
+          *dst = std::move(part);
+          return true;
         }
-        GroupState& dst = it->second;
-        for (size_t a = 0; a < dst.accumulators.size() && merged; ++a) {
-          if (!dst.accumulators[a].MergeFrom(src.accumulators[a])) {
-            merged = false;
+        for (GroupEntry* entry : part.group_order) {
+          GroupState& src = entry->second;
+          auto [it, inserted] = dst->groups.try_emplace(entry->first);
+          if (inserted) {
+            it->second = std::move(src);
+            dst->group_order.push_back(&*it);
+            continue;
+          }
+          GroupState& state = it->second;
+          for (size_t a = 0; a < state.accumulators.size(); ++a) {
+            if (!state.accumulators[a].MergeFrom(src.accumulators[a])) {
+              return false;
+            }
+          }
+          if (options_.capture_lineage) {
+            MergeLineage(&state.lineage, src.lineage);
           }
         }
-        if (!merged) break;
-        if (options_.capture_lineage) {
-          MergeLineage(&dst.lineage, src.lineage);
-        }
-      }
-    }
-    if (merged) {
-      partials_merged = morsels;
-    } else {
-      acc = GroupAcc{};
-      DL_RETURN_NOT_OK(accumulate_span(0, input.rows.size(), &acc));
-    }
-  } else {
-    DL_RETURN_NOT_OK(accumulate_span(0, input.rows.size(), &acc));
-  }
+        return true;
+      },
+      &run));
 
   // A global aggregate (no GROUP BY) over empty input still forms one group.
   Row null_row;
@@ -1211,11 +939,8 @@ Result<QueryResult> PlanExecutor::ProjectGrouped(const PhysicalMember& pm,
         "aggregate [" + std::to_string(stmt.group_by.size()) +
             " group keys, " + std::to_string(bq.aggregates.size()) +
             " aggregates]",
-        prof_start, input.rows.size(), result.rows.size());
+        prof_start, input.rows.size(), result.rows.size(), &run);
     op.peak_hash_entries = acc.groups.size();
-    op.morsels = partials_merged;
-    op.par_cpu_us = cpu_us;
-    op.morsel_timing = agg_timing;
   }
   return result;
 }

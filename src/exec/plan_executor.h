@@ -82,7 +82,7 @@ class MorselFeedback {
 
 /// Log2-bucketed distribution of one operator's per-morsel wall times
 /// (same bucket layout as Histogram, shared via LogBucketFor /
-/// LogBucketPercentile). Single-threaded: filled by RunMorsels after the
+/// LogBucketPercentile). Single-threaded: filled by DriveMorsels after the
 /// fan-out joins, read when rendering EXPLAIN ANALYZE.
 struct MorselTiming {
   uint64_t count = 0;
@@ -246,46 +246,47 @@ class PlanExecutor {
   /// Index into base_relations_ for `name`, interning it if new.
   uint32_t InternRelation(const std::string& name);
 
-  /// True when a scheduler with workers is attached.
-  bool MorselsEnabled() const;
-  /// One operator's morselization decision: how many morsels an n-row
-  /// fragment splits into (1 = serial — morsels disabled or the fragment
-  /// fits in one morsel) and the rows-per-morsel step that produced the
-  /// count, so dispatch uses exactly the size the split was planned with
-  /// even if an adaptive suggestion lands mid-query.
-  struct MorselSplit {
-    size_t morsels = 1;
-    size_t step = 0;
-    MorselClass cls = MorselClass::kScan;
+  /// One operator's morsel accounting, as EXPLAIN ANALYZE shows it.
+  struct MorselRun {
+    size_t morsels = 0;  ///< morsels whose fragments were kept; 0 = inline
+    double cpu_us = 0;   ///< summed per-morsel wall time
+    MorselTiming timing;
   };
-  /// Splits n rows for `cls`: the adaptive suggestion when a feedback
-  /// accumulator is attached and has one, the fixed morsel_size otherwise.
-  MorselSplit PlanMorselSplit(size_t n, MorselClass cls) const;
-  /// Dispatches `span` over the split's fixed-size morsels of [0, n),
-  /// waits, and returns the first failing morsel's status (== the serial
-  /// first error: earlier morsels are clean and spans stop at their first
-  /// bad row). Adds the morsel count to scan_stats_; when profiling or
-  /// feeding adaptive feedback it times each morsel, accumulating into
-  /// *cpu_us, the feedback accumulator, and (when non-null) *timing.
-  /// Spans fill a fragment local to their thread and move it into the
-  /// shared per-morsel slot once done: neighbouring slots share cache
-  /// lines, and growing them in place from several threads would bounce
-  /// those lines on every emitted row.
-  Status RunMorsels(const MorselSplit& split, size_t n,
-                    const std::function<Status(size_t lo, size_t hi,
-                                               size_t m)>& span,
-                    double* cpu_us, MorselTiming* timing);
+  /// The one place serial and morsel execution part ways. Splits [0, n)
+  /// into morsels of the adaptive suggestion for `cls` when a feedback
+  /// accumulator is attached and has one, of morsel_size otherwise. With
+  /// no scheduler workers, or at most one morsel, it calls span(0, n, out)
+  /// inline. Otherwise the scheduler runs span(lo, hi, &frag) per morsel,
+  /// each into a fragment local to its thread that moves into the
+  /// morsel's slot once done (growing neighbouring slots in place from
+  /// several threads would bounce shared cache lines on every row). The
+  /// first failing morsel's status is returned (== the serial first
+  /// error: earlier morsels are clean and spans stop at their first bad
+  /// row); otherwise the fragments go to merge(out, std::move(frag)) in
+  /// morsel order. A merge that returns false (it cannot prove itself
+  /// exact) discards `out`, and the span reruns inline over all n rows.
+  /// Adds the dispatched morsels to scan_stats_; when profiling or feeding
+  /// adaptive feedback it times each morsel into run->cpu_us, the feedback
+  /// accumulator and (profiling) run->timing. run->morsels counts the
+  /// morsels whose fragments were kept.
+  template <typename Frag, typename Span, typename Merge>
+  Status DriveMorsels(size_t n, MorselClass cls, Frag* out, const Span& span,
+                      const Merge& merge, MorselRun* run);
   /// Moves a morsel fragment onto the end of `dst` (rows, lineage, order —
   /// fragments concatenate in morsel order, which is what keeps parallel
-  /// output byte-identical to serial).
-  void AppendFragment(Intermediate* dst, Intermediate&& src) const;
+  /// output byte-identical to serial). Always exact: returns true.
+  static bool AppendFragment(Intermediate* dst, Intermediate&& src);
+  /// Gives each scanned row its emission position as its order tuple.
+  static void NumberScanOrder(Intermediate* scanned);
 
   /// Steady-clock microseconds for operator timing; only called when
   /// profiling is on.
   static double ProfNowUs();
-  /// Appends a profile record (profiling must be on).
+  /// Appends a profile record (profiling must be on), with the morsel
+  /// fields of `run` when given.
   OperatorProfile& RecordOp(std::string label, double start_us,
-                            uint64_t rows_in, uint64_t rows_out);
+                            uint64_t rows_in, uint64_t rows_out,
+                            const MorselRun* run = nullptr);
 
   const CatalogView* catalog_;
   ExecOptions options_;

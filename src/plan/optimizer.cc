@@ -38,17 +38,10 @@ bool AsEquiJoin(const Expr& conjunct, const BoundQuery& bq, uint64_t left_mask,
   return false;
 }
 
-/// True for the comparison operators an ordered index can serve.
-bool IsRangeOp(const std::string& op) {
-  return op == "<" || op == "<=" || op == ">" || op == ">=";
-}
-
-/// Mirrors a comparison across its operands: `c OP col` ≡ `col FLIP(OP) c`.
-std::string FlipRangeOp(const std::string& op) {
-  if (op == "<") return ">";
-  if (op == "<=") return ">=";
-  if (op == ">") return "<";
-  return "<=";
+/// Parses `op` into *out when an ordered index can serve it (<, <=, >, >=).
+bool ParseRangeOp(const std::string& op, CompareOp* out) {
+  return ParseCompareOp(op, out) && *out != CompareOp::kEq &&
+         *out != CompareOp::kNe;
 }
 
 /// If `e` is a column reference into relation `rel_idx`, returns its column
@@ -119,14 +112,16 @@ double EstimateConjunctSelectivity(const Expr& conjunct, const BoundQuery& bq,
   if (conjunct.kind() != ExprKind::kBinary) return kDefaultRangeSelectivity;
   const auto& b = static_cast<const BinaryExpr&>(conjunct);
   if (b.op == "!=" || b.op == "<>") return kDefaultNeqSelectivity;
-  if (b.op != "=" && !IsRangeOp(b.op)) return kDefaultRangeSelectivity;
+  CompareOp range_op;
+  bool is_range = ParseRangeOp(b.op, &range_op);
+  if (b.op != "=" && !is_range) return kDefaultRangeSelectivity;
   for (int flip = 0; flip < 2; ++flip) {
     const Expr* col_side = flip == 0 ? b.lhs.get() : b.rhs.get();
     const Expr* val_side = flip == 0 ? b.rhs.get() : b.lhs.get();
     int col = ScanColumnOf(*col_side, bq, rel_idx);
     if (col < 0) continue;
     if (b.op == "=") return EstimateEqSelectivity(stats, size_t(col));
-    std::string op = flip == 0 ? b.op : FlipRangeOp(b.op);
+    CompareOp op = flip == 0 ? range_op : MirrorCompareOp(range_op);
     Value bound;
     bool have_bound = FoldConstBound(*val_side, bq, enable_optimizer, &bound) ||
                       EvalSingleRowBound(*val_side, bq, &bound);
@@ -465,7 +460,8 @@ Result<PhysicalMember> Planner::Physicalize(const LogicalMember& member) const {
         for (const Expr* p : ps.filters) {
           if (p->kind() != ExprKind::kBinary) continue;
           const auto& b = static_cast<const BinaryExpr&>(*p);
-          if (!IsRangeOp(b.op)) continue;
+          CompareOp op;
+          if (!ParseRangeOp(b.op, &op)) continue;
           for (int flip = 0; flip < 2; ++flip) {
             const Expr* col_side = flip == 0 ? b.lhs.get() : b.rhs.get();
             const Expr* val_side = flip == 0 ? b.rhs.get() : b.lhs.get();
@@ -473,7 +469,7 @@ Result<PhysicalMember> Planner::Physicalize(const LogicalMember& member) const {
             if (col < 0) continue;
             PhysicalRangeProbe probe;
             probe.col = size_t(col);
-            probe.op = flip == 0 ? b.op : FlipRangeOp(b.op);
+            probe.op = flip == 0 ? op : MirrorCompareOp(op);
             probe.conjunct = p;
             if (!FoldConstBound(*val_side, bq, options_.enable_optimizer,
                                 &probe.value)) {
@@ -524,7 +520,8 @@ Result<PhysicalMember> Planner::Physicalize(const LogicalMember& member) const {
         for (const Expr* r : pj.residual) {
           if (r->kind() != ExprKind::kBinary) continue;
           const auto& b = static_cast<const BinaryExpr&>(*r);
-          if (!IsRangeOp(b.op)) continue;
+          CompareOp op;
+          if (!ParseRangeOp(b.op, &op)) continue;
           for (int flip = 0; flip < 2; ++flip) {
             const Expr* col_side = flip == 0 ? b.lhs.get() : b.rhs.get();
             const Expr* val_side = flip == 0 ? b.rhs.get() : b.lhs.get();
@@ -537,7 +534,7 @@ Result<PhysicalMember> Planner::Physicalize(const LogicalMember& member) const {
             }
             PhysicalRangeProbe probe;
             probe.col = size_t(col);
-            probe.op = flip == 0 ? b.op : FlipRangeOp(b.op);
+            probe.op = flip == 0 ? op : MirrorCompareOp(op);
             probe.bound_expr = val_side;
             probe.bound_program = ExprProgram::Compile(*val_side, &bq);
             probe.conjunct = r;

@@ -1,5 +1,6 @@
 #include "plan/physical.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "analysis/eval.h"
@@ -40,6 +41,35 @@ bool ResolveRenderBound(const Expr& e, const BoundQuery& bq,
   return true;
 }
 
+/// One side of a column's merged range interval.
+struct IntervalEnd {
+  bool set = false;
+  bool inclusive = true;
+  Value bound;
+  std::vector<size_t> shapers;  ///< range-probe indexes that shaped it
+};
+
+/// Folds range probe `p`'s bound into `end` when it is tighter (`tighter`
+/// is kGt for a lower end, kLt for an upper one). An equal bound only
+/// makes the end exclusive; a bound that fails to compare drops out.
+void Tighten(IntervalEnd* end, Value bound, bool inclusive, CompareOp tighter,
+             size_t p) {
+  if (end->set) {
+    Result<Value> t = Value::Compare(bound, tighter, end->bound);
+    if (!t.ok() || t->is_null()) return;
+    if (!t->AsBool()) {
+      Result<Value> eq = Value::Compare(bound, CompareOp::kEq, end->bound);
+      if (eq.ok() && !eq->is_null() && eq->AsBool() && !inclusive &&
+          end->inclusive) {
+        end->inclusive = false;
+        end->shapers.push_back(p);
+      }
+      return;
+    }
+  }
+  *end = IntervalEnd{true, inclusive, std::move(bound), {p}};
+}
+
 std::string FormatEstRows(double est) {
   return " est_rows=" + std::to_string((long long)std::llround(est));
 }
@@ -52,87 +82,16 @@ void RenderMember(const PhysicalMember& pm, const CatalogView* catalog,
     const PhysicalScan& ps = pm.scans[j];
     const BoundRelation& rel = bq.relations[ps.rel_idx];
 
-    // The access-path decision is re-made against the live catalog,
-    // exactly as the interpreter will make it: the cost model's choice is
-    // honored when its index is still available, and the kUnknown
-    // (adaptive) case probes every candidate and lets the most selective
-    // one narrow the scan.
     const RelationData* data =
         rel.table_name.empty() || catalog == nullptr
             ? nullptr
             : catalog->Find(rel.table_name);
-    bool index_probe = false;
-    bool range_probe = false;
-    std::string index_detail;
+    ResolvedAccess access;
     if (data != nullptr) {
-      bool hash_ok = false;
-      size_t hash_hits = 0;
-      std::string hash_detail;
-      if (ps.chosen_path != AccessPath::kSeqScan) {
-        for (const PhysicalProbe& probe : ps.probes) {
-          std::vector<size_t> hits;
-          if (!data->IndexLookup(probe.col, probe.value, &hits)) continue;
-          if (!hash_ok || hits.size() < hash_hits) {
-            hash_hits = hits.size();
-            hash_detail = probe.conjunct->ToString();
-          }
-          hash_ok = true;
-        }
-      }
-      bool range_ok = false;
-      size_t range_hits = 0;
-      std::string range_detail;
-      if (ps.chosen_path == AccessPath::kRangeScan ||
-          ps.chosen_path == AccessPath::kUnknown) {
-        for (const PhysicalRangeProbe& probe : ps.range_probes) {
-          Value bound;
-          if (probe.has_const) {
-            bound = probe.value;
-          } else if (!ResolveRenderBound(*probe.bound_expr, bq, catalog,
-                                         &bound)) {
-            continue;
-          }
-          bool is_lower = probe.op == ">" || probe.op == ">=";
-          bool inclusive = probe.op == ">=" || probe.op == "<=";
-          std::vector<size_t> hits;
-          if (!data->RangeLookup(probe.col, is_lower ? &bound : nullptr,
-                                 inclusive, is_lower ? nullptr : &bound,
-                                 inclusive, &hits)) {
-            continue;
-          }
-          if (!range_ok || hits.size() < range_hits) {
-            range_hits = hits.size();
-            range_detail = probe.conjunct->ToString();
-          }
-          range_ok = true;
-        }
-      }
-      switch (ps.chosen_path) {
-        case AccessPath::kSeqScan:
-          break;
-        case AccessPath::kHashProbe:
-          index_probe = hash_ok;
-          index_detail = hash_detail;
-          break;
-        case AccessPath::kRangeScan:
-          if (range_ok) {
-            range_probe = true;
-            index_detail = range_detail;
-          } else if (hash_ok) {
-            index_probe = true;
-            index_detail = hash_detail;
-          }
-          break;
-        case AccessPath::kUnknown:
-          if (hash_ok && (!range_ok || hash_hits <= range_hits)) {
-            index_probe = true;
-            index_detail = hash_detail;
-          } else if (range_ok) {
-            range_probe = true;
-            index_detail = range_detail;
-          }
-          break;
-      }
+      access = ResolveAccessPath(
+          ps, *data, [&](const PhysicalRangeProbe& probe, Value* bound) {
+            return ResolveRenderBound(*probe.bound_expr, bq, catalog, bound);
+          });
     }
 
     std::string source;
@@ -148,18 +107,9 @@ void RenderMember(const PhysicalMember& pm, const CatalogView* catalog,
     std::vector<std::string> pushdown;
     for (const Expr* p : ps.filters) pushdown.push_back(p->ToString());
 
-    std::string access_token;
-    if (range_probe) {
-      access_token = " [range scan " + index_detail + "]";
-    } else if (index_probe) {
-      access_token = " [index probe " + index_detail + "]";
-    } else {
-      access_token = " [full scan]";
-    }
-
     if (j == 0) {
       *out += "  scan " + source + " as " + rel.binding_name;
-      *out += access_token;
+      *out += AccessToken(access);
     } else {
       const PhysicalJoin& pj = pm.joins[j - 1];
       if (pj.algo == JoinAlgo::kHashJoin) {
@@ -170,7 +120,7 @@ void RenderMember(const PhysicalMember& pm, const CatalogView* catalog,
       } else {
         *out += "  nested loop join " + source + " as " + rel.binding_name;
       }
-      if (range_probe || index_probe) *out += access_token;
+      if (access.path != AccessPath::kSeqScan) *out += AccessToken(access);
       if (!pj.residual.empty()) {
         std::vector<std::string> residual;
         for (const Expr* e : pj.residual) residual.push_back(e->ToString());
@@ -208,6 +158,104 @@ void RenderMember(const PhysicalMember& pm, const CatalogView* catalog,
 }
 
 }  // namespace
+
+ResolvedAccess ResolveAccessPath(const PhysicalScan& ps,
+                                 const RelationData& data,
+                                 const RangeBoundFn& resolve_bound) {
+  ResolvedAccess out;
+  auto offer = [&](AccessPath path, std::vector<size_t>&& hits,
+                   std::vector<const Expr*>&& conjuncts) {
+    if (out.path != AccessPath::kSeqScan &&
+        hits.size() >= out.positions.size()) {
+      return;
+    }
+    out.path = path;
+    out.positions = std::move(hits);
+    out.conjuncts = std::move(conjuncts);
+  };
+
+  auto try_hash = [&]() {
+    for (const PhysicalProbe& probe : ps.probes) {
+      std::vector<size_t> hits;
+      if (!data.IndexLookup(probe.col, probe.value, &hits)) continue;
+      ++out.hash_probes;
+      offer(AccessPath::kHashProbe, std::move(hits), {probe.conjunct});
+    }
+  };
+
+  auto try_range = [&]() {
+    const std::vector<PhysicalRangeProbe>& probes = ps.range_probes;
+    for (size_t p = 0; p < probes.size(); ++p) {
+      size_t col = probes[p].col;
+      bool seen = false;
+      for (size_t q = 0; q < p; ++q) seen = seen || probes[q].col == col;
+      if (seen) continue;  // this column's interval is already probed
+
+      IntervalEnd lo, hi;
+      for (size_t q = p; q < probes.size(); ++q) {
+        const PhysicalRangeProbe& probe = probes[q];
+        if (probe.col != col) continue;
+        Value bound = probe.value;
+        if (!probe.has_const && !resolve_bound(probe, &bound)) continue;
+        if (bound.is_null()) {
+          lo = IntervalEnd{true, true, Value::Null(), {q}};
+          hi = IntervalEnd{};
+          break;
+        }
+        bool lower = probe.op == CompareOp::kGt || probe.op == CompareOp::kGe;
+        bool inclusive =
+            probe.op == CompareOp::kGe || probe.op == CompareOp::kLe;
+        Tighten(lower ? &lo : &hi, std::move(bound), inclusive,
+                lower ? CompareOp::kGt : CompareOp::kLt, q);
+      }
+      if (!lo.set && !hi.set) continue;
+
+      std::vector<size_t> hits;
+      if (!data.RangeLookup(col, lo.set ? &lo.bound : nullptr, lo.inclusive,
+                            hi.set ? &hi.bound : nullptr, hi.inclusive,
+                            &hits)) {
+        continue;
+      }
+      ++out.range_probes;
+      std::vector<size_t> shapers = lo.shapers;
+      shapers.insert(shapers.end(), hi.shapers.begin(), hi.shapers.end());
+      std::sort(shapers.begin(), shapers.end());
+      std::vector<const Expr*> conjuncts;
+      for (size_t q : shapers) conjuncts.push_back(probes[q].conjunct);
+      offer(AccessPath::kRangeScan, std::move(hits), std::move(conjuncts));
+    }
+  };
+
+  switch (ps.chosen_path) {
+    case AccessPath::kSeqScan:
+      break;
+    case AccessPath::kHashProbe:
+      try_hash();
+      break;
+    case AccessPath::kRangeScan:
+      try_range();
+      if (out.path == AccessPath::kSeqScan) try_hash();  // index gone: adapt
+      break;
+    case AccessPath::kUnknown:
+      try_hash();
+      try_range();
+      break;
+  }
+  return out;
+}
+
+std::string AccessToken(const ResolvedAccess& access) {
+  std::vector<std::string> conjuncts;
+  for (const Expr* c : access.conjuncts) conjuncts.push_back(c->ToString());
+  switch (access.path) {
+    case AccessPath::kHashProbe:
+      return " [index probe " + Join(conjuncts, " AND ") + "]";
+    case AccessPath::kRangeScan:
+      return " [range scan " + Join(conjuncts, " AND ") + "]";
+    default:
+      return " [full scan]";
+  }
+}
 
 std::string RenderPhysicalPlan(const PhysicalPlan& plan,
                                const CatalogView* catalog) {

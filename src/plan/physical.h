@@ -1,6 +1,7 @@
 #ifndef DATALAWYER_PLAN_PHYSICAL_H_
 #define DATALAWYER_PLAN_PHYSICAL_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,7 +39,7 @@ struct PhysicalProbe {
 /// re-applied per emitted row, so probing only narrows the access path.
 struct PhysicalRangeProbe {
   size_t col = 0;  ///< column within the scanned relation
-  std::string op;  ///< "<", "<=", ">", ">=" with the column on the left
+  CompareOp op = CompareOp::kLt;  ///< <, <=, >, >= with the column on the left
   bool has_const = false;
   Value value;  ///< plan-time constant bound when has_const
   /// Bound expression over already-placed relations when !has_const, and
@@ -80,6 +81,43 @@ struct PhysicalScan {
   /// Present for subquery FROM items: the subquery's own physical plan.
   std::unique_ptr<PhysicalPlan> subplan;
 };
+
+/// The access path one execution of a scan takes, as ResolveAccessPath
+/// decided it against the live relation.
+struct ResolvedAccess {
+  /// kSeqScan, kHashProbe or kRangeScan; never kUnknown.
+  AccessPath path = AccessPath::kSeqScan;
+  /// Row positions to visit (ascending) when an index answered.
+  std::vector<size_t> positions;
+  /// The conjuncts that produced `positions`, in conjunct order: the probed
+  /// equality, or every range conjunct that set or tightened a bound of
+  /// the merged interval.
+  std::vector<const Expr*> conjuncts;
+  size_t hash_probes = 0;   ///< hash-index probes issued
+  size_t range_probes = 0;  ///< ordered-index range probes issued
+};
+
+/// Resolves a non-constant range bound for one execution; false means the
+/// probe cannot narrow this time.
+using RangeBoundFn = std::function<bool(const PhysicalRangeProbe&, Value*)>;
+
+/// The one access-path decision for a scan of `data`, shared by the
+/// executor and EXPLAIN so the two cannot disagree. Honours the cost
+/// model's chosen_path while its index answers (a kRangeScan whose ordered
+/// index is gone falls back to the hash probes); under kUnknown every
+/// candidate is probed and the smallest hit set wins (a hash probe wins a
+/// tie). The range probes on one column merge into one interval: per side
+/// the tighter bound wins, an equal bound makes the side exclusive if any
+/// of its conjuncts is, a bound that fails to compare drops out (the
+/// conjunct is re-applied anyway), and a NULL bound alone is exact (`col
+/// OP NULL` never holds). Non-constant bounds come from `resolve_bound`.
+ResolvedAccess ResolveAccessPath(const PhysicalScan& ps,
+                                 const RelationData& data,
+                                 const RangeBoundFn& resolve_bound);
+
+/// " [index probe (c = 1)]", " [range scan (c > 1) AND (c < 9)]" or
+/// " [full scan]": the access token EXPLAIN and EXPLAIN ANALYZE print.
+std::string AccessToken(const ResolvedAccess& access);
 
 enum class JoinAlgo {
   kHashJoin,    ///< build on the incoming relation, probe with the left side

@@ -30,7 +30,7 @@ double EstimateEqSelectivity(const TableStats* stats, size_t col) {
 }
 
 double EstimateRangeSelectivity(const TableStats* stats, size_t col,
-                                const std::string& op, const Value* bound) {
+                                CompareOp op, const Value* bound) {
   const ColumnStats* cs = ColumnOf(stats, col);
   if (cs == nullptr || !cs->has_range || bound == nullptr ||
       !bound->is_numeric() || !std::isfinite(bound->ToDouble())) {
@@ -39,7 +39,7 @@ double EstimateRangeSelectivity(const TableStats* stats, size_t col,
   double b = bound->ToDouble();
   double span = cs->max - cs->min;
   double sel;
-  if (op == "<" || op == "<=") {
+  if (op == CompareOp::kLt || op == CompareOp::kLe) {
     if (b < cs->min) {
       sel = 0.0;
     } else if (b >= cs->max) {
@@ -47,7 +47,7 @@ double EstimateRangeSelectivity(const TableStats* stats, size_t col,
     } else {
       sel = span > 0 ? (b - cs->min) / span : 1.0;
     }
-  } else if (op == ">" || op == ">=") {
+  } else if (op == CompareOp::kGt || op == CompareOp::kGe) {
     if (b > cs->max) {
       sel = 0.0;
     } else if (b <= cs->min) {
@@ -55,8 +55,6 @@ double EstimateRangeSelectivity(const TableStats* stats, size_t col,
     } else {
       sel = span > 0 ? (cs->max - b) / span : 1.0;
     }
-  } else if (op == "!=" || op == "<>") {
-    return kDefaultNeqSelectivity;
   } else {
     return kDefaultRangeSelectivity;
   }

@@ -30,7 +30,7 @@ double EstimateEqSelectivity(const TableStats* stats, size_t col);
 /// column has no numeric range, the bound is not numeric, or `bound` is
 /// nullptr (bound unknown until run time).
 double EstimateRangeSelectivity(const TableStats* stats, size_t col,
-                                const std::string& op, const Value* bound);
+                                CompareOp op, const Value* bound);
 
 /// NDV of `col` for join-cardinality estimation (|L ⋈ R| ≈ |L|·|R| /
 /// max(ndv)). When stats are absent, assumes kDefaultEqSelectivity⁻¹

@@ -565,43 +565,14 @@ bool IncrementalState::ProbePositions(size_t level, bool fold_mode,
       out->clear();
       return true;
     }
-    // The hash index equates structurally, SQL `=` coerces numerics: probe
-    // every structural representation a numerically-equal stored value can
-    // take, so narrowing never drops a row the conjunct would keep.
-    // At most three: v, its int/double twin, and the other signed zero.
-    Value variants[3] = {v};
-    size_t n = 1;
-    if (v.is_int64()) {
-      variants[n++] = Value(double(v.AsInt64()));
-    } else if (v.is_double()) {
-      double d = v.AsDouble();
-      if (std::isfinite(d) && d == std::nearbyint(d) &&
-          d >= -9223372036854774784.0 && d <= 9223372036854774784.0) {
-        variants[n++] = Value(int64_t(d));
-      }
-    }
-    for (size_t k = n; k-- > 0;) {
-      // Signed-zero doubles are SQL-equal but structurally distinct.
-      if (variants[k].is_double() && variants[k].AsDouble() == 0.0) {
-        variants[n++] = Value(-variants[k].AsDouble());
-      }
-    }
+    // The index keys on SQL `=` (ValueKeyEq), so one lookup finds every
+    // numerically equal stored value, in ascending position order.
     std::vector<size_t> hits;
-    bool usable = true;
-    for (size_t k = 0; k < n; ++k) {
-      if (!table->IndexLookup(p.col, variants[k], &hits)) {
-        usable = false;
-        break;
-      }
-    }
-    if (!usable) continue;
+    if (!table->IndexLookup(p.col, v, &hits)) continue;
     if (!answered || hits.size() < out->size()) *out = std::move(hits);
     answered = true;
   }
-  if (answered) {
-    std::sort(out->begin(), out->end());
-    return true;
-  }
+  if (answered) return true;
   // Window-derived range probes: at clock `now` the bound compares the
   // column against base + now. Expire-type lower bounds also hold during
   // folds — the window only moves forward, so a row below the bound can

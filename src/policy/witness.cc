@@ -170,7 +170,7 @@ namespace {
 
 /// A clock comparison isolated to `clock.ts op rhs` form.
 struct ClockPredicate {
-  std::string op;  ///< "<", "<=", ">", ">=", "=" (after isolation)
+  CompareOp op = CompareOp::kEq;  ///< after isolation; never kNe
   ExprPtr rhs;     ///< clock-free expression
 };
 
@@ -199,14 +199,6 @@ bool HasUnqualifiedRefs(const Expr& expr) {
   return found;
 }
 
-std::string FlipOp(const std::string& op) {
-  if (op == "<") return ">";
-  if (op == "<=") return ">=";
-  if (op == ">") return "<";
-  if (op == ">=") return "<=";
-  return op;  // = and != are symmetric
-}
-
 /// Isolates `conjunct` into `clock.ts op rhs`. Handles +/- constant motion
 /// (e.g. `u.ts > c.ts - 5` → `c.ts < u.ts + 5`). Returns false when the
 /// shape is not supported (caller falls back to the full witness).
@@ -214,17 +206,15 @@ bool IsolateClock(const Expr& conjunct, const std::set<std::string>& clock_alias
                   ClockPredicate* out) {
   if (conjunct.kind() != ExprKind::kBinary) return false;
   const auto& b = static_cast<const BinaryExpr&>(conjunct);
-  if (b.op != "=" && b.op != "!=" && b.op != "<" && b.op != "<=" &&
-      b.op != ">" && b.op != ">=") {
-    return false;
-  }
+  CompareOp op;
+  if (!ParseCompareOp(b.op, &op) || op == CompareOp::kNe) return false;
   bool lhs_clock = MentionsAnyOf(*b.lhs, clock_aliases);
   bool rhs_clock = MentionsAnyOf(*b.rhs, clock_aliases);
   if (lhs_clock == rhs_clock) return false;  // both or neither
 
   ExprPtr clock_side = (lhs_clock ? b.lhs : b.rhs)->Clone();
   ExprPtr other_side = (lhs_clock ? b.rhs : b.lhs)->Clone();
-  std::string op = lhs_clock ? b.op : FlipOp(b.op);
+  if (!lhs_clock) op = MirrorCompareOp(op);
 
   // Move additive terms off the clock side: (c.ts - E) op X → c.ts op X + E.
   while (clock_side->kind() == ExprKind::kBinary) {
@@ -249,7 +239,7 @@ bool IsolateClock(const Expr& conjunct, const std::set<std::string>& clock_alias
         // (E - C) op X  →  C flip(op) E - X
         other_side = std::make_unique<BinaryExpr>("-", std::move(cb->lhs),
                                                   std::move(other_side));
-        op = FlipOp(op);
+        op = MirrorCompareOp(op);
         clock_side = std::move(cb->rhs);
       }
     }
@@ -385,15 +375,15 @@ Result<WitnessSet> WitnessBuilder::BuildForMember(
       if (MentionsAnyOf(*conj, subquery_aliases)) continue;  // dropped: sound
       if (MentionsAnyOf(*conj, clock_aliases)) {
         ClockPredicate pred;
-        if (!IsolateClock(*conj, clock_aliases, &pred) || pred.op == "!=") {
+        if (!IsolateClock(*conj, clock_aliases, &pred)) {
           // §4.1.2: no compaction for unsupported clock shapes.
           mark_fallback_all();
           return out;
         }
-        if (pred.op == "=") {
+        if (pred.op == CompareOp::kEq) {
           // Split equality; only the <= half survives Lemma 4.3 anyway.
           ClockPredicate le;
-          le.op = "<=";
+          le.op = CompareOp::kLe;
           le.rhs = pred.rhs->Clone();
           clock_preds.push_back(std::move(le));
         } else {
@@ -468,10 +458,12 @@ Result<WitnessSet> WitnessBuilder::BuildForMember(
       // Attributes in the clock expression count as join attributes
       // (Lemma 4.3), including for predicates we drop — conservative.
       CollectAliasColumns(*pred.rhs, la.alias, &join_columns);
-      if (pred.op == ">" || pred.op == ">=") continue;  // dropped
-      if (!references_only_kept(*pred.rhs)) continue;   // dropped: sound
-      conjuncts.push_back(std::make_unique<BinaryExpr>(pred.op, NowPlusOne(),
-                                                       pred.rhs->Clone()));
+      if (pred.op == CompareOp::kGt || pred.op == CompareOp::kGe) {
+        continue;  // dropped
+      }
+      if (!references_only_kept(*pred.rhs)) continue;  // dropped: sound
+      conjuncts.push_back(std::make_unique<BinaryExpr>(
+          CompareOpText(pred.op), NowPlusOne(), pred.rhs->Clone()));
       need_now = true;
     }
     query->where = AndTogether(std::move(conjuncts));

@@ -76,7 +76,7 @@ class ConcatRelation : public RelationData {
     } else {
       size_t m = second_->NumRows();
       for (size_t i = 0; i < m; ++i) {
-        if (second_->RowAt(i)[col] == v) out->push_back(n + i);
+        if (ValueKeyEq()(second_->RowAt(i)[col], v)) out->push_back(n + i);
       }
     }
     return true;

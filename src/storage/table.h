@@ -28,9 +28,10 @@ class RelationData {
   /// provenance `itid` and by log compaction's stamps.
   virtual int64_t RowIdAt(size_t i) const = 0;
 
-  /// Appends to `*out` the positions of every row whose column `col` equals
-  /// `v`, when a valid hash index (or an equivalent bounded probe) can
-  /// answer; returns false to mean "no index — scan". Must be safe to call
+  /// Appends to `*out` — in ascending position order — every row whose
+  /// column `col` equals `v` under SQL `=` (ValueKeyEq: 1 meets 1.0), when
+  /// a valid hash index (or an equivalent bounded probe) can answer;
+  /// returns false to mean "no index — scan". Must be safe to call
   /// concurrently with other const reads: implementations may not mutate
   /// shared state.
   virtual bool IndexLookup(size_t col, const Value& v,
@@ -221,7 +222,8 @@ class Table : public RelationData {
 
   struct HashIndex {
     size_t column = 0;
-    std::unordered_map<Value, std::vector<size_t>, ValueHash> positions;
+    std::unordered_map<Value, std::vector<size_t>, ValueHash, ValueKeyEq>
+        positions;
   };
   std::vector<HashIndex> indexes_;
 

@@ -401,6 +401,37 @@ TEST_F(DataLawyerOptionsMatrixTest, PhysicalKnobsAreInvisible) {
   }
 }
 
+// `u.uid = 1.0` meets the integer uids the log stores under SQL `=`, so a
+// plan that answers it through a log hash index must count what NoOpt()'s
+// full scans count: the third W1 query of uid 1 onward is rejected.
+TEST(DataLawyerOptionsTest, DoubleKeyPolicyMatchesIntegerLog) {
+  Database db;
+  ASSERT_TRUE(LoadMimicData(&db, MimicConfig::Tiny()).ok());
+  DataLawyerOptions costing_off;
+  costing_off.enable_stats_costing = false;
+  const DataLawyerOptions runs[2] = {costing_off, DataLawyerOptions::NoOpt()};
+  std::vector<std::string> statuses[2];
+  for (int r = 0; r < 2; ++r) {
+    DataLawyer dl(&db, UsageLog::WithStandardGenerators(),
+                  std::make_unique<ManualClock>(0, 10), runs[r]);
+    ASSERT_TRUE(dl.AddPolicy("double_uid",
+                             "SELECT DISTINCT 'uid 1 ran over 2 queries' "
+                             "FROM users u WHERE u.uid = 1.0 "
+                             "HAVING COUNT(u.uid) > 2")
+                    .ok());
+    for (int i = 0; i < 5; ++i) {
+      QueryContext ctx;
+      ctx.uid = 1;
+      statuses[r].push_back(
+          dl.Execute(PaperQueries::W1(), ctx).status().ToString());
+    }
+  }
+  EXPECT_EQ(statuses[0], statuses[1]);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(statuses[1][i] == "OK", i < 2) << i << ": " << statuses[1][i];
+  }
+}
+
 TEST(DataLawyerOptionsTest, StatsReportPhases) {
   Database db;
   ASSERT_TRUE(LoadMimicData(&db, MimicConfig::Tiny()).ok());

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "analysis/binder.h"
 #include "exec/engine.h"
+#include "exec/executor.h"
+#include "sql/parser.h"
 
 namespace datalawyer {
 namespace {
@@ -108,6 +111,107 @@ TEST_F(ExplainTest, SubqueryShown) {
 TEST_F(ExplainTest, Errors) {
   EXPECT_FALSE(engine_->ExplainSql("DROP TABLE big").ok());
   EXPECT_FALSE(engine_->ExplainSql("SELECT zzz FROM big").ok());
+}
+
+// EXPLAIN and EXPLAIN ANALYZE print the access token of one shared
+// decision: for every narrowed scan the same "[index probe ...]" or
+// "[range scan ...]" token, naming every conjunct that shaped the probed
+// interval in conjunct order.
+class ExplainAnalyzeAgreementTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    engine_ = std::make_unique<Engine>(&db_);
+    ASSERT_TRUE(engine_
+                    ->ExecuteScript("CREATE TABLE t (k INT, g INT);"
+                                    "CREATE TABLE c (ts INT);"
+                                    "INSERT INTO c VALUES (50);")
+                    .ok());
+    t_ = db_.FindTable("t");
+    for (int64_t i = 0; i < 100; ++i) {
+      ASSERT_TRUE(t_->Append({Value(i), Value(i % 3)}).ok());
+    }
+    ASSERT_TRUE(t_->BuildOrderedIndex("k").ok());
+    ASSERT_TRUE(t_->BuildIndex("g").ok());
+  }
+
+  /// The narrowing tokens of a rendered plan, in line order.
+  static std::vector<std::string> Tokens(const std::string& text) {
+    std::vector<std::string> tokens;
+    for (const char* kind : {"[index probe ", "[range scan "}) {
+      for (size_t pos = text.find(kind); pos != std::string::npos;
+           pos = text.find(kind, pos + 1)) {
+        tokens.push_back(text.substr(pos, text.find(']', pos) + 1 - pos));
+      }
+    }
+    return tokens;
+  }
+
+  static std::string Text(const QueryResult& result) {
+    std::string out;
+    for (const Row& row : result.rows) out += row[0].AsString() + "\n";
+    return out;
+  }
+
+  /// Asserts both renderings of `sql` narrow with exactly `token`.
+  void ExpectToken(const std::string& sql, const std::string& token) {
+    auto plan = engine_->ExecuteSql("EXPLAIN " + sql);
+    auto analyzed = engine_->ExecuteSql("EXPLAIN ANALYZE " + sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    EXPECT_EQ(Tokens(Text(*plan)), std::vector<std::string>{token})
+        << Text(*plan);
+    EXPECT_EQ(Tokens(Text(*analyzed)), std::vector<std::string>{token})
+        << Text(*analyzed);
+  }
+
+  Database db_;
+  std::unique_ptr<Engine> engine_;
+  Table* t_ = nullptr;
+};
+
+TEST_F(ExplainAnalyzeAgreementTest, TwoSidedRangeNamesBothBounds) {
+  ExpectToken("SELECT * FROM t WHERE t.k > 10 AND t.k < 95",
+              "[range scan (t.k > 10) AND (t.k < 95)]");
+  // A tighter later bound replaces an earlier one on the same side.
+  ExpectToken("SELECT * FROM t WHERE t.k < 95 AND t.k > 10 AND t.k < 40",
+              "[range scan (t.k > 10) AND (t.k < 40)]");
+}
+
+TEST_F(ExplainAnalyzeAgreementTest, OneRowClockWindow) {
+  ExpectToken(
+      "SELECT t.k FROM c, t WHERE t.k > c.ts - 5 AND t.k < c.ts + 40",
+      "[range scan (t.k > (c.ts - 5)) AND (t.k < (c.ts + 40))]");
+}
+
+TEST_F(ExplainAnalyzeAgreementTest, HashAgainstMergedRangeUnderAdaptive) {
+  // g = 1 hits 33 rows; each range conjunct alone hits more, their merged
+  // interval 9: the merged range wins.
+  ExpectToken("SELECT * FROM t WHERE t.g = 1 AND t.k > 10 AND t.k < 20",
+              "[range scan (t.k > 10) AND (t.k < 20)]");
+  // A wider interval loses to the hash probe.
+  ExpectToken("SELECT * FROM t WHERE t.g = 1 AND t.k > 10 AND t.k < 90",
+              "[index probe (t.g = 1)]");
+}
+
+TEST_F(ExplainAnalyzeAgreementTest, RangeScanWithoutItsIndexFallsBackToHash) {
+  t_->EnableStats();
+  auto stmt =
+      Parser::ParseSelect("SELECT * FROM t WHERE t.g = 1 AND t.k > 90");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  Binder binder(engine_->db_catalog());
+  auto bound = binder.Bind(**stmt);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  auto plan = Planner(PlannerOptions{true, true}).Plan(**bound);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->members[0].scans[0].chosen_path, AccessPath::kRangeScan);
+
+  t_->DropOrderedIndexes();
+  std::string rendered = RenderPhysicalPlan(*plan, engine_->db_catalog());
+  auto analyzed = ExplainAnalyzePlan(*plan, engine_->db_catalog(), {});
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  std::vector<std::string> expected = {"[index probe (t.g = 1)]"};
+  EXPECT_EQ(Tokens(rendered), expected) << rendered;
+  EXPECT_EQ(Tokens(*analyzed), expected) << *analyzed;
 }
 
 }  // namespace

@@ -367,7 +367,7 @@ TEST(ParallelDeterminismTest, NestedParallelForInsideTask) {
 
 // A zero-thread scheduler is a valid serial executor: Submit runs inline,
 // ParallelFor degrades to a plain loop, and an executor handed such a
-// scheduler keeps every operator serial (MorselsEnabled is false).
+// scheduler keeps every operator serial (DriveMorsels runs spans inline).
 TEST(ParallelDeterminismTest, ZeroThreadSchedulerRunsInline) {
   TaskScheduler scheduler(0);
   EXPECT_EQ(scheduler.num_threads(), 0u);
