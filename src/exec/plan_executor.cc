@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
+#include <iterator>
+#include <numeric>
 #include <optional>
+#include <thread>
 #include <unordered_map>
 
 #include "analysis/eval.h"
-#include "common/strings.h"
 #include "common/trace.h"
 #include "common/value_hash.h"
 #include "exec/aggregates.h"
@@ -17,8 +20,48 @@ namespace datalawyer {
 
 namespace {
 
-void MergeLineage(LineageSet* dst, const LineageSet& src) {
-  dst->insert(dst->end(), src.begin(), src.end());
+/// Sorts and deduplicates a lineage set in place.
+void NormalizeLineage(LineageSet* lineage) {
+  std::sort(lineage->begin(), lineage->end());
+  lineage->erase(std::unique(lineage->begin(), lineage->end()),
+                 lineage->end());
+}
+
+/// Appends printf-formatted text (one short annotation) to *out.
+void Appendf(std::string* out, const char* fmt, ...) {
+  char buf[128];
+  va_list args;
+  va_start(args, fmt);
+  std::vsnprintf(buf, sizeof(buf), fmt, args);
+  va_end(args);
+  *out += buf;
+}
+
+/// Moves *src's elements onto the end of *dst, in bulk.
+template <typename T>
+void AppendMoved(std::vector<T>* dst, std::vector<T>* src) {
+  if (dst->empty()) {
+    *dst = std::move(*src);
+    return;
+  }
+  dst->insert(dst->end(), std::make_move_iterator(src->begin()),
+              std::make_move_iterator(src->end()));
+}
+
+/// Moves src's rows and lineage sets onto the end of *dst (a projection's
+/// morsel merge, a UNION link).
+bool AppendResult(QueryResult* dst, QueryResult&& src) {
+  AppendMoved(&dst->rows, &src.rows);
+  AppendMoved(&dst->lineage, &src.lineage);
+  return true;
+}
+
+/// Reorders *v so that element i is the old element perm[i].
+template <typename T>
+void Permute(std::vector<T>* v, const std::vector<size_t>& perm) {
+  std::vector<T> out(perm.size());
+  for (size_t i = 0; i < perm.size(); ++i) out[i] = std::move((*v)[perm[i]]);
+  *v = std::move(out);
 }
 
 /// Runs `key_programs` over `row` into *key; sets *null_key instead when a
@@ -38,6 +81,21 @@ Status EvalJoinKey(const std::vector<ExprProgram>& key_programs,
       return Status::OK();
     }
     key->push_back(std::move(v));
+  }
+  return Status::OK();
+}
+
+/// Evaluates `pm`'s output columns over `in` into *out; a `*` column
+/// copies its slot of in.row.
+Status ProjectRow(const PhysicalMember& pm, const ProgramInput& in, Row* out) {
+  const std::vector<OutputColumn>& cols = pm.bq->output_columns;
+  out->resize(cols.size());
+  for (size_t c = 0; c < cols.size(); ++c) {
+    if (cols[c].expr != nullptr) {
+      DL_RETURN_NOT_OK(pm.output_programs[c].Evaluate(in, &(*out)[c]));
+    } else {
+      (*out)[c] = in.row.data[cols[c].slot];
+    }
   }
   return Status::OK();
 }
@@ -126,15 +184,6 @@ std::string MorselFeedback::Summary() const {
   return out;
 }
 
-void MorselFeedback::Reset() {
-  for (int c = 0; c < kNumMorselClasses; ++c) {
-    pending_[c].ns.store(0, std::memory_order_relaxed);
-    pending_[c].rows.store(0, std::memory_order_relaxed);
-    ewma_us_per_row_[c] = 0;
-    suggested_[c].store(0, std::memory_order_relaxed);
-  }
-}
-
 void MorselTiming::Observe(double us) {
   if (count == 0) {
     min_us = max_us = us;
@@ -171,8 +220,16 @@ Status PlanExecutor::DriveMorsels(size_t n, MorselClass cls, Frag* out,
   std::vector<Frag> frags(morsels);
   std::vector<Status> statuses(morsels);
   std::vector<double> morsel_us(timed ? morsels : 0);
+  // Per morsel, µs from dispatch to its start on a helper thread; < 0 when
+  // the caller ran it.
+  std::vector<double> helper_start(morsels, -1);
+  const std::thread::id caller = std::this_thread::get_id();
+  double dispatch_us = timed ? ProfNowUs() : 0;
   options_.scheduler->ParallelFor(morsels, [&](size_t m) {
     double t0 = timed ? ProfNowUs() : 0;
+    if (std::this_thread::get_id() != caller) {
+      helper_start[m] = t0 - dispatch_us;
+    }
     size_t lo = m * step;
     Frag local;
     statuses[m] = span(lo, std::min(n, lo + step), &local);
@@ -204,23 +261,51 @@ Status PlanExecutor::DriveMorsels(size_t n, MorselClass cls, Frag* out,
     }
   }
   run->morsels += morsels;
+  double first_helper = -1;
+  for (double start : helper_start) {
+    if (start < 0) {
+      ++run->caller_morsels;
+    } else if (first_helper < 0 || start < first_helper) {
+      first_helper = start;
+    }
+  }
+  run->helper_start_us = std::max(run->helper_start_us, first_helper);
   return Status::OK();
 }
 
 bool PlanExecutor::AppendFragment(Intermediate* dst, Intermediate&& src) {
-  for (Row& row : src.rows) dst->rows.push_back(std::move(row));
-  for (LineageSet& l : src.lineage) dst->lineage.push_back(std::move(l));
-  for (std::vector<uint32_t>& o : src.order) {
-    dst->order.push_back(std::move(o));
-  }
+  AppendMoved(&dst->rows, &src.rows);
+  AppendMoved(&dst->sources, &src.sources);
   return true;
 }
 
-void PlanExecutor::NumberScanOrder(Intermediate* scanned) {
-  scanned->order.resize(scanned->rows.size());
-  for (size_t i = 0; i < scanned->order.size(); ++i) {
-    scanned->order[i] = {uint32_t(i)};
+void PlanExecutor::AppendTupleLineage(const Intermediate& in, size_t row,
+                                      uint32_t* last, LineageSet* out) {
+  size_t width = in.maps.size();
+  const uint32_t* tuple = in.sources.data() + row * width;
+  for (size_t j = 0; j < width; ++j) {
+    if (last != nullptr) {
+      if (last[j] == tuple[j]) continue;
+      last[j] = tuple[j];
+    }
+    const SourceMap& map = in.maps[j];
+    size_t pos = map.positions[tuple[j]];
+    if (map.data != nullptr) {
+      out->push_back(LineageEntry{map.rel, map.data->RowIdAt(pos)});
+    } else {
+      out->insert(out->end(), map.sub_lineage[pos].begin(),
+                  map.sub_lineage[pos].end());
+    }
   }
+}
+
+void PlanExecutor::RecordLineage(OperatorProfile* op, int64_t width,
+                                 const std::vector<LineageSet>* built) const {
+  if (!options_.capture_lineage) return;
+  op->lineage_width = width;
+  if (built == nullptr) return;
+  op->lineage_entries = 0;
+  for (const LineageSet& l : *built) op->lineage_entries += int64_t(l.size());
 }
 
 double PlanExecutor::ProfNowUs() {
@@ -239,76 +324,58 @@ OperatorProfile& PlanExecutor::RecordOp(std::string label, double start_us,
   op.rows_in = rows_in;
   op.rows_out = rows_out;
   op.wall_us = ProfNowUs() - start_us;
-  if (run != nullptr) {
-    op.morsels = run->morsels;
-    op.par_cpu_us = run->cpu_us;
-    op.morsel_timing = run->timing;
-  }
+  if (run != nullptr) op.morsel_run = *run;
   return op;
 }
 
 std::string RenderOperatorProfile(const std::vector<OperatorProfile>& ops,
                                   double total_us) {
   std::string out;
-  char buf[96];
   double depth0_sum = 0;
   for (const OperatorProfile& op : ops) {
     out += "  ";
     for (int d = 0; d < op.depth; ++d) out += "    ";
     out += op.label;
-    std::snprintf(buf, sizeof(buf), "  (rows %llu -> %llu, %.1f us",
-                  (unsigned long long)op.rows_in,
-                  (unsigned long long)op.rows_out, op.wall_us);
-    out += buf;
+    Appendf(&out, "  (rows %llu -> %llu, %.1f us",
+            (unsigned long long)op.rows_in, (unsigned long long)op.rows_out,
+            op.wall_us);
     if (op.est_rows >= 0) {
-      std::snprintf(buf, sizeof(buf), ", est %lld",
-                    (long long)std::llround(op.est_rows));
-      out += buf;
+      Appendf(&out, ", est %lld", (long long)std::llround(op.est_rows));
     }
     if (op.peak_hash_entries > 0) {
-      std::snprintf(buf, sizeof(buf), ", hash peak %zu",
-                    op.peak_hash_entries);
-      out += buf;
+      Appendf(&out, ", hash peak %zu", op.peak_hash_entries);
     }
     if (op.index_probes > 0) {
-      std::snprintf(buf, sizeof(buf), ", probes %zu hits %zu",
-                    op.index_probes, op.index_hits);
-      out += buf;
+      Appendf(&out, ", probes %zu hits %zu", op.index_probes, op.index_hits);
     }
-    if (op.morsels > 0) {
-      std::snprintf(buf, sizeof(buf), ", morsels %zu", op.morsels);
-      out += buf;
-      if (op.partitions > 0) {
-        std::snprintf(buf, sizeof(buf), ", partitions %zu", op.partitions);
-        out += buf;
+    if (op.lineage_width >= 0) {
+      Appendf(&out, ", lineage width %lld", (long long)op.lineage_width);
+    }
+    if (op.lineage_entries >= 0) {
+      Appendf(&out, ", lineage entries %lld", (long long)op.lineage_entries);
+    }
+    const MorselRun& run = op.morsel_run;
+    if (run.morsels > 0) {
+      Appendf(&out, ", morsels %zu (caller %zu helpers %zu", run.morsels,
+              run.caller_morsels, run.morsels - run.caller_morsels);
+      if (run.helper_start_us >= 0) {
+        Appendf(&out, ", first helper +%.1f us", run.helper_start_us);
       }
-      if (op.par_cpu_us > 0) {
-        std::snprintf(buf, sizeof(buf), ", cpu %.1f us", op.par_cpu_us);
-        out += buf;
-      }
-      if (op.morsel_timing.count > 0) {
-        std::snprintf(buf, sizeof(buf),
-                      ", morsel min %.1f p50 %.1f p95 %.1f max %.1f us",
-                      op.morsel_timing.min_us, op.morsel_timing.Percentile(0.5),
-                      op.morsel_timing.Percentile(0.95),
-                      op.morsel_timing.max_us);
-        out += buf;
+      out += ")";
+      if (op.partitions > 0) Appendf(&out, ", partitions %zu", op.partitions);
+      if (run.cpu_us > 0) Appendf(&out, ", cpu %.1f us", run.cpu_us);
+      const MorselTiming& t = run.timing;
+      if (t.count > 0) {
+        Appendf(&out, ", morsel min %.1f p50 %.1f p95 %.1f max %.1f us",
+                t.min_us, t.Percentile(0.5), t.Percentile(0.95), t.max_us);
       }
     }
     out += ")\n";
     if (op.depth == 0) depth0_sum += op.wall_us;
   }
-  std::snprintf(buf, sizeof(buf),
-                "  total: %zu operators, %.1f us (wall %.1f us)\n",
-                ops.size(), depth0_sum, total_us);
-  out += buf;
+  Appendf(&out, "  total: %zu operators, %.1f us (wall %.1f us)\n", ops.size(),
+          depth0_sum, total_us);
   return out;
-}
-
-void NormalizeLineage(LineageSet* lineage) {
-  std::sort(lineage->begin(), lineage->end());
-  lineage->erase(std::unique(lineage->begin(), lineage->end()),
-                 lineage->end());
 }
 
 uint32_t PlanExecutor::InternRelation(const std::string& name) {
@@ -329,12 +396,7 @@ Result<QueryResult> PlanExecutor::Run(const PhysicalPlan& plan) {
   const BoundQuery* prev = plan.members[0].bq;
   for (size_t m = 1; m < plan.members.size(); ++m) {
     DL_ASSIGN_OR_RETURN(QueryResult next, RunMember(plan.members[m]));
-    for (size_t i = 0; i < next.rows.size(); ++i) {
-      result.rows.push_back(std::move(next.rows[i]));
-      if (options_.capture_lineage) {
-        result.lineage.push_back(std::move(next.lineage[i]));
-      }
-    }
+    AppendResult(&result, std::move(next));
     if (!prev->stmt->union_all) {
       DL_RETURN_NOT_OK(ApplyDistinct(&result));
     }
@@ -359,6 +421,7 @@ Result<QueryResult> PlanExecutor::RunMember(const PhysicalMember& pm) {
   if (!stmt.distinct_on.empty()) {
     double prof_start = profiling_ ? ProfNowUs() : 0;
     uint64_t prof_rows_in = joined.rows.size();
+    size_t width = joined.maps.size();
     Intermediate filtered;
     std::unordered_map<Row, size_t, RowHash> seen;
     for (size_t i = 0; i < joined.rows.size(); ++i) {
@@ -370,11 +433,11 @@ Result<QueryResult> PlanExecutor::RunMember(const PhysicalMember& pm) {
       }
       if (seen.emplace(std::move(key), i).second) {
         filtered.rows.push_back(std::move(joined.rows[i]));
-        if (options_.capture_lineage) {
-          filtered.lineage.push_back(std::move(joined.lineage[i]));
-        }
+        auto tuple = joined.sources.begin() + i * width;
+        filtered.sources.insert(filtered.sources.end(), tuple, tuple + width);
       }
     }
+    filtered.maps = std::move(joined.maps);
     joined = std::move(filtered);
     if (profiling_) {
       OperatorProfile& op = RecordOp(
@@ -382,6 +445,7 @@ Result<QueryResult> PlanExecutor::RunMember(const PhysicalMember& pm) {
               " keys)",
           prof_start, prof_rows_in, joined.rows.size());
       op.peak_hash_entries = seen.size();
+      RecordLineage(&op, int64_t(width));
     }
   }
 
@@ -416,38 +480,47 @@ Result<PlanExecutor::Intermediate> PlanExecutor::BuildJoin(
     // SELECT without FROM: one empty-width row.
     Intermediate out;
     out.rows.push_back(Row(bq.total_slots, Value::Null()));
-    if (options_.capture_lineage) out.lineage.emplace_back();
     return out;
   }
 
-  bool track_order = pm.restore_input_order;
   DL_ASSIGN_OR_RETURN(Intermediate current,
-                      ScanRelation(pm, pm.scans[0], track_order, nullptr));
+                      ScanRelation(pm, pm.scans[0], nullptr));
   for (size_t j = 1; j < pm.scans.size(); ++j) {
     DL_ASSIGN_OR_RETURN(Intermediate scanned,
-                        ScanRelation(pm, pm.scans[j], track_order, &current));
-    DL_ASSIGN_OR_RETURN(
-        current, JoinStep(pm, pm.joins[j - 1], std::move(current),
-                          pm.scans[j].rel_idx, std::move(scanned),
-                          track_order));
+                        ScanRelation(pm, pm.scans[j], &current));
+    DL_ASSIGN_OR_RETURN(current, JoinStep(pm, pm.joins[j - 1],
+                                          std::move(current),
+                                          pm.scans[j].rel_idx,
+                                          std::move(scanned)));
   }
   return current;
 }
 
 Result<PlanExecutor::Intermediate> PlanExecutor::ScanRelation(
-    const PhysicalMember& pm, const PhysicalScan& ps, bool track_order,
+    const PhysicalMember& pm, const PhysicalScan& ps,
     const Intermediate* left) {
   const BoundQuery& bq = *pm.bq;
   const BoundRelation& rel = bq.relations[ps.rel_idx];
   size_t offset = bq.slot_offsets[ps.rel_idx];
   size_t width = rel.schema.NumColumns();
   double prof_start = profiling_ ? ProfNowUs() : 0;
-  Intermediate out;
-
-  if (ps.subplan == nullptr) {
+  // A base relation's row, or a subquery FROM item's answer row, is read by
+  // its position; the scan's source map leads from there to lineage.
+  const RelationData* data = nullptr;
+  QueryResult sub;
+  SourceMap map;
+  ResolvedAccess access;
+  if (ps.subplan != nullptr) {
+    // Run the subquery's own plan. Its operators record one level deeper;
+    // their time is also inside this scan's wall time.
+    if (profiling_) ++profile_depth_;
+    Result<QueryResult> sub_result = Run(*ps.subplan);
+    if (profiling_) --profile_depth_;
+    DL_ASSIGN_OR_RETURN(sub, std::move(sub_result));
+  } else {
     // Re-resolve the base relation by name: a cached plan runs against a
     // fresh per-query catalog, and the pointer bound at plan time is stale.
-    const RelationData* data = catalog_->Find(rel.table_name);
+    data = catalog_->Find(rel.table_name);
     if (data == nullptr) {
       return Status::Internal("plan references unknown relation '" +
                               rel.table_name + "'");
@@ -456,14 +529,14 @@ Result<PlanExecutor::Intermediate> PlanExecutor::ScanRelation(
       return Status::Internal("schema drift under cached plan for '" +
                               rel.table_name + "'");
     }
-    uint32_t rel_id =
-        options_.capture_lineage ? InternRelation(rel.table_name) : 0;
+    if (options_.capture_lineage) map.rel = InternRelation(rel.table_name);
+    map.data = data;
 
     // Index pushdown. A left-bound range probe is usable only when every
     // left row yields the same bound value (the single-row clock always
     // does): the originating conjunct is re-applied downstream, so a
     // unanimous bound narrows without losing a join partner.
-    ResolvedAccess access = ResolveAccessPath(
+    access = ResolveAccessPath(
         ps, *data, [&](const PhysicalRangeProbe& probe, Value* bound) {
           if (left == nullptr || left->rows.empty()) return false;
           for (size_t i = 0; i < left->rows.size(); ++i) {
@@ -479,85 +552,65 @@ Result<PlanExecutor::Intermediate> PlanExecutor::ScanRelation(
           }
           return true;
         });
-    bool narrowed = access.path != AccessPath::kSeqScan;
     scan_stats_.index_probes += access.hash_probes;
     scan_stats_.range_probes += access.range_probes;
     if (access.path == AccessPath::kHashProbe) ++scan_stats_.index_hits;
     if (access.path == AccessPath::kRangeScan) ++scan_stats_.range_hits;
-
-    // The filters test the stored row itself; only a row that passes is
-    // copied into a full-width row and given its lineage entry.
-    size_t total = narrowed ? access.positions.size() : data->NumRows();
-    MorselRun run;
-    DL_RETURN_NOT_OK(DriveMorsels(
-        total, MorselClass::kScan, &out,
-        [&](size_t lo, size_t hi, Intermediate* frag) -> Status {
-          for (size_t k = lo; k < hi; ++k) {
-            size_t i = narrowed ? access.positions[k] : k;
-            const Row& src = data->RowAt(i);
-            ProgramInput in;
-            in.window = src;
-            bool keep = true;
-            DL_RETURN_NOT_OK(TestAll(ps.filter_programs, in, &keep));
-            if (!keep) continue;
-            Row full_row(bq.total_slots);
-            std::copy(src.begin(), src.begin() + width,
-                      full_row.begin() + offset);
-            frag->rows.push_back(std::move(full_row));
-            if (options_.capture_lineage) {
-              // Room for one entry per FROM item: the joins that take this
-              // row over append theirs without reallocating.
-              LineageSet& lineage = frag->lineage.emplace_back();
-              lineage.reserve(pm.scans.size());
-              lineage.push_back(LineageEntry{rel_id, data->RowIdAt(i)});
-            }
-          }
-          return Status::OK();
-        },
-        &PlanExecutor::AppendFragment, &run));
-    if (track_order) NumberScanOrder(&out);
-    if (profiling_) {
-      OperatorProfile& op = RecordOp(
-          "scan " + rel.table_name + " (" + std::to_string(data->NumRows()) +
-              " rows) as " + rel.binding_name + AccessToken(access),
-          prof_start, total, out.rows.size(), &run);
-      op.index_probes = access.hash_probes + access.range_probes;
-      op.index_hits = narrowed ? 1 : 0;
-      op.est_rows = ps.est_rows;
-    }
-    return out;
   }
+  bool narrowed = access.path != AccessPath::kSeqScan;
 
-  // Subquery FROM item: run its own plan. Its operators record one level
-  // deeper; their time is also inside this scan's wall time.
-  if (profiling_) ++profile_depth_;
-  Result<QueryResult> sub_result = Run(*ps.subplan);
-  if (profiling_) --profile_depth_;
-  DL_ASSIGN_OR_RETURN(QueryResult sub, std::move(sub_result));
-  for (size_t i = 0; i < sub.rows.size(); ++i) {
-    Row full_row(bq.total_slots, Value::Null());
-    for (size_t c = 0; c < width && c < sub.rows[i].size(); ++c) {
-      full_row[offset + c] = std::move(sub.rows[i][c]);
-    }
-    ProgramInput in;
-    in.window = RowView(full_row.data() + offset, width);
-    bool keep = true;
-    DL_RETURN_NOT_OK(TestAll(ps.filter_programs, in, &keep));
-    if (!keep) continue;
-    out.rows.push_back(std::move(full_row));
-    if (options_.capture_lineage) out.lineage.push_back(std::move(sub.lineage[i]));
+  // The filters test the source row itself; only a row that passes is
+  // copied into a full-width row. Under capture its position stands in for
+  // its source tuple until the source map takes it over below.
+  size_t total = data == nullptr ? sub.rows.size()
+                 : narrowed      ? access.positions.size()
+                                 : data->NumRows();
+  Intermediate out;
+  MorselRun run;
+  DL_RETURN_NOT_OK(DriveMorsels(
+      total, MorselClass::kScan, &out,
+      [&](size_t lo, size_t hi, Intermediate* frag) -> Status {
+        for (size_t k = lo; k < hi; ++k) {
+          size_t i = narrowed ? access.positions[k] : k;
+          const Row& src = data != nullptr ? data->RowAt(i) : sub.rows[i];
+          ProgramInput in;
+          in.window = src;
+          bool keep = true;
+          DL_RETURN_NOT_OK(TestAll(ps.filter_programs, in, &keep));
+          if (!keep) continue;
+          Row full_row(bq.total_slots);
+          std::copy(src.begin(), src.begin() + width,
+                    full_row.begin() + offset);
+          frag->rows.push_back(std::move(full_row));
+          if (options_.capture_lineage) frag->sources.push_back(uint32_t(i));
+        }
+        return Status::OK();
+      },
+      &PlanExecutor::AppendFragment, &run));
+  // Source tuples are kept for lineage capture or an order restore.
+  if (options_.capture_lineage || pm.restore_input_order) {
+    map.positions = std::move(out.sources);
+    map.sub_lineage = std::move(sub.lineage);
+    out.maps.push_back(std::move(map));
+    out.sources.resize(out.rows.size());
+    std::iota(out.sources.begin(), out.sources.end(), uint32_t{0});
   }
-  if (track_order) NumberScanOrder(&out);
   if (profiling_) {
-    RecordOp("scan subquery " + rel.binding_name + " as " + rel.binding_name,
-             prof_start, sub.rows.size(), out.rows.size());
+    std::string label = "scan " + SourceLabel(rel, data);
+    if (data != nullptr) label += AccessToken(access);
+    OperatorProfile& op =
+        RecordOp(std::move(label), prof_start, total, out.rows.size(), &run);
+    op.index_probes = access.hash_probes + access.range_probes;
+    op.index_hits = narrowed ? 1 : 0;
+    if (data != nullptr) op.est_rows = ps.est_rows;
+    RecordLineage(&op, 1);
   }
   return out;
 }
 
 Result<PlanExecutor::Intermediate> PlanExecutor::JoinStep(
     const PhysicalMember& pm, const PhysicalJoin& pj, Intermediate left,
-    size_t rel_idx, Intermediate right, bool track_order) {
+    size_t rel_idx, Intermediate right) {
   const BoundQuery& bq = *pm.bq;
   size_t offset = bq.slot_offsets[rel_idx];
   size_t width = bq.relations[rel_idx].schema.NumColumns();
@@ -566,10 +619,12 @@ Result<PlanExecutor::Intermediate> PlanExecutor::JoinStep(
   Intermediate out;
 
   // The residuals read the incoming relation's slots from the right row and
-  // the rest from the left row; only a pair that passes is combined. The
-  // left side's last candidate pair (`last`) takes over its row, lineage
-  // and order instead of copying them: `left` is this step's own input, and
-  // morsels own disjoint left ranges.
+  // the rest from the left row; only a pair that passes is combined, its
+  // source tuple the left tuple followed by the right one. The left side's
+  // last candidate pair (`last`) takes over its row instead of copying it:
+  // `left` is this step's own input, and morsels own disjoint left ranges.
+  const size_t lw = left.maps.size();
+  const size_t rw = right.maps.size();
   auto emit = [&](size_t li, size_t ri, bool last,
                   Intermediate* frag) -> Status {
     const Row& rrow = right.rows[ri];
@@ -579,22 +634,15 @@ Result<PlanExecutor::Intermediate> PlanExecutor::JoinStep(
     bool keep = true;
     DL_RETURN_NOT_OK(TestAll(pj.residual_programs, in, &keep));
     if (!keep) return Status::OK();
-    auto take = [last](auto& v) { return last ? std::move(v) : v; };
-    Row row = take(left.rows[li]);
+    Row row = last ? std::move(left.rows[li]) : left.rows[li];
     std::copy(rrow.begin() + offset, rrow.begin() + offset + width,
               row.begin() + offset);
     frag->rows.push_back(std::move(row));
-    if (options_.capture_lineage) {
-      const LineageSet& rl = right.lineage[ri];
-      LineageSet lineage = take(left.lineage[li]);
-      lineage.insert(lineage.end(), rl.begin(), rl.end());
-      frag->lineage.push_back(std::move(lineage));
-    }
-    if (track_order) {
-      std::vector<uint32_t> order = take(left.order[li]);
-      order.insert(order.end(), right.order[ri].begin(),
-                   right.order[ri].end());
-      frag->order.push_back(std::move(order));
+    if (lw + rw > 0) {
+      auto lt = left.sources.begin() + li * lw;
+      auto rt = right.sources.begin() + ri * rw;
+      frag->sources.insert(frag->sources.end(), lt, lt + lw);
+      frag->sources.insert(frag->sources.end(), rt, rt + rw);
     }
     return Status::OK();
   };
@@ -686,25 +734,19 @@ Result<PlanExecutor::Intermediate> PlanExecutor::JoinStep(
         },
         &PlanExecutor::AppendFragment, &run));
   }
+  out.maps = std::move(left.maps);
+  for (SourceMap& map : right.maps) out.maps.push_back(std::move(map));
   if (profiling_) {
     const BoundRelation& rel = bq.relations[rel_idx];
-    std::string label =
-        (rel.table_name.empty() ? "subquery " + rel.binding_name
-                                : rel.table_name) +
-        " as " + rel.binding_name;
-    if (pj.algo == JoinAlgo::kHashJoin) {
-      std::vector<std::string> keys;
-      for (const Expr* e : pj.equi_conjuncts) keys.push_back(e->ToString());
-      label = "hash join " + label + " on " + Join(keys, " AND ");
-    } else {
-      label = "nested loop join " + label;
-    }
-    OperatorProfile& op =
-        RecordOp(std::move(label), prof_start,
-                 left.rows.size() + right.rows.size(), out.rows.size(), &run);
+    const RelationData* data =
+        rel.table_name.empty() ? nullptr : catalog_->Find(rel.table_name);
+    OperatorProfile& op = RecordOp(
+        JoinLabel(pj, SourceLabel(rel, data)), prof_start,
+        left.rows.size() + right.rows.size(), out.rows.size(), &run);
     op.peak_hash_entries = build_entries;
     op.est_rows = pj.est_rows;
     if (parts > 1) op.partitions = parts;
+    RecordLineage(&op, int64_t(out.maps.size()));
   }
   return out;
 }
@@ -722,10 +764,10 @@ void PlanExecutor::RestoreInputOrder(const PhysicalMember& pm,
   for (size_t j = 0; j < n; ++j) inv[pm.scan_order[j]] = j;
 
   std::vector<size_t> perm(joined->rows.size());
-  for (size_t i = 0; i < perm.size(); ++i) perm[i] = i;
+  std::iota(perm.begin(), perm.end(), size_t{0});
   std::sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
-    const std::vector<uint32_t>& ta = joined->order[a];
-    const std::vector<uint32_t>& tb = joined->order[b];
+    const uint32_t* ta = joined->sources.data() + a * n;
+    const uint32_t* tb = joined->sources.data() + b * n;
     for (size_t k = 0; k < n; ++k) {
       uint32_t va = ta[inv[k]];
       uint32_t vb = tb[inv[k]];
@@ -734,19 +776,13 @@ void PlanExecutor::RestoreInputOrder(const PhysicalMember& pm,
     return false;
   });
 
-  std::vector<Row> rows(joined->rows.size());
+  Permute(&joined->rows, perm);
+  std::vector<uint32_t> sources(joined->sources.size());
   for (size_t i = 0; i < perm.size(); ++i) {
-    rows[i] = std::move(joined->rows[perm[i]]);
+    std::copy_n(joined->sources.begin() + perm[i] * n, n,
+                sources.begin() + i * n);
   }
-  joined->rows = std::move(rows);
-  if (options_.capture_lineage) {
-    std::vector<LineageSet> lineage(joined->lineage.size());
-    for (size_t i = 0; i < perm.size(); ++i) {
-      lineage[i] = std::move(joined->lineage[perm[i]]);
-    }
-    joined->lineage = std::move(lineage);
-  }
-  joined->order.clear();
+  joined->sources = std::move(sources);
 }
 
 Result<QueryResult> PlanExecutor::ProjectUngrouped(const PhysicalMember& pm,
@@ -754,42 +790,34 @@ Result<QueryResult> PlanExecutor::ProjectUngrouped(const PhysicalMember& pm,
   const BoundQuery& bq = *pm.bq;
   double prof_start = profiling_ ? ProfNowUs() : 0;
   // Row-wise and side-effect-free, so morsels fill disjoint fragments (a
-  // morsel normalizes and moves only its own rows' lineage).
-  Intermediate projected;
+  // morsel builds only its own rows' lineage sets, from their tuples).
+  QueryResult result;
   MorselRun run;
   DL_RETURN_NOT_OK(DriveMorsels(
-      input.rows.size(), MorselClass::kProject, &projected,
-      [&](size_t lo, size_t hi, Intermediate* frag) -> Status {
+      input.rows.size(), MorselClass::kProject, &result,
+      [&](size_t lo, size_t hi, QueryResult* frag) -> Status {
         frag->rows.reserve(frag->rows.size() + (hi - lo));
         for (size_t i = lo; i < hi; ++i) {
           ProgramInput in;
           in.row = input.rows[i];
-          Row out(bq.output_columns.size());
-          for (size_t c = 0; c < out.size(); ++c) {
-            const OutputColumn& col = bq.output_columns[c];
-            if (col.expr != nullptr) {
-              DL_RETURN_NOT_OK(pm.output_programs[c].Evaluate(in, &out[c]));
-            } else {
-              out[c] = input.rows[i][col.slot];
-            }
-          }
+          Row out;
+          DL_RETURN_NOT_OK(ProjectRow(pm, in, &out));
           frag->rows.push_back(std::move(out));
           if (options_.capture_lineage) {
-            NormalizeLineage(&input.lineage[i]);
-            frag->lineage.push_back(std::move(input.lineage[i]));
+            LineageSet& lineage = frag->lineage.emplace_back();
+            AppendTupleLineage(input, i, nullptr, &lineage);
+            NormalizeLineage(&lineage);
           }
         }
         return Status::OK();
       },
-      &PlanExecutor::AppendFragment, &run));
-  QueryResult result;
+      &AppendResult, &run));
   result.schema = bq.output_schema;
-  result.rows = std::move(projected.rows);
-  result.lineage = std::move(projected.lineage);
   if (profiling_) {
-    RecordOp(
+    OperatorProfile& op = RecordOp(
         "project " + std::to_string(bq.output_columns.size()) + " columns",
         prof_start, input.rows.size(), result.rows.size(), &run);
+    RecordLineage(&op, int64_t(input.maps.size()), &result.lineage);
   }
   return result;
 }
@@ -804,16 +832,19 @@ Result<QueryResult> PlanExecutor::ProjectGrouped(const PhysicalMember& pm,
     /// The group's first input row (`input` outlives every group).
     const Row* representative = nullptr;
     std::vector<AggregateAccumulator> accumulators;
-    LineageSet lineage;
+    uint32_t index = 0;  ///< position in its accumulator's group_order
   };
 
   /// Hash table + first-appearance order — one per morsel when parallel,
-  /// merged in morsel order so representatives, group order, and lineage
-  /// sequences all match the serial single-pass build.
+  /// merged in morsel order so representatives, group order, and each
+  /// row's group index all match the serial single-pass build.
   using GroupEntry = std::pair<const Row, GroupState>;
   struct GroupAcc {
     std::unordered_map<Row, GroupState, RowHash> groups;
     std::vector<GroupEntry*> group_order;  // deterministic output order
+    /// Group index of each input row seen, in row order (capture only):
+    /// lineage sets are gathered from it for the groups HAVING keeps.
+    std::vector<uint32_t> row_group;
   };
 
   auto new_group_state = [&](const Row* representative) {
@@ -837,6 +868,7 @@ Result<QueryResult> PlanExecutor::ProjectGrouped(const PhysicalMember& pm,
       auto it = acc->groups.find(key);
       if (it == acc->groups.end()) {
         it = acc->groups.emplace(key, new_group_state(&input.rows[i])).first;
+        it->second.index = uint32_t(acc->group_order.size());
         acc->group_order.push_back(&*it);
       }
       GroupState& state = it->second;
@@ -850,16 +882,15 @@ Result<QueryResult> PlanExecutor::ProjectGrouped(const PhysicalMember& pm,
           DL_RETURN_NOT_OK(state.accumulators[a].Add(v));
         }
       }
-      if (options_.capture_lineage) {
-        MergeLineage(&state.lineage, input.lineage[i]);
-      }
+      if (options_.capture_lineage) acc->row_group.push_back(state.index);
     }
     return Status::OK();
   };
 
-  // Partials merge in morsel order: a group's representative, position in
-  // group_order, and lineage sequence all come from its earliest morsel —
-  // the same row serial processing would have picked. A merge an
+  // Partials merge in morsel order: a group's representative and position
+  // in group_order come from its earliest morsel — the same row serial
+  // processing would have picked — and each part's row group indices are
+  // renumbered into the merged order. A merge an
   // accumulator cannot prove exact (float partial sums) makes DriveMorsels
   // redo the whole aggregation serially; `input` was only read, so the
   // redo sees exactly what the serial path would have.
@@ -872,23 +903,28 @@ Result<QueryResult> PlanExecutor::ProjectGrouped(const PhysicalMember& pm,
           *dst = std::move(part);
           return true;
         }
+        std::vector<uint32_t> renumber(part.group_order.size());
         for (GroupEntry* entry : part.group_order) {
           GroupState& src = entry->second;
           auto [it, inserted] = dst->groups.try_emplace(entry->first);
+          GroupState& state = it->second;
           if (inserted) {
-            it->second = std::move(src);
+            uint32_t index = uint32_t(dst->group_order.size());
+            renumber[src.index] = index;
+            state = std::move(src);
+            state.index = index;
             dst->group_order.push_back(&*it);
             continue;
           }
-          GroupState& state = it->second;
+          renumber[src.index] = state.index;
           for (size_t a = 0; a < state.accumulators.size(); ++a) {
             if (!state.accumulators[a].MergeFrom(src.accumulators[a])) {
               return false;
             }
           }
-          if (options_.capture_lineage) {
-            MergeLineage(&state.lineage, src.lineage);
-          }
+        }
+        for (uint32_t g : part.row_group) {
+          dst->row_group.push_back(renumber[g]);
         }
         return true;
       },
@@ -905,6 +941,8 @@ Result<QueryResult> PlanExecutor::ProjectGrouped(const PhysicalMember& pm,
 
   QueryResult result;
   result.schema = bq.output_schema;
+  constexpr uint32_t kDropped = UINT32_MAX;
+  std::vector<uint32_t> output_row(acc.group_order.size(), kDropped);
   for (GroupEntry* entry : acc.group_order) {
     GroupState& state = entry->second;
     std::vector<Value> agg_values(bq.aggregates.size());
@@ -919,20 +957,24 @@ Result<QueryResult> PlanExecutor::ProjectGrouped(const PhysicalMember& pm,
       DL_RETURN_NOT_OK(pm.having_program.Test(in, &keep));
       if (!keep) continue;
     }
-    Row out(bq.output_columns.size());
-    for (size_t c = 0; c < out.size(); ++c) {
-      const OutputColumn& col = bq.output_columns[c];
-      if (col.expr != nullptr) {
-        DL_RETURN_NOT_OK(pm.output_programs[c].Evaluate(in, &out[c]));
-      } else {
-        out[c] = (*state.representative)[col.slot];
-      }
-    }
+    Row out;
+    DL_RETURN_NOT_OK(ProjectRow(pm, in, &out));
+    output_row[state.index] = uint32_t(result.rows.size());
     result.rows.push_back(std::move(out));
-    if (options_.capture_lineage) {
-      NormalizeLineage(&state.lineage);
-      result.lineage.push_back(std::move(state.lineage));
+  }
+  if (options_.capture_lineage) {
+    // A group's rows often repeat a source row (the dimension row every
+    // fact row joins): `last` skips it while it repeats.
+    size_t width = input.maps.size();
+    std::vector<uint32_t> last(result.rows.size() * width, UINT32_MAX);
+    result.lineage.resize(result.rows.size());
+    for (size_t i = 0; i < acc.row_group.size(); ++i) {
+      uint32_t r = output_row[acc.row_group[i]];
+      if (r == kDropped) continue;
+      AppendTupleLineage(input, i, last.data() + r * width,
+                         &result.lineage[r]);
     }
+    for (LineageSet& lineage : result.lineage) NormalizeLineage(&lineage);
   }
   if (profiling_) {
     OperatorProfile& op = RecordOp(
@@ -941,6 +983,7 @@ Result<QueryResult> PlanExecutor::ProjectGrouped(const PhysicalMember& pm,
             " aggregates]",
         prof_start, input.rows.size(), result.rows.size(), &run);
     op.peak_hash_entries = acc.groups.size();
+    RecordLineage(&op, int64_t(input.maps.size()), &result.lineage);
   }
   return result;
 }
@@ -952,16 +995,17 @@ Status PlanExecutor::ApplyDistinct(QueryResult* result) {
   std::vector<Row> rows;
   std::vector<LineageSet> lineage;
   for (size_t i = 0; i < result->rows.size(); ++i) {
-    auto it = seen.find(result->rows[i]);
-    if (it == seen.end()) {
-      seen.emplace(result->rows[i], rows.size());
+    auto [it, inserted] = seen.try_emplace(result->rows[i], rows.size());
+    if (inserted) {
       rows.push_back(std::move(result->rows[i]));
       if (options_.capture_lineage) {
         lineage.push_back(std::move(result->lineage[i]));
       }
     } else if (options_.capture_lineage) {
       // Lineage of a deduplicated row is the union over its duplicates.
-      MergeLineage(&lineage[it->second], result->lineage[i]);
+      const LineageSet& dup = result->lineage[i];
+      lineage[it->second].insert(lineage[it->second].end(), dup.begin(),
+                                 dup.end());
     }
   }
   if (options_.capture_lineage) {
@@ -973,6 +1017,7 @@ Status PlanExecutor::ApplyDistinct(QueryResult* result) {
     OperatorProfile& op = RecordOp("distinct", prof_start, prof_rows_in,
                                    result->rows.size());
     op.peak_hash_entries = seen.size();
+    RecordLineage(&op, -1, &result->lineage);
   }
   return Status::OK();
 }
@@ -1019,18 +1064,8 @@ Status PlanExecutor::ApplyOrderAndLimit(const BoundQuery& bq,
       }
       return false;
     });
-    std::vector<Row> rows(result->rows.size());
-    for (size_t i = 0; i < perm.size(); ++i) {
-      rows[i] = std::move(result->rows[perm[i]]);
-    }
-    result->rows = std::move(rows);
-    if (result->has_lineage || !result->lineage.empty()) {
-      std::vector<LineageSet> lineage(result->lineage.size());
-      for (size_t i = 0; i < perm.size(); ++i) {
-        lineage[i] = std::move(result->lineage[perm[i]]);
-      }
-      result->lineage = std::move(lineage);
-    }
+    Permute(&result->rows, perm);
+    if (!result->lineage.empty()) Permute(&result->lineage, perm);
     if (profiling_) {
       RecordOp("sort " + std::to_string(stmt.order_by.size()) + " keys",
                prof_start, result->rows.size(), result->rows.size());

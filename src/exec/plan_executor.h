@@ -68,8 +68,6 @@ class MorselFeedback {
   /// Serial-head only (reads the EWMA the same way Roll() writes it).
   std::string Summary() const;
 
-  void Reset();
-
  private:
   struct alignas(64) Pending {
     std::atomic<uint64_t> ns{0};  ///< wall time, nanoseconds
@@ -94,12 +92,30 @@ struct MorselTiming {
   double Percentile(double q) const;
 };
 
+/// One operator's morsel accounting, filled by PlanExecutor::DriveMorsels
+/// and rendered by EXPLAIN ANALYZE. A wall time below cpu_us means the
+/// morsels overlapped; the ratio is the operator's effective parallelism.
+struct MorselRun {
+  size_t morsels = 0;  ///< morsels whose fragments were kept; 0 = serial
+  /// Of those, the ones the ParallelFor caller ran itself, and the µs from
+  /// dispatch to the first helper-run morsel (the latest over the
+  /// operator's dispatches; < 0 when the caller ran them all).
+  size_t caller_morsels = 0;
+  double helper_start_us = -1;
+  double cpu_us = 0;  ///< summed per-morsel wall time
+  /// Per-morsel wall-time distribution (min/p50/p95/max); count == 0 when
+  /// the operator ran serially. A hash join folds build and probe morsels
+  /// into the one distribution its profile row shows.
+  MorselTiming timing;
+};
+
 /// Execution knobs.
 struct ExecOptions {
   /// Track, for every output row, the set of contributing base-table tuples
-  /// (the paper's lineage provenance). Costs roughly another pass over the
-  /// data — deliberately mirroring the cost of provenance generation in the
-  /// paper's fProvenance.
+  /// (the paper's lineage provenance). Scans and joins carry one row index
+  /// per FROM item; lineage sets are built only where rows merge or leave a
+  /// UNION member. The provenance generator runs the user query once, with
+  /// this on.
   bool capture_lineage = false;
 
   /// Apply the planner's cost-improving rules (constant folding, join
@@ -159,18 +175,15 @@ struct OperatorProfile {
   /// renders "est N" next to the actual rows); < 0 when the plan carried
   /// no estimate.
   double est_rows = -1;
-  /// Morsels this operator dispatched to the scheduler (0 = it ran
-  /// serially), hash-build partitions (parallel hash join only), and the
-  /// summed per-morsel execution time. wall_us < par_cpu_us means the
-  /// morsels overlapped; the ratio is the operator's effective
-  /// parallelism.
-  size_t morsels = 0;
+  /// How the operator's morsels ran (none: it ran serially), and its
+  /// hash-build partitions (parallel hash join only).
+  MorselRun morsel_run;
   size_t partitions = 0;
-  double par_cpu_us = 0;
-  /// Per-morsel wall-time distribution (min/p50/p95/max) when the operator
-  /// morselized; count == 0 when it ran serially. A hash join folds build
-  /// and probe morsels into the one distribution its profile row shows.
-  MorselTiming morsel_timing;
+  /// Under lineage capture (< 0 otherwise): the source-tuple width the
+  /// operator carries, and where lineage sets are built (project,
+  /// aggregate, distinct) the entries in the sets it outputs.
+  int64_t lineage_width = -1;
+  int64_t lineage_entries = -1;
 };
 
 /// Renders profiled operators one per line, annotated with their counters,
@@ -208,17 +221,27 @@ class PlanExecutor {
 
   /// Operators recorded (in execution order) by profiled Run calls.
   const std::vector<OperatorProfile>& profile() const { return profile_; }
-  void ClearProfile() { profile_.clear(); }
 
  private:
+  /// Where one scanned FROM item's emission indices lead under lineage
+  /// capture: `positions` maps each to the row's position in the base
+  /// relation (read as a RowIdAt row id only when a lineage set is built),
+  /// or in a subquery's answer, whose per-row lineage is kept.
+  struct SourceMap {
+    uint32_t rel = 0;                     ///< index into base_relations_
+    const RelationData* data = nullptr;   ///< nullptr for a subquery
+    std::vector<uint32_t> positions;      ///< by emission index
+    std::vector<LineageSet> sub_lineage;  ///< subquery answer's lineage
+  };
+
   /// Joined-but-not-yet-projected rows, laid out by the binder's slots.
+  /// Under lineage capture or order restore each row also has a source
+  /// tuple in `sources`: its emission index in each FROM item scanned so
+  /// far (scan order), `maps.size()` per row, row after row.
   struct Intermediate {
     std::vector<Row> rows;
-    std::vector<LineageSet> lineage;  ///< parallel to rows when capturing
-    /// Per-row scan-emission positions in *scan* order; tracked only when
-    /// the member was join-reordered, to restore the FROM-order fold's row
-    /// order afterwards.
-    std::vector<std::vector<uint32_t>> order;
+    std::vector<uint32_t> sources;
+    std::vector<SourceMap> maps;  ///< one per tuple slot; empty untracked
   };
 
   Result<QueryResult> RunMember(const PhysicalMember& pm);
@@ -227,12 +250,11 @@ class PlanExecutor {
   /// a join (nullptr for scans[0]); left-bound range probes evaluate their
   /// bound expression against it.
   Result<Intermediate> ScanRelation(const PhysicalMember& pm,
-                                    const PhysicalScan& ps, bool track_order,
+                                    const PhysicalScan& ps,
                                     const Intermediate* left);
   Result<Intermediate> JoinStep(const PhysicalMember& pm,
                                 const PhysicalJoin& pj, Intermediate left,
-                                size_t rel_idx, Intermediate right,
-                                bool track_order);
+                                size_t rel_idx, Intermediate right);
   /// Sorts `joined` into the row order the FROM-order fold would have
   /// produced (lexicographic in per-relation scan positions, FROM order).
   void RestoreInputOrder(const PhysicalMember& pm, Intermediate* joined);
@@ -246,12 +268,6 @@ class PlanExecutor {
   /// Index into base_relations_ for `name`, interning it if new.
   uint32_t InternRelation(const std::string& name);
 
-  /// One operator's morsel accounting, as EXPLAIN ANALYZE shows it.
-  struct MorselRun {
-    size_t morsels = 0;  ///< morsels whose fragments were kept; 0 = inline
-    double cpu_us = 0;   ///< summed per-morsel wall time
-    MorselTiming timing;
-  };
   /// The one place serial and morsel execution part ways. Splits [0, n)
   /// into morsels of the adaptive suggestion for `cls` when a feedback
   /// accumulator is attached and has one, of morsel_size otherwise. With
@@ -268,16 +284,25 @@ class PlanExecutor {
   /// Adds the dispatched morsels to scan_stats_; when profiling or feeding
   /// adaptive feedback it times each morsel into run->cpu_us, the feedback
   /// accumulator and (profiling) run->timing. run->morsels counts the
-  /// morsels whose fragments were kept.
+  /// morsels whose fragments were kept, run->caller_morsels those of them
+  /// the calling thread ran.
   template <typename Frag, typename Span, typename Merge>
   Status DriveMorsels(size_t n, MorselClass cls, Frag* out, const Span& span,
                       const Merge& merge, MorselRun* run);
-  /// Moves a morsel fragment onto the end of `dst` (rows, lineage, order —
-  /// fragments concatenate in morsel order, which is what keeps parallel
-  /// output byte-identical to serial). Always exact: returns true.
+  /// Moves a morsel fragment's rows and source tuples onto the end of
+  /// `dst` (fragments concatenate in morsel order, which is what keeps
+  /// parallel output byte-identical to serial). Always exact: returns true.
   static bool AppendFragment(Intermediate* dst, Intermediate&& src);
-  /// Gives each scanned row its emission position as its order tuple.
-  static void NumberScanOrder(Intermediate* scanned);
+  /// Appends the lineage entries of `in`'s row `row` to *out (unsorted).
+  /// With `last` (one index per tuple slot), a slot whose index equals
+  /// last's is skipped, and last takes the row's indices.
+  static void AppendTupleLineage(const Intermediate& in, size_t row,
+                                 uint32_t* last, LineageSet* out);
+  /// Sets a profiled operator's lineage share when lineage is captured:
+  /// the source-tuple `width` (< 0: it carries none), and the entries in
+  /// `built` when given.
+  void RecordLineage(OperatorProfile* op, int64_t width,
+                     const std::vector<LineageSet>* built = nullptr) const;
 
   /// Steady-clock microseconds for operator timing; only called when
   /// profiling is on.
@@ -296,9 +321,6 @@ class PlanExecutor {
   int profile_depth_ = 0;  ///< subquery nesting of the op being recorded
   std::vector<OperatorProfile> profile_;
 };
-
-/// Sorts and deduplicates a lineage set in place.
-void NormalizeLineage(LineageSet* lineage);
 
 }  // namespace datalawyer
 

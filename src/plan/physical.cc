@@ -94,32 +94,16 @@ void RenderMember(const PhysicalMember& pm, const CatalogView* catalog,
           });
     }
 
-    std::string source;
-    if (rel.table_name.empty()) {
-      source = "subquery " + rel.binding_name;
-    } else if (data != nullptr) {
-      source = rel.table_name + " (" + std::to_string(data->NumRows()) +
-               " rows)";
-    } else {
-      source = rel.table_name + " (? rows)";
-    }
+    std::string source = SourceLabel(rel, data);
 
     std::vector<std::string> pushdown;
     for (const Expr* p : ps.filters) pushdown.push_back(p->ToString());
 
     if (j == 0) {
-      *out += "  scan " + source + " as " + rel.binding_name;
-      *out += AccessToken(access);
+      *out += "  scan " + source + AccessToken(access);
     } else {
       const PhysicalJoin& pj = pm.joins[j - 1];
-      if (pj.algo == JoinAlgo::kHashJoin) {
-        std::vector<std::string> keys;
-        for (const Expr* e : pj.equi_conjuncts) keys.push_back(e->ToString());
-        *out += "  hash join " + source + " as " + rel.binding_name + " on " +
-                Join(keys, " AND ");
-      } else {
-        *out += "  nested loop join " + source + " as " + rel.binding_name;
-      }
+      *out += "  " + JoinLabel(pj, source);
       if (access.path != AccessPath::kSeqScan) *out += AccessToken(access);
       if (!pj.residual.empty()) {
         std::vector<std::string> residual;
@@ -255,6 +239,21 @@ std::string AccessToken(const ResolvedAccess& access) {
     default:
       return " [full scan]";
   }
+}
+
+std::string SourceLabel(const BoundRelation& rel, const RelationData* data) {
+  if (rel.table_name.empty()) {
+    return "subquery " + rel.binding_name + " as " + rel.binding_name;
+  }
+  std::string rows = data == nullptr ? "?" : std::to_string(data->NumRows());
+  return rel.table_name + " (" + rows + " rows) as " + rel.binding_name;
+}
+
+std::string JoinLabel(const PhysicalJoin& pj, const std::string& source) {
+  if (pj.algo != JoinAlgo::kHashJoin) return "nested loop join " + source;
+  std::vector<std::string> keys;
+  for (const Expr* e : pj.equi_conjuncts) keys.push_back(e->ToString());
+  return "hash join " + source + " on " + Join(keys, " AND ");
 }
 
 std::string RenderPhysicalPlan(const PhysicalPlan& plan,

@@ -144,6 +144,14 @@ struct PhysicalJoin {
   double est_rows = -1;
 };
 
+/// How EXPLAIN and EXPLAIN ANALYZE name a FROM item: "t (N rows) as b"
+/// ("? rows" without `data`), or "subquery b as b".
+std::string SourceLabel(const BoundRelation& rel, const RelationData* data);
+
+/// "hash join <source> on <keys>" or "nested loop join <source>": the join
+/// label EXPLAIN and EXPLAIN ANALYZE print.
+std::string JoinLabel(const PhysicalJoin& pj, const std::string& source);
+
 /// One UNION member: the join pipeline plus the tail stages its BoundQuery
 /// prescribes (DISTINCT ON → aggregate → project → DISTINCT).
 struct PhysicalMember {

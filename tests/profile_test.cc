@@ -8,7 +8,9 @@
 #include "core/datalawyer.h"
 #include "core/decision.h"
 #include "exec/engine.h"
+#include "exec/executor.h"
 #include "exec/plan_executor.h"
+#include "sql/parser.h"
 
 namespace datalawyer {
 namespace {
@@ -29,6 +31,15 @@ struct ParsedProfile {
   double depth0_sum = 0;
   double wall_us = 0;
 };
+
+/// The first line of `text` containing `needle` ("" if none).
+std::string LineWith(const std::string& text, const std::string& needle) {
+  size_t pos = text.find(needle);
+  if (pos == std::string::npos) return "";
+  size_t start = text.rfind('\n', pos);
+  start = start == std::string::npos ? 0 : start + 1;
+  return text.substr(start, text.find('\n', pos) - start);
+}
 
 ParsedProfile ParseProfile(const std::string& text) {
   ParsedProfile parsed;
@@ -165,6 +176,81 @@ TEST_F(ExplainAnalyzeTest, MorselTimingPercentilesRendered) {
   EXPECT_NE(plan.find("morsel min"), std::string::npos) << plan;
   EXPECT_NE(plan.find("p50"), std::string::npos) << plan;
   EXPECT_NE(plan.find("p95"), std::string::npos) << plan;
+  // Every morselized operator says who ran its morsels: the caller's and
+  // the helpers' shares add up to the morsels it kept, and a helper that
+  // ran any of them has its start after dispatch shown.
+  size_t checked = 0;
+  for (size_t pos = plan.find(", morsels "); pos != std::string::npos;
+       pos = plan.find(", morsels ", pos + 1)) {
+    unsigned long morsels = 0, caller = 0, helpers = 0;
+    ASSERT_EQ(std::sscanf(plan.c_str() + pos,
+                          ", morsels %lu (caller %lu helpers %lu", &morsels,
+                          &caller, &helpers),
+              3)
+        << plan;
+    EXPECT_LE(caller, morsels) << plan;
+    EXPECT_LE(helpers, morsels) << plan;
+    EXPECT_EQ(caller + helpers, morsels) << plan;
+    std::string line = LineWith(plan.substr(pos), "helpers");
+    EXPECT_EQ(helpers > 0, line.find("first helper +") != std::string::npos)
+        << line;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u) << plan;
+}
+
+// A W4-shaped query (range + equality scan, hash join, grouped count with
+// HAVING): with lineage captured every operator shows the source-tuple
+// width it carries, and the aggregate, where lineage sets are built, the
+// entries in the sets of the groups HAVING keeps; without capture neither
+// shows.
+TEST_F(ExplainAnalyzeTest, LineageShareShownOnlyWhenCaptured) {
+  Engine engine(&db_);
+  ASSERT_TRUE(engine
+                  .ExecuteScript(
+                      "CREATE TABLE pt (subject_id INT, sex TEXT);"
+                      "CREATE TABLE ce (subject_id INT, itemid INT);"
+                      "INSERT INTO pt VALUES (1, 'F'), (2, 'M'), (3, 'F'), "
+                      "(4, 'M');"
+                      "INSERT INTO ce VALUES (1, 211), (1, 211), (1, 211), "
+                      "(2, 211), (3, 211), (3, 99), (3, 211), (4, 211), "
+                      "(4, 211), (4, 211);")
+                  .ok());
+  auto stmt = Parser::Parse(
+      "SELECT c.subject_id, p.sex, COUNT(c.subject_id) FROM ce c, pt p "
+      "WHERE c.subject_id < 4 AND c.subject_id > 0 AND "
+      "p.subject_id = c.subject_id AND c.itemid = 211 "
+      "GROUP BY c.subject_id, p.sex HAVING COUNT(c.subject_id) > 1");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+
+  ExecOptions options;
+  options.capture_lineage = true;
+  Executor with_lineage(engine.db_catalog(), options);
+  auto profiled = with_lineage.ExplainAnalyze(*stmt->select);
+  ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
+  const std::string& plan = *profiled;
+  EXPECT_NE(LineWith(plan, "scan ce").find("lineage width 1"),
+            std::string::npos)
+      << plan;
+  EXPECT_NE(LineWith(plan, "scan pt").find("lineage width 1"),
+            std::string::npos)
+      << plan;
+  EXPECT_NE(LineWith(plan, "hash join").find("lineage width 2"),
+            std::string::npos)
+      << plan;
+  // Groups 1 (three ce rows + one pt row) and 3 (two + one) pass HAVING;
+  // group 2 is dropped before any of its lineage is built.
+  EXPECT_NE(LineWith(plan, "aggregate")
+                .find("lineage width 2, lineage entries 7"),
+            std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("result: 2 rows"), std::string::npos) << plan;
+
+  Executor without(engine.db_catalog(), ExecOptions{});
+  auto plain = without.ExplainAnalyze(*stmt->select);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(plain->find("lineage"), std::string::npos) << *plain;
+  EXPECT_NE(plain->find("result: 2 rows"), std::string::npos) << *plain;
 }
 
 TEST(RenderOperatorProfileTest, IndentsByDepthAndSumsDepthZeroOnly) {
